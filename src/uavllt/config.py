@@ -7,6 +7,7 @@ comments allowed) so they stay trivial to parse and diff. Keys match the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .mobility import Arena, SmoothTurnConfig
@@ -40,16 +41,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.uav_count < 2:
             raise ConfigError(f"uav_count must be >= 2, got {self.uav_count}")
-        if self.transmission_range <= 0.0:
-            raise ConfigError("transmission_range must be positive")
-        if self.hello_interval <= 0.0:
-            raise ConfigError("hello_interval must be positive")
-        if self.duration <= 0.0:
-            raise ConfigError("duration must be positive")
-        if self.horizon <= 0.0:
-            raise ConfigError("horizon must be positive")
-        if self.oracle_dt <= 0.0:
-            raise ConfigError("oracle_dt must be positive")
+        # An infinite duration never ends a run; NaN fails every comparison,
+        # so a NaN range or Hello interval would silently yield no links.
+        for name in ("transmission_range", "hello_interval", "duration", "horizon",
+                     "oracle_dt"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         for lo, hi, name in ((self.speed_min, self.speed_max, "speed"),
                              (self.radius_min, self.radius_max, "radius"),
                              (self.wait_min, self.wait_max, "wait")):

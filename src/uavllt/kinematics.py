@@ -172,6 +172,45 @@ def planar_positions_at(traj: Trajectory, ts: np.ndarray) -> tuple[np.ndarray, n
             traj.origin_y + traj.speed * np.sin(traj.heading) * ts)
 
 
+class TrajectoryTable:
+    """A fleet's current trajectories as float64 rows, evaluated all at once.
+
+    Row ``i`` holds ``(epoch, cx, cy, R, phase, omega)`` for a curve and
+    ``(epoch, x0, y0, v, cos(heading), sin(heading))`` for a straight
+    flight. :meth:`positions_at` repeats :func:`position_at`'s operations
+    in its order, so wherever numpy's ``cos``/``sin`` round as ``math``'s
+    do, the coordinates are bit-identical to the scalar path.
+    (:func:`planar_positions_at` multiplies in another order and is not.)
+    """
+
+    def __init__(self, trajectories):
+        self.params = np.empty((len(trajectories), 6))
+        self.curve = np.zeros(len(trajectories), dtype=bool)
+        for i, traj in enumerate(trajectories):
+            self.set(i, traj)
+
+    def set(self, i: int, traj: Trajectory) -> None:
+        """Make ``traj`` row ``i``'s trajectory."""
+        if isinstance(traj, CurveTrajectory):
+            self.params[i] = (traj.epoch, traj.center_x, traj.center_y, traj.radius,
+                              traj.initial_phase, traj.omega)
+            self.curve[i] = True
+        else:
+            self.params[i] = (traj.epoch, traj.origin_x, traj.origin_y, traj.speed,
+                              math.cos(traj.heading), math.sin(traj.heading))
+            self.curve[i] = False
+
+    def positions_at(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Planar coordinates at absolute ``times``: two (times, rows) arrays."""
+        epoch, ax, ay, scale, p, q = self.params.T
+        tau = np.asarray(times, dtype=float)[:, None] - epoch
+        phi = p + q * tau
+        travelled = scale * tau
+        x = np.where(self.curve, ax + scale * np.cos(phi), ax + travelled * p)
+        y = np.where(self.curve, ay + scale * np.sin(phi), ay + travelled * q)
+        return x, y
+
+
 def velocity_heading(traj: Trajectory, t: float = 0.0) -> float:
     """Direction of travel at offset ``t``, in [0, 2*pi).
 

@@ -10,6 +10,18 @@ averaged with history. Ground-truth terminations are detected by sampling
 live-link separations on a fine grid and bisecting the crossing, so the
 simulator can score its own predictions.
 
+Nothing moves a trajectory or brings a link up between two queued events,
+so the ground-truth check scans every grid tick up to the next event as
+one block: the fleet's positions at all those ticks come from one
+:class:`~uavllt.kinematics.TrajectoryTable` evaluation, and the live-link
+separations form one (ticks x links) array. A Hello finds its neighbours
+from one row of distances the same way. The table repeats
+:func:`~uavllt.kinematics.position_at`'s arithmetic in its order and the
+distances are taken with :func:`math.hypot`, so every separation, and with
+it every output, is bit-identical to checking one tick and one pair at a
+time. Termination bisection and the change handler's range test stay on
+the scalar path.
+
 Event log entries are plain dicts (serialized as JSON lines); topology
 snapshots are edge lists whose weights are the remaining predicted
 lifetimes at the snapshot instant.
@@ -24,6 +36,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .config import ScenarioConfig
 from .kinematics import (
     CurveTrajectory,
@@ -31,6 +45,7 @@ from .kinematics import (
     Position,
     StraightTrajectory,
     Trajectory,
+    TrajectoryTable,
     initial_phase,
     position_at,
     re_anchor,
@@ -42,6 +57,8 @@ DT_CHECK = 0.01          # ground-truth sampling resolution, seconds
 BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
 # A half-completed Hello handshake goes stale after this many intervals.
 HANDSHAKE_FRESHNESS = 2.0
+# Most check ticks one block scan covers; bounds its (ticks x links) arrays.
+_CHECK_BLOCK = 256
 
 _PRIORITY_CHANGE = 0
 _PRIORITY_HELLO = 1
@@ -229,6 +246,13 @@ class Simulator:
                  hello_interval: float = 1.0, dt_check: float = DT_CHECK,
                  horizon: float = DEFAULT_HORIZON, sample_interval: float | None = None,
                  stop_after_first_termination: bool = False):
+        if sample_interval is None:
+            sample_interval = hello_interval
+        for name, value in (("tx_range", tx_range), ("duration", duration),
+                            ("hello_interval", hello_interval), ("dt_check", dt_check),
+                            ("sample_interval", sample_interval)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         self.states: dict = {s.id: s for s in states}
         self.order = [s.id for s in states]
         self.driver = change_driver
@@ -237,7 +261,7 @@ class Simulator:
         self.hello_interval = hello_interval
         self.dt_check = dt_check
         self.horizon = horizon
-        self.sample_interval = hello_interval if sample_interval is None else sample_interval
+        self.sample_interval = sample_interval
         self.stop_after_first_termination = stop_after_first_termination
 
         self.events: list = []
@@ -247,6 +271,8 @@ class Simulator:
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
         self._segment_epochs = {uid: [self.states[uid].trajectory.epoch] for uid in self.order}
+        self._index = {uid: i for i, uid in enumerate(self.order)}
+        self._table = TrajectoryTable([self.states[uid].trajectory for uid in self.order])
         self._heard: dict = {}
         self._hello_seq = {uid: 0 for uid in self.order}
         self._changed_since_hello: set = set()
@@ -284,10 +310,11 @@ class Simulator:
         msg = HelloMessage.from_state(self.states[uid], t, seq)
         self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
         fresh = HANDSHAKE_FRESHNESS * self.hello_interval
-        for vid in self.order:
-            if vid == uid:
-                continue
-            if self._separation(uid, vid, t) > self.tx_range:
+        x, y = self._table.positions_at([t])
+        i = self._index[uid]
+        distances = map(math.hypot, (x[0, i] - x[0]).tolist(), (y[0, i] - y[0]).tolist())
+        for vid, distance in zip(self.order, distances):
+            if vid == uid or distance > self.tx_range:
                 continue
             self._heard[(vid, uid)] = (t, msg)
             pair = (uid, vid) if uid <= vid else (vid, uid)
@@ -341,6 +368,7 @@ class Simulator:
         traj = new_state.trajectory
         self._segments[uid].append(traj)
         self._segment_epochs[uid].append(traj.epoch)
+        self._table.set(self._index[uid], traj)
         self._changed_since_hello.add(uid)
         event = {"t": t, "event": "traj_change", "uav": uid, "state": traj.movement_state,
                  "speed": new_state.speed}
@@ -365,12 +393,34 @@ class Simulator:
             self._push(new_state.next_change_at, _PRIORITY_CHANGE, "change", uid)
 
     def _handle_check(self, t: float) -> None:
-        for pair in list(self.live):
-            link = self.live[pair]
-            if self._separation(pair[0], pair[1], t) > self.tx_range:
-                self._terminate(pair, max(self._last_check, link.established_at), t)
-        self._last_check = t
+        # No trajectory changes and no link comes up before the next queued
+        # event, so every check tick that would pop before it is scanned here
+        # as one block, with the tick times the one-by-one chain would make.
+        ticks = [t]
         nxt = t + self.dt_check
+        top = self._heap[0][:2] if self._heap else (math.inf, 0)
+        while nxt <= self.duration and (nxt, _PRIORITY_CHECK) < top and len(ticks) < _CHECK_BLOCK:
+            ticks.append(nxt)
+            nxt += self.dt_check
+        pairs = list(self.live)
+        if pairs:
+            x, y = self._table.positions_at(ticks)
+            a = [self._index[pair[0]] for pair in pairs]
+            b = [self._index[pair[1]] for pair in pairs]
+            dx = (x[:, a] - x[:, b]).ravel().tolist()
+            dy = (y[:, a] - y[:, b]).ravel().tolist()
+            out = np.fromiter(map(math.hypot, dx, dy), float, len(dx)) > self.tx_range
+            out = out.reshape(len(ticks), len(pairs))
+            # Terminate in tick order, then in live order, as tick-by-tick checks would.
+            for k in np.flatnonzero(out.any(axis=1)).tolist():
+                lo = ticks[k - 1] if k else self._last_check
+                for j in np.flatnonzero(out[k]).tolist():
+                    link = self.live.get(pairs[j])
+                    if link is not None:
+                        self._terminate(pairs[j], max(lo, link.established_at), ticks[k])
+                if self._stop:
+                    break
+        self._last_check = ticks[-1]
         if nxt <= self.duration and not self._stop:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
 

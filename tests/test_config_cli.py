@@ -65,6 +65,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(uav_count=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("duration", math.inf), ("duration", math.nan), ("hello_interval", math.nan),
+        ("hello_interval", math.inf), ("transmission_range", math.nan),
+        ("transmission_range", math.inf), ("horizon", math.inf), ("horizon", math.nan),
+        ("oracle_dt", math.nan), ("duration", 0.0), ("hello_interval", -1.0),
+    ])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
+
+    def test_infinite_duration_file_rejected_before_any_run(self, tmp_path):
+        # An infinite duration would never end a run: it must not get that far.
+        path = tmp_path / "inf.cfg"
+        path.write_text("duration = inf\n")
+        with pytest.raises(ConfigError, match="duration"):
+            load_config(str(path))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_write_round_trip(self, tmp_path):
         cfg = ScenarioConfig(uav_count=4, seed=99)
         path = tmp_path / "rt.cfg"

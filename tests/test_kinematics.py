@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from uavllt.kinematics import (
     planar_distance,
     planar_positions_at,
     position_at,
+    TrajectoryTable,
     re_anchor,
     velocity_heading,
 )
@@ -86,6 +88,32 @@ class TestPositionAt:
                 pos = position_at(traj, t)
                 assert pos.x == pytest.approx(x, abs=1e-9)
                 assert pos.y == pytest.approx(y, abs=1e-9)
+
+
+class TestTrajectoryTable:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_position_at(self, seed):
+        rng = np.random.default_rng(seed)
+        trajs = [replace(random_trajectory(rng), epoch=rng.uniform(0, 50)) for _ in range(40)]
+        trajs.append(StraightTrajectory(10.0, -20.0, 2.5, 0.0, 100.0, epoch=7.0))
+        table = TrajectoryTable(trajs)
+        # Times before each epoch (tau < 0) are included on purpose.
+        times = rng.uniform(-20, 400, 200)
+        xs, ys = table.positions_at(times)
+        for j, traj in enumerate(trajs):
+            for k, t in enumerate(times):
+                pos = position_at(traj, t - traj.epoch)
+                assert (xs[k, j], ys[k, j]) == (pos.x, pos.y)
+
+    def test_set_replaces_one_row(self):
+        curve = CurveTrajectory(0, 0, 100, 20, Direction.CLOCKWISE, 0.5, 50.0, epoch=1.0)
+        straight = StraightTrajectory(3, 4, 1.0, 30, 50.0, epoch=2.0)
+        table = TrajectoryTable([curve, curve])
+        table.set(1, straight)
+        xs, ys = table.positions_at([5.0])
+        for j, traj in enumerate((curve, straight)):
+            pos = position_at(traj, 5.0 - traj.epoch)
+            assert (xs[0, j], ys[0, j]) == (pos.x, pos.y)
 
 
 class TestInitialPhase:

@@ -12,11 +12,15 @@ from uavllt.kinematics import (
 )
 from uavllt.llt import LinkNotUp, compute_llt
 from uavllt.mobility import UavState, tangent_trajectory
+from uavllt.config import ScenarioConfig
+from uavllt.mobility import SmoothTurnFleet
 from uavllt.netsim import (
+    _PRIORITY_CHECK,
     HelloMessage,
     LinkGraph,
     LinkRecord,
     ScriptedChanges,
+    SmoothTurnChanges,
     Simulator,
     recompute_llt,
 )
@@ -203,6 +207,119 @@ class TestSimulator:
         assert len(ups) >= 2
         assert len(result.links) == len(ups)
         assert len(downs) >= 1
+
+
+def parked(uid, x=0.0):
+    return make_state(uid, StraightTrajectory(x, 0.0, 0.0, 0.0, 100.0))
+
+
+def flying(uid, x, heading, speed):
+    return make_state(uid, StraightTrajectory(x, 0.0, heading, speed, 100.0))
+
+
+def link_downs(result):
+    return [e for e in result.events if e["event"] == "link_down"]
+
+
+class TickByTickSimulator(Simulator):
+    """Reference ground-truth check: one tick, one scalar separation at a time."""
+
+    def _handle_check(self, t):
+        for pair in list(self.live):
+            link = self.live[pair]
+            if self._separation(pair[0], pair[1], t) > self.tx_range:
+                self._terminate(pair, max(self._last_check, link.established_at), t)
+        self._last_check = t
+        nxt = t + self.dt_check
+        if nxt <= self.duration and not self._stop:
+            self._push(nxt, _PRIORITY_CHECK, "check", None)
+
+
+class TestCheckBlockScan:
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_simultaneous_breaks_logged_in_live_order(self, stop):
+        # "a" is parked between "c" and "b", which fly off in opposite
+        # directions at equal speed: both links break on the same tick.
+        # Hello order a, c, b brings (a, c) up before (a, b).
+        states = [parked("a"), flying("c", -60.5, math.pi, 7.0), flying("b", 60.5, 0.0, 7.0)]
+        sim = Simulator(states, ScriptedChanges({}), tx_range=100.0, duration=20.0,
+                        stop_after_first_termination=stop)
+        result = sim.run()
+        assert list(sim.live) == []
+        downs = link_downs(result)
+        assert [(e["a"], e["b"]) for e in downs] == [("a", "c"), ("a", "b")]
+        assert downs[0]["t"] == downs[1]["t"] == pytest.approx(39.5 / 7.0, abs=1e-5)
+        if stop:
+            assert result.events[-2:] == downs
+            assert result.snapshots[-1].snapshot_time < downs[0]["t"]
+
+    @pytest.mark.parametrize("tx_range, in_snapshot", [(29.5, False), (30.5, True)])
+    def test_break_on_a_sample_tick_precedes_the_snapshot(self, tx_range, in_snapshot):
+        # Ticks of 1/8 s land exactly on the 1 s samples. A break detected on
+        # the 3 s tick is gone from the 3 s snapshot; one detected on the
+        # next tick is still in it.
+        sim = Simulator([parked("a"), flying("b", 0.0, 0.0, 10.0)], ScriptedChanges({}),
+                        tx_range=tx_range, duration=6.0, dt_check=0.125)
+        result = sim.run()
+        (down,) = link_downs(result)
+        assert down["t"] == pytest.approx(tx_range / 10.0, abs=1e-5)
+        at = {snap.snapshot_time: snap.edges for snap in result.snapshots}
+        assert ("a", "b") in at[2.0]
+        assert (("a", "b") in at[3.0]) is in_snapshot
+        assert ("a", "b") not in at[4.0]
+
+    def test_change_on_a_tick_applies_before_that_tick_is_scanned(self):
+        # "b" leaves range at 2.95 s, between ticks; the 3 s change (same
+        # instant as a tick) puts it back beside "a", so no tick sees a break.
+        def jump_back(state, now):
+            return StraightTrajectory(5.0, 0.0, 0.0, 0.0, 100.0, epoch=now)
+
+        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=3.0)
+        sim = Simulator([parked("a"), b], ScriptedChanges({"b": [(3.0, jump_back)]}),
+                        tx_range=29.5, duration=6.0, dt_check=0.125)
+        result = sim.run()
+        assert link_downs(result) == []
+        assert ("a", "b") in result.snapshots[-1].edges
+
+    def test_break_on_the_last_tick_before_duration(self):
+        duration = 20.0
+        ticks = [0.01]
+        while ticks[-1] + 0.01 <= duration:
+            ticks.append(ticks[-1] + 0.01)
+        crossing = 0.5 * (ticks[-2] + ticks[-1])
+        sim = Simulator([parked("a"), flying("b", 0.0, 0.0, 10.0)], ScriptedChanges({}),
+                        tx_range=10.0 * crossing, duration=duration)
+        (down,) = link_downs(sim.run())
+        assert ticks[-2] < down["t"] <= ticks[-1]
+        assert down["t"] == pytest.approx(crossing, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_matches_tick_by_tick_reference(self, seed, stop):
+        config = ScenarioConfig(x_max=3000.0, y_max=3000.0, buffer_width=400.0, uav_count=8,
+                                wait_min=1.0, wait_max=4.0, transmission_range=900.0,
+                                duration=20.0, seed=seed, horizon=600.0)
+        runs = []
+        for cls in (Simulator, TickByTickSimulator):
+            fleet = SmoothTurnFleet(config.uav_count, config.arena(), config.smooth_turn(),
+                                    config.seed)
+            sim = cls(fleet.states, SmoothTurnChanges(fleet), tx_range=config.transmission_range,
+                      duration=config.duration, horizon=config.horizon,
+                      stop_after_first_termination=stop)
+            runs.append(sim.run())
+        fast, reference = runs
+        assert link_downs(reference), "scenario produced no terminations to compare"
+        assert fast.events == reference.events
+        assert [(s.snapshot_time, s.edges) for s in fast.snapshots] == \
+            [(s.snapshot_time, s.edges) for s in reference.snapshots]
+
+    @pytest.mark.parametrize("name", ["tx_range", "duration", "hello_interval", "dt_check",
+                                      "sample_interval"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_settings(self, name, value):
+        kwargs = {"tx_range": 100.0, "duration": 10.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}), **kwargs)
 
 
 class TestPredictionValidity:
