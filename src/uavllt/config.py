@@ -41,13 +41,16 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.uav_count < 2:
             raise ConfigError(f"uav_count must be >= 2, got {self.uav_count}")
-        # An infinite duration never ends a run; NaN fails every comparison,
-        # so a NaN range or Hello interval would silently yield no links.
+        # An infinite duration never ends a run, and NaN slips past the
+        # "<= 0" checks below: a NaN range or Hello interval yields no links.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("transmission_range", "hello_interval", "duration", "horizon",
                      "oracle_dt"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
         for lo, hi, name in ((self.speed_min, self.speed_max, "speed"),
                              (self.radius_min, self.radius_max, "radius"),
                              (self.wait_min, self.wait_max, "wait")):

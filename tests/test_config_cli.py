@@ -69,7 +69,9 @@ class TestConfig:
         ("duration", math.inf), ("duration", math.nan), ("hello_interval", math.nan),
         ("hello_interval", math.inf), ("transmission_range", math.nan),
         ("transmission_range", math.inf), ("horizon", math.inf), ("horizon", math.nan),
-        ("oracle_dt", math.nan), ("duration", 0.0), ("hello_interval", -1.0),
+        ("oracle_dt", math.nan), ("x_max", math.nan), ("buffer_width", math.inf),
+        ("wait_max", math.inf), ("speed_min", math.nan), ("duration", 0.0),
+        ("hello_interval", -1.0),
     ])
     def test_non_finite_or_non_positive_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
