@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uavllt.config import ScenarioConfig
 from uavllt.kinematics import (
     CurveTrajectory,
     Direction,
@@ -11,9 +12,7 @@ from uavllt.kinematics import (
     re_anchor,
 )
 from uavllt.llt import LinkNotUp, compute_llt
-from uavllt.mobility import UavState, tangent_trajectory
-from uavllt.config import ScenarioConfig
-from uavllt.mobility import SmoothTurnFleet
+from uavllt.mobility import SmoothTurnFleet, UavState, tangent_trajectory
 from uavllt.netsim import (
     _PRIORITY_CHECK,
     HelloMessage,
