@@ -16,7 +16,7 @@ All types are immutable values; every function here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -232,15 +232,15 @@ def re_anchor(traj: Trajectory, epoch: float) -> Trajectory:
     dt = epoch - traj.epoch
     if dt == 0.0:
         return traj
+    # Built directly: dataclasses.replace costs several times more, and the
+    # solver re-anchors both UAVs at every trust window.
     if isinstance(traj, CurveTrajectory):
-        return replace(traj, initial_phase=wrap_angle(traj.initial_phase + traj.omega * dt),
-                       epoch=epoch)
-    return replace(
-        traj,
-        origin_x=traj.origin_x + traj.speed * dt * math.cos(traj.heading),
-        origin_y=traj.origin_y + traj.speed * dt * math.sin(traj.heading),
-        epoch=epoch,
-    )
+        return CurveTrajectory(traj.center_x, traj.center_y, traj.radius, traj.speed,
+                               traj.direction, wrap_angle(traj.initial_phase + traj.omega * dt),
+                               traj.altitude, epoch)
+    return StraightTrajectory(traj.origin_x + traj.speed * dt * math.cos(traj.heading),
+                              traj.origin_y + traj.speed * dt * math.sin(traj.heading),
+                              traj.heading, traj.speed, traj.altitude, epoch)
 
 
 def initial_phase(center_x: float, center_y: float, p: Position) -> float:

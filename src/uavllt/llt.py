@@ -23,11 +23,24 @@ is reached. Every polynomial root is polished against the exact
 transcendental separation by bracketed root refinement before acceptance,
 so the reported break time does not inherit the expansion error; the
 polynomial only supplies brackets.
+
+A window in which the link provably cannot break is skipped after it has
+been sized, before the expansion is built. The planar separation grows no
+faster than the sum of the two speeds, so on ``[0, reach]`` it stays below
+``sqrt(D^2(0)) + (v_a + v_b) * reach``, where ``reach`` (:func:`probe_reach`)
+is the latest time the root selection would evaluate the separation at.
+When that bound, widened by an allowance for rounding, is below the range,
+every evaluation the root selection would make returns less than the
+squared range: it would accept no root, and the crossing scan would not run.
+Skipping such a window therefore leaves every result bit-identical, and the
+window sequence is unchanged because every window is still sized and
+re-anchored the same way.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +64,17 @@ TRUST_REL_ERROR = 1e-6
 ROOT_RESIDUAL_RTOL = 1e-9
 # A bounded result must sit on the range circle to within this fraction.
 RANGE_RESIDUAL_RTOL = 0.01
+# select_root looks for a break this far past a trust window, as a fraction
+# of the window: a root just outside it is still polished, not lost.
+TRUST_RADIUS_FACTOR = 1.05
+# The window skip's allowance for rounding, relative to the size of the
+# model's terms: parameters, evaluation and the test itself each round by a
+# few units in the last place.
+_SKIP_ROUNDING = 64.0 * sys.float_info.epsilon
+# Sample points of trust_window's smallest-separation estimate. Scaling this
+# grid and pinning its last point gives np.linspace(0, W, 65) bit for bit.
+_TRUST_SAMPLES = 65
+_TRUST_GRID = np.arange(float(_TRUST_SAMPLES))
 
 
 class LinkNotUp(RuntimeError):
@@ -143,6 +167,14 @@ class Polynomial:
         return Polynomial.from_coefficients(coeffs)
 
 
+def _horner(coeffs: tuple[float, ...], t: float) -> float:
+    """``npoly.polyval(t, coeffs)`` in the same operations on plain floats."""
+    value = 0.0
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
+
+
 def find_real_roots(p: Polynomial) -> list[float]:
     """All real roots of ``p`` in ascending order, Newton-polished.
 
@@ -155,31 +187,33 @@ def find_real_roots(p: Polynomial) -> list[float]:
         raise ZeroPolynomial("the zero polynomial has no isolated roots")
     if p.degree == 0:
         return []
-    coeffs = np.asarray(p.coefficients, dtype=float)
+    coeffs = p.coefficients
     raw = npoly.polyroots(coeffs)
-    dcoeffs = npoly.polyder(coeffs)
-    target = ROOT_RESIDUAL_RTOL * float(np.max(np.abs(coeffs)))
+    # The Newton polish runs on plain floats: polyval and polyder on numpy
+    # arrays cost more in call overhead than the polynomial's arithmetic.
+    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k)
+    target = ROOT_RESIDUAL_RTOL * max(map(abs, coeffs))
 
     roots = []
-    for z in raw:
+    for z in raw.tolist():
         if abs(z.imag) > 1e-5 * (1.0 + abs(z.real)):
             continue
-        t = float(z.real)
-        best_t, best_f = t, abs(float(npoly.polyval(t, coeffs)))
+        t = z.real
+        best_t, best_f = t, abs(_horner(coeffs, t))
         for _ in range(60):
-            ft = float(npoly.polyval(t, coeffs))
+            ft = _horner(coeffs, t)
             if abs(ft) < best_f:
                 best_t, best_f = t, abs(ft)
             if abs(ft) <= 0.01 * target:
                 break
-            dt = float(npoly.polyval(t, dcoeffs))
+            dt = _horner(dcoeffs, t)
             if dt == 0.0:
                 break
             step = ft / dt
             t -= step
             if not math.isfinite(t) or abs(step) <= 1e-16 * (1.0 + abs(t)):
                 if math.isfinite(t):
-                    ft = float(npoly.polyval(t, coeffs))
+                    ft = _horner(coeffs, t)
                     if abs(ft) < best_f:
                         best_t, best_f = t, abs(ft)
                 break
@@ -283,6 +317,25 @@ class SquaredDistance:
 
     def remainder_bound(self, degree: int, window: float) -> float:
         return sum(term.remainder_bound(degree, window) for term in self.terms)
+
+    def stays_below(self, r2: float, speed: float, reach: float) -> bool:
+        """True when the model provably stays below ``r2`` on ``[0, reach]``.
+
+        ``speed`` bounds how fast the separation can grow: the sum of both
+        UAVs' speeds. The separation is then at most
+        ``sqrt(D^2(0)) + speed * t``, and ``slack`` bounds the rounding of the
+        model's parameters, of its evaluation and of this test, so wherever
+        the model is evaluated on ``[0, reach]`` it returns less than ``r2``.
+        """
+        q0, q1, q2 = self.quadratic
+        d0_sq = q0
+        size = abs(q0) + abs(q1) * reach + abs(q2) * reach * reach + r2
+        for term in self.terms:
+            size += abs(term.amplitude) * reach ** term.t_power
+            if not term.t_power:
+                d0_sq += term.amplitude * math.cos(term.phase)
+        slack = _SKIP_ROUNDING * size
+        return (math.sqrt(max(d0_sq, 0.0) + slack) + speed * reach) ** 2 + slack < r2
 
 
 def classify_case(traj_a: Trajectory, traj_b: Trajectory) -> str:
@@ -397,7 +450,9 @@ def trust_window(model: SquaredDistance, degree: int = DEFAULT_TAYLOR_DEGREE,
     floor = window / 4096.0
     for _ in range(13):
         bound = model.remainder_bound(degree, window)
-        smallest = float(np.min(model(np.linspace(0.0, window, 65))))
+        ts = _TRUST_GRID * (window / (_TRUST_SAMPLES - 1))
+        ts[-1] = window
+        smallest = float(np.min(model(ts)))
         if bound <= 0.25 * TRUST_REL_ERROR * max(smallest, 1e-12):
             break
         if window <= floor:
@@ -411,6 +466,27 @@ def trust_window(model: SquaredDistance, degree: int = DEFAULT_TAYLOR_DEGREE,
 # ---------------------------------------------------------------------------
 
 
+def _latest_candidate(trust_radius: float) -> float:
+    """Largest polynomial root that :func:`select_root` still polishes."""
+    return trust_radius * (1.0 + 1e-9)
+
+
+def _bracket_widths(t: float, trust_radius: float) -> tuple[float, float]:
+    """First and largest half-width of the bracket polished around ``t``."""
+    delta = max(1e-9, 1e-6 * max(1.0, abs(t)))
+    return delta, max(0.5 * min(trust_radius, 1e9), 4.0 * delta)
+
+
+def probe_reach(trust_radius: float) -> float:
+    """Latest time at which :func:`select_root` evaluates the separation.
+
+    Both bracket widths grow with the candidate, so the latest candidate
+    with its widest bracket bounds every probe.
+    """
+    t = _latest_candidate(trust_radius)
+    return t + _bracket_widths(t, trust_radius)[1]
+
+
 def _polish_upward_crossing(f, t: float, trust_radius: float):
     """Bracket and refine an upward zero crossing of ``f`` near ``t``.
 
@@ -418,8 +494,7 @@ def _polish_upward_crossing(f, t: float, trust_radius: float):
     below to above exists nearby (entering-range crossings and tangencies
     are rejected here).
     """
-    delta = max(1e-9, 1e-6 * max(1.0, abs(t)))
-    delta_max = max(0.5 * min(trust_radius, 1e9), 4.0 * delta)
+    delta, delta_max = _bracket_widths(t, trust_radius)
     while delta <= delta_max:
         lo = max(0.0, t - delta)
         hi = t + delta
@@ -455,7 +530,7 @@ def select_root(roots, exact_dist, tx_range: float, trust_radius: float,
 
     accepted = []
     for t in sorted(roots):
-        if t < -1e-9 or t > trust_radius * (1.0 + 1e-9):
+        if t < -1e-9 or t > _latest_candidate(trust_radius):
             continue
         crossing = _polish_upward_crossing(f, max(t, 0.0), trust_radius)
         if crossing is None:
@@ -513,9 +588,11 @@ def _unbounded(case: str, horizon: float) -> LltResult:
                      horizon_capped=True)
 
 
-def _bounded(case: str, root: float, model: SquaredDistance, tx_range: float) -> LltResult:
-    residual = abs(math.sqrt(max(model(root), 0.0)) - tx_range)
-    return LltResult(llt=root, case_used=case, root=root, residual=residual,
+def _bounded(case: str, llt: float, model: SquaredDistance, t: float,
+             tx_range: float) -> LltResult:
+    """A break ``llt`` seconds from the epoch, found at ``t`` on ``model``."""
+    residual = abs(math.sqrt(max(model(t), 0.0)) - tx_range)
+    return LltResult(llt=llt, case_used=case, root=llt, residual=residual,
                      horizon_capped=False)
 
 
@@ -527,14 +604,14 @@ def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> Ll
         if q1 > 0.0 and c < 0.0:
             root = -c / q1
             if root <= horizon:
-                return _bounded("C", root, model, tx_range)
+                return _bounded("C", root, model, root, tx_range)
         return _unbounded("C", horizon)
     disc = q1 * q1 - 4.0 * q2 * c
     root = (-q1 + math.sqrt(max(disc, 0.0))) / (2.0 * q2)
     root = max(root, 0.0)
     if root > horizon:
         return _unbounded("C", horizon)
-    return _bounded("C", root, model, tx_range)
+    return _bounded("C", root, model, root, tx_range)
 
 
 def _equal_rate_peak(c1: CurveTrajectory, c2: CurveTrajectory) -> float:
@@ -624,6 +701,7 @@ def compute_llt(
         if geom_gap + traj_a.radius + traj_b.radius <= tx_range * (1.0 - 1e-12):
             return _unbounded(case, horizon)
 
+    speed = traj_a.speed + traj_b.speed
     t_base = 0.0
     win_a, win_b = traj_a, traj_b
     while t_base < horizon * (1.0 - 1e-12):
@@ -631,21 +709,24 @@ def compute_llt(
         window = trust_window(window_model, degree, cap=horizon - t_base)
         if not math.isfinite(window):
             window = horizon - t_base
-        poly = window_model.taylor(degree).minus_constant(r2)
-        if poly.is_zero:
-            break  # separation identically equal to the range: never exceeds
-        roots = find_real_roots(poly)
-        pick = select_root(roots, window_model, tx_range, window * 1.05)
-        if pick is None and window_model(window) - r2 > 0.0:
-            # The window provably contains a crossing the roots missed.
-            pick = _first_crossing_scan(window_model, tx_range, window)
-        if pick is not None:
-            total = t_base + pick
-            if total > horizon:
-                return _unbounded(case, horizon)
-            result = _bounded(case, pick, window_model, tx_range)
-            return LltResult(llt=total, case_used=case, root=total,
-                             residual=result.residual, horizon_capped=False)
+        trust_radius = window * TRUST_RADIUS_FACTOR
+        # A window the pair cannot leave range in, even flying straight apart
+        # at full speed, holds no break: select_root would find none and the
+        # scan below would not fire, so skipping them changes no result.
+        if not window_model.stays_below(r2, speed, probe_reach(trust_radius)):
+            poly = window_model.taylor(degree).minus_constant(r2)
+            if poly.is_zero:
+                break  # separation identically equal to the range: never exceeds
+            roots = find_real_roots(poly)
+            pick = select_root(roots, window_model, tx_range, trust_radius)
+            if pick is None and window_model(window) - r2 > 0.0:
+                # The window provably contains a crossing the roots missed.
+                pick = _first_crossing_scan(window_model, tx_range, window)
+            if pick is not None:
+                total = t_base + pick
+                if total > horizon:
+                    return _unbounded(case, horizon)
+                return _bounded(case, total, window_model, pick, tx_range)
         t_base += window
         win_a = re_anchor(win_a, win_a.epoch + window)
         win_b = re_anchor(win_b, win_b.epoch + window)

@@ -48,6 +48,9 @@ class Arena:
     buffer_width: float
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max, self.buffer_width)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"arena bounds and buffer_width must be finite, got {bounds}")
         if self.buffer_width <= 0.0:
             raise ValueError(f"buffer_width must be positive, got {self.buffer_width}")
         if (self.x_max - self.x_min <= 2.0 * self.buffer_width
@@ -85,6 +88,8 @@ class SmoothTurnConfig:
         for lo, hi, name in ((self.radius_min, self.radius_max, "radius"),
                              (self.speed_min, self.speed_max, "speed"),
                              (self.wait_min, self.wait_max, "wait")):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} range [{lo}, {hi}] must be finite")
             if not (0.0 < lo <= hi):
                 raise ValueError(f"{name} range [{lo}, {hi}] must be positive and ordered")
         if self.max_attempts < 1:

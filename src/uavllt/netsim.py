@@ -156,14 +156,22 @@ class LinkGraph:
     @classmethod
     def from_edges(cls, edge_list, snapshot_time: float = 0.0,
                    nodes=None) -> "LinkGraph":
-        edges = {}
-        seen = set()
-        for a, b, weight in edge_list:
-            pair = (a, b) if a <= b else (b, a)
-            edges[pair] = float(weight)
-            seen.update(pair)
+        """Graph of ``(a, b, weight)`` edges, each stored under its ordered pair.
+
+        Node ids must all share one type, ints as the simulator numbers its
+        UAVs or strs as a snapshot CSV is read, since pairs are ordered by
+        comparing ids. Raises :class:`TypeError` for a mix.
+        """
+        edge_list = list(edge_list)
+        seen = {node for a, b, _ in edge_list for node in (a, b)}
         if nodes is not None:
             seen.update(nodes)
+        kinds = sorted({type(node).__name__ for node in seen})
+        if len(kinds) > 1:
+            raise TypeError(f"node ids must all share one type, got {', '.join(kinds)}")
+        edges = {}
+        for a, b, weight in edge_list:
+            edges[(a, b) if a <= b else (b, a)] = float(weight)
         return cls(snapshot_time, frozenset(seen), edges)
 
 

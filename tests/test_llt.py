@@ -10,22 +10,29 @@ from uavllt.kinematics import (
     planar_positions_at,
     position_at,
 )
+from scipy.optimize import brentq, minimize_scalar
+
+from uavllt import llt
 from uavllt.llt import (
+    DEFAULT_TAYLOR_DEGREE,
+    TRUST_RADIUS_FACTOR,
     LinkNotUp,
     Polynomial,
+    SquaredDistance,
     ZeroPolynomial,
     case_geometry,
     classify_case,
     compute_llt,
     find_real_roots,
     planar_separation,
+    probe_reach,
     select_root,
     squared_link_distance,
     taylor_link_polynomial,
     trust_window,
 )
 from uavllt.oracle import brute_force_llt
-from uavllt.validate import sample_instance
+from uavllt.validate import SPEED_RANGE, SWEEP_HORIZON, sample_instance
 
 CCW = Direction.COUNTER_CLOCKWISE
 CW = Direction.CLOCKWISE
@@ -301,3 +308,164 @@ class TestComputeLlt:
         assert abs(result.llt - oracle) <= 1e-3
         # they meet first, so the break is well after the approach
         assert result.llt * 50.0 > 80.0
+
+
+def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
+    """compute_llt's result and its windows as (model, W, skipped) triples."""
+    windows, skipped = [], []
+    real_window, real_stays_below = llt.trust_window, SquaredDistance.stays_below
+
+    def window_of(model, *args, **kwargs):
+        windows.append((model, real_window(model, *args, **kwargs)))
+        return windows[-1][1]
+
+    def stays_below(self, *args):
+        skipped.append(real_stays_below(self, *args))
+        return skipped[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(llt, "trust_window", window_of)
+        m.setattr(SquaredDistance, "stays_below", stays_below)
+        result = compute_llt(traj_a, traj_b, tx, horizon)
+    assert len(windows) == len(skipped)
+    return result, [(model, w, skip) for (model, w), skip in zip(windows, skipped)]
+
+
+def assert_skips_sound(windows, tx):
+    """Every skipped window stays in range over all that select_root probes,
+    and the full root pipeline would have found no break in it either."""
+    r2 = tx * tx
+    for model, window, skipped in windows:
+        if not skipped:
+            continue
+        trust_radius = window * TRUST_RADIUS_FACTOR
+        reach = probe_reach(trust_radius)
+        ts = np.append(np.arange(0.0, reach, 1e-3), reach)
+        assert np.max(model(ts)) < r2
+        roots = find_real_roots(model.taylor(DEFAULT_TAYLOR_DEGREE).minus_constant(r2))
+        assert select_root(roots, model, tx, trust_radius) is None
+        assert model(window) <= r2
+
+
+def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
+    oracle = brute_force_llt(traj_a, traj_b, tx, dt=1e-3, horizon=horizon)
+    assert result.bounded == math.isfinite(oracle)
+    if result.bounded:
+        assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
+
+
+class TestWindowSkip:
+    """A trust window is skipped only when no break can lie in it."""
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_skipped_windows_hold_no_break(self, monkeypatch, case):
+        rng = np.random.default_rng([61, ord(case)])
+        n_skipped = 0
+        for _ in range(25):
+            traj_a, traj_b, tx = sample_instance(case, rng)
+            _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
+            assert_skips_sound(windows, tx)
+            n_skipped += sum(skip for _, _, skip in windows)
+        assert n_skipped >= 10
+
+    def test_break_just_past_a_skipped_window(self, monkeypatch):
+        # Nearly co-located UAVs flying apart at full speed: the separation
+        # grows almost as fast as the skip test assumes, and the first window
+        # is tiny because the separation starts near zero. The range is set
+        # so the break falls 1 % past everything the first window probes.
+        c = curve(0.0, -500.0, 500.0, 60.0, CCW, math.pi / 2)  # at (0, 0), heading -x
+        s = straight(1e-3, 0.0, 0.0, 60.0)                      # heading +x
+        model = squared_link_distance(c, s)
+        reach = probe_reach(trust_window(model, cap=SWEEP_HORIZON) * TRUST_RADIUS_FACTOR)
+        t_break = 1.01 * reach
+        assert np.all(np.diff(model(np.linspace(0.0, t_break, 10_001))) > 0.0)
+        tx = math.sqrt(model(t_break))
+        result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
+        assert windows[0][2], "the first window was not skipped"
+        assert_skips_sound(windows, tx)
+        assert result.bounded
+        assert result.llt == pytest.approx(t_break, abs=1e-9)
+        assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
+
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_head_on_at_maximum_speed(self, monkeypatch, kind):
+        v = SPEED_RANGE[1]
+        a = curve(0.0, -300.0, 300.0, v, CW, math.pi / 2)  # at (0, 0), heading +x
+        if kind == "A":
+            b = curve(900.0, -800.0, 800.0, v, CCW, math.pi / 2)  # at (900, 0), heading -x
+        else:
+            b = straight(900.0, 0.0, math.pi, v)
+        n_skipped = 0
+        for tx in (950.0, 1400.0, 2500.0):
+            result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
+            assert_skips_sound(windows, tx)
+            assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
+            n_skipped += sum(skip for _, _, skip in windows)
+        assert n_skipped >= 5
+
+    def test_straight_flyer_at_zero_speed(self, monkeypatch):
+        # Only the circling UAV moves: the separation stays in [600, 1000].
+        c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
+        s = straight(800.0, 0.0, 1.0, 0.0)
+        for tx in (700.0, 950.0, 1000.0 * (1.0 + 1e-9), 1200.0):
+            result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
+            assert_skips_sound(windows, tx)
+            assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
+        assert windows[0][2], "an out-of-reach range skipped no window"
+        assert result.horizon_capped
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_start_on_the_range_circle(self, monkeypatch, case):
+        rng = np.random.default_rng([67, ord(case)])
+        for _ in range(10):
+            traj_a, traj_b, _ = sample_instance(case, rng)
+            tx = planar_separation(traj_a, traj_b) * (1.0 + 1e-9)
+            result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
+                                                      SWEEP_HORIZON)
+            assert not windows[0][2]
+            assert_skips_sound(windows, tx)
+            assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
+
+
+def first_local_max(traj_a, traj_b, horizon):
+    """(time, separation) of the separation's first local maximum, from
+    positions alone, or None if it only falls or only rises."""
+    ts = np.arange(0.0, horizon, 0.01)
+    d2 = direct_squared_separation(traj_a, traj_b, ts)
+    peaks = np.nonzero((d2[1:-1] > d2[:-2]) & (d2[1:-1] >= d2[2:]))[0]
+    if not peaks.size:
+        return None
+    k = peaks[0] + 1
+    best = minimize_scalar(lambda t: -direct_squared_separation(traj_a, traj_b, t),
+                           bounds=(ts[k - 1], ts[k + 1]), method="bounded",
+                           options={"xatol": 1e-10})
+    return best.x, math.sqrt(-best.fun)
+
+
+class TestGrazingCrossing:
+    """Range just below the first local maximum: a brief, shallow excursion."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_first_crossing_found(self, case, eps):
+        rng = np.random.default_rng([71, ord(case)])
+        probed = 0
+        while probed < 8:
+            traj_a, traj_b, _ = sample_instance(case, rng)
+            peak = first_local_max(traj_a, traj_b, SWEEP_HORIZON)
+            if peak is None:
+                continue
+            t_peak, d_peak = peak
+            tx = (1.0 - eps) * d_peak
+            if planar_separation(traj_a, traj_b) >= tx:
+                continue
+            # The separation rises monotonically into the peak, so the last
+            # sample below the range before it brackets the only crossing.
+            ts = np.arange(0.0, t_peak, 0.01)
+            below = ts[direct_squared_separation(traj_a, traj_b, ts) < tx * tx]
+            t_cross = brentq(lambda t: math.sqrt(direct_squared_separation(traj_a, traj_b, t))
+                             - tx, below[-1], t_peak, xtol=1e-13)
+            result = compute_llt(traj_a, traj_b, tx, SWEEP_HORIZON)
+            assert result.bounded
+            assert result.llt == pytest.approx(t_cross, abs=1e-6)
+            probed += 1

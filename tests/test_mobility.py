@@ -49,11 +49,26 @@ class TestSampleWaitTime:
         with pytest.raises(ValueError):
             SmoothTurnConfig(wait_min=30.0, wait_max=5.0)
 
+    @pytest.mark.parametrize("field", ["radius_min", "radius_max", "speed_min", "speed_max",
+                                       "wait_min", "wait_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SmoothTurnConfig(**{field: value})
+
 
 class TestArena:
     def test_buffer_must_leave_interior(self):
         with pytest.raises(ValueError):
             Arena(0, 100, 0, 100, 60.0)
+
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, index, value):
+        bounds = [0.0, 5000.0, 0.0, 5000.0, 500.0]
+        bounds[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            Arena(*bounds)
 
     def test_in_buffer(self):
         assert ARENA.in_buffer(100.0, 2500.0)

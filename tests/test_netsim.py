@@ -348,3 +348,11 @@ class TestLinkGraphSnapshot:
         g = LinkGraph.from_edges([("b", "a", 3.0)], nodes=["c"])
         assert ("a", "b") in g.edges
         assert g.nodes == frozenset(["a", "b", "c"])
+
+    @pytest.mark.parametrize("edges, nodes", [
+        ([(1, "b", 3.0)], None),
+        ([(2, 1, 3.0)], ["c"]),
+    ])
+    def test_mixed_id_types_rejected(self, edges, nodes):
+        with pytest.raises(TypeError, match="node ids must all share one type, got int, str"):
+            LinkGraph.from_edges(edges, nodes=nodes)
