@@ -50,5 +50,5 @@ print("== rigid rotation: same circle, same angular velocity ==")
 lead = CurveTrajectory(0, 0, 100, 20.0, Direction.COUNTER_CLOCKWISE, 0.0, 100)
 trail = CurveTrajectory(0, 0, 100, 20.0, Direction.COUNTER_CLOCKWISE, 1.0, 110)
 result = compute_llt(lead, trail, 150.0, horizon=600.0)
-print(f"analytic: unbounded={result.unbounded} (horizon-capped at {result.llt:g} s)")
+print(f"analytic: horizon_capped={result.horizon_capped} (horizon-capped at {result.llt:g} s)")
 print(f"oracle:   {brute_force_llt(lead, trail, 150.0, horizon=600.0)}")

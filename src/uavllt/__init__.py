@@ -25,7 +25,6 @@ from .llt import (
     CaseGeometry,
     LinkNotUp,
     LltResult,
-    Polynomial,
     SquaredDistance,
     ZeroPolynomial,
     case_geometry,
@@ -34,7 +33,6 @@ from .llt import (
     find_real_roots,
     select_root,
     squared_link_distance,
-    taylor_link_polynomial,
     trust_window,
 )
 from .mobility import (
@@ -75,7 +73,6 @@ __all__ = [
     "LinkRecord",
     "LltResult",
     "NodeUnknown",
-    "Polynomial",
     "Position",
     "ResampleExhausted",
     "Route",
@@ -111,7 +108,6 @@ __all__ = [
     "select_root",
     "squared_link_distance",
     "tangent_trajectory",
-    "taylor_link_polynomial",
     "trust_window",
     "velocity_heading",
 ]

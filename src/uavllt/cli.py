@@ -42,6 +42,14 @@ _DIRECTIONS = {"cw": Direction.CLOCKWISE, "-1": Direction.CLOCKWISE,
                "1": Direction.COUNTER_CLOCKWISE}
 
 
+def _finite(fields) -> list[float]:
+    values = [float(f) for f in fields]
+    for text, value in zip(fields, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} is not a finite number")
+    return values
+
+
 def parse_trajectory(text: str) -> Trajectory:
     kind, _, body = text.partition(":")
     fields = [f.strip() for f in body.split(",")] if body else []
@@ -49,16 +57,16 @@ def parse_trajectory(text: str) -> Trajectory:
         if kind == "curve":
             if len(fields) != 7:
                 raise ValueError("curve needs cx,cy,r,v,dir,theta,z")
-            cx, cy, r, v = map(float, fields[:4])
+            cx, cy, r, v = _finite(fields[:4])
             direction = _DIRECTIONS.get(fields[4].lower())
             if direction is None:
                 raise ValueError(f"bad direction {fields[4]!r} (use cw/ccw/-1/+1)")
-            theta, z = map(float, fields[5:])
+            theta, z = _finite(fields[5:])
             return CurveTrajectory(cx, cy, r, v, direction, theta, z)
         if kind == "straight":
             if len(fields) != 5:
                 raise ValueError("straight needs x,y,heading,v,z")
-            x, y, heading, v, z = map(float, fields)
+            x, y, heading, v, z = _finite(fields)
             return StraightTrajectory(x, y, heading, v, z)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad trajectory spec {text!r}: {exc}") from exc
@@ -78,9 +86,12 @@ def _cmd_pair(args) -> int:
     except LinkNotUp as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LINK_NOT_UP
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"case: {result.case_used}")
     print(f"llt: {_fmt_llt(result.llt, result.horizon_capped, args.horizon)}")
-    if result.bounded:
+    if not result.horizon_capped:
         print(f"root: {result.root:.6f} s")
         print(f"residual: {result.residual:.3e} m")
     if args.oracle:
@@ -90,7 +101,7 @@ def _cmd_pair(args) -> int:
             print(f"oracle: unbounded (horizon-capped at {args.horizon:g} s)")
         else:
             print(f"oracle: {reference:.6f} s")
-        if result.bounded and math.isfinite(reference):
+        if not result.horizon_capped and math.isfinite(reference):
             print(f"abs_diff: {abs(result.llt - reference):.3e} s")
     return EXIT_OK
 

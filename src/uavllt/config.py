@@ -51,13 +51,9 @@ class ScenarioConfig:
                      "oracle_dt"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        for lo, hi, name in ((self.speed_min, self.speed_max, "speed"),
-                             (self.radius_min, self.radius_max, "radius"),
-                             (self.wait_min, self.wait_max, "wait")):
-            if not (0.0 < lo <= hi):
-                raise ConfigError(f"{name} range [{lo}, {hi}] must be positive and ordered")
         try:
             self.arena()
+            self.smooth_turn()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -12,8 +12,12 @@ curve/straight pair (case B) has sinusoids at the orbital rate only, one of
 them with a linear-in-t amplitude. Two straight flyers (case C) give a pure
 quadratic that is solved exactly.
 
-For cases A and B the sinusoids are Taylor-expanded (degree 12 by default)
-to obtain a polynomial whose real roots locate candidate break times. A
+For cases A and B the sinusoids are Taylor-expanded to degree
+:data:`TAYLOR_DEGREE` to obtain a polynomial whose real roots locate
+candidate break times. Polynomials are plain float64 numpy arrays of
+coefficients in ascending degree, as :mod:`numpy.polynomial.polynomial`
+takes them: :meth:`SquaredDistance.taylor` returns one and
+:func:`find_real_roots` accepts any such sequence. A
 fixed-degree expansion of a cosine is only trustworthy while its argument
 stays small, so the expansion is applied piecewise over certified trust
 windows: each window is sized from the largest sinusoid rate and shrunk
@@ -56,7 +60,8 @@ from .kinematics import (
     re_anchor,
 )
 
-DEFAULT_TAYLOR_DEGREE = 12
+# Degree of the Taylor expansion of every sinusoid.
+TAYLOR_DEGREE = 12
 DEFAULT_HORIZON = 3600.0
 # Target relative accuracy of the Taylor polynomial inside a trust window.
 TRUST_REL_ERROR = 1e-6
@@ -130,44 +135,7 @@ def case_geometry(dx: float, dy: float) -> CaseGeometry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense real polynomial with coefficients in ascending degree."""
-
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "Polynomial":
-        trimmed = list(map(float, coeffs))
-        while len(trimmed) > 1 and trimmed[-1] == 0.0:
-            trimmed.pop()
-        if not trimmed:
-            trimmed = [0.0]
-        return cls(tuple(trimmed))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coefficients)
-
-    def __call__(self, t):
-        return npoly.polyval(t, self.coefficients)
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial.from_coefficients([0.0])
-        return Polynomial.from_coefficients(npoly.polyder(self.coefficients))
-
-    def minus_constant(self, value: float) -> "Polynomial":
-        coeffs = list(self.coefficients)
-        coeffs[0] -= value
-        return Polynomial.from_coefficients(coeffs)
-
-
-def _horner(coeffs: tuple[float, ...], t: float) -> float:
+def _horner(coeffs, t: float) -> float:
     """``npoly.polyval(t, coeffs)`` in the same operations on plain floats."""
     value = 0.0
     for c in reversed(coeffs):
@@ -175,19 +143,23 @@ def _horner(coeffs: tuple[float, ...], t: float) -> float:
     return value
 
 
-def find_real_roots(p: Polynomial) -> list[float]:
-    """All real roots of ``p`` in ascending order, Newton-polished.
+def find_real_roots(coeffs) -> list[float]:
+    """All real roots of a polynomial in ascending order, Newton-polished.
 
-    Complex-conjugate pairs are dropped (imaginary part beyond a small
-    relative threshold); surviving roots are refined on the real axis until
-    ``|p(t)| <= 1e-9 * max|coefficient|`` or the step size degenerates.
-    Raises :class:`ZeroPolynomial` for the identically-zero input.
+    ``coeffs`` holds the coefficients in ascending degree; trailing zeros
+    are dropped. Complex-conjugate pairs are dropped (imaginary part beyond
+    a small relative threshold); surviving roots are refined on the real
+    axis until ``|p(t)| <= 1e-9 * max|coefficient|`` or the step size
+    degenerates. A nonzero constant has no roots. Raises
+    :class:`ZeroPolynomial` when every coefficient is zero.
     """
-    if p.is_zero:
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if not coeffs:
         raise ZeroPolynomial("the zero polynomial has no isolated roots")
-    if p.degree == 0:
+    if len(coeffs) == 1:
         return []
-    coeffs = p.coefficients
     raw = npoly.polyroots(coeffs)
     # The Newton polish runs on plain floats: polyval and polyder on numpy
     # arrays cost more in call overhead than the polynomial's arithmetic.
@@ -241,10 +213,10 @@ class TrigTerm:
             value = value * np.asarray(t, dtype=float) ** self.t_power
         return value
 
-    def taylor_coefficients(self, degree: int) -> np.ndarray:
-        """Ascending coefficients of the degree-``degree`` expansion about t=0."""
-        out = np.zeros(degree + 1)
-        order = degree - self.t_power
+    def taylor_coefficients(self) -> np.ndarray:
+        """Ascending coefficients of the expansion about t=0."""
+        out = np.zeros(TAYLOR_DEGREE + 1)
+        order = TAYLOR_DEGREE - self.t_power
         # d^k/dt^k cos(phase + rate*t) at 0 cycles through +-cos/sin(phase)
         cycle = (
             math.cos(self.phase),
@@ -261,9 +233,9 @@ class TrigTerm:
             out[k + self.t_power] = self.amplitude * cycle[k % 4] * rate_pow / fact
         return out
 
-    def remainder_bound(self, degree: int, window: float) -> float:
+    def remainder_bound(self, window: float) -> float:
         """Upper bound on the truncation error over ``[0, window]``."""
-        order = degree - self.t_power
+        order = TAYLOR_DEGREE - self.t_power
         x = abs(self.rate) * window
         if x == 0.0:
             return 0.0
@@ -297,26 +269,25 @@ class SquaredDistance:
             return float(value)
         return value
 
-    def taylor(self, degree: int) -> Polynomial:
-        """Taylor polynomial of the model about t=0, exact for case C."""
-        coeffs = np.zeros(degree + 1)
-        q0, q1, q2 = self.quadratic
-        coeffs[0] = q0
-        if degree >= 1:
-            coeffs[1] = q1
-        if degree >= 2:
-            coeffs[2] = q2
+    def taylor(self) -> np.ndarray:
+        """Ascending coefficients of the Taylor polynomial about t=0.
+
+        The array always has ``TAYLOR_DEGREE + 1`` entries. The quadratic
+        part is carried exactly, so for case C the polynomial is exact.
+        """
+        coeffs = np.zeros(TAYLOR_DEGREE + 1)
+        coeffs[:3] = self.quadratic
         for term in self.terms:
-            coeffs += term.taylor_coefficients(degree)
-        return Polynomial.from_coefficients(coeffs)
+            coeffs += term.taylor_coefficients()
+        return coeffs
 
     def max_rate(self) -> float:
         if not self.terms:
             return 0.0
         return max(abs(term.rate) for term in self.terms)
 
-    def remainder_bound(self, degree: int, window: float) -> float:
-        return sum(term.remainder_bound(degree, window) for term in self.terms)
+    def remainder_bound(self, window: float) -> float:
+        return sum(term.remainder_bound(window) for term in self.terms)
 
     def stays_below(self, r2: float, speed: float, reach: float) -> bool:
         """True when the model provably stays below ``r2`` on ``[0, reach]``.
@@ -420,22 +391,7 @@ def squared_link_distance(traj_a: Trajectory, traj_b: Trajectory) -> SquaredDist
     return _straight_pair_model(a, b)
 
 
-def taylor_link_polynomial(
-    traj_a: Trajectory, traj_b: Trajectory, degree: int = DEFAULT_TAYLOR_DEGREE
-) -> Polynomial:
-    """Polynomial approximation of the squared separation about the epoch.
-
-    Each sinusoid is expanded to the requested degree; the quadratic part is
-    carried exactly, so for a straight/straight pair the result is the exact
-    quadratic whatever ``degree`` says.
-    """
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
-    return squared_link_distance(traj_a, traj_b).taylor(degree)
-
-
-def trust_window(model: SquaredDistance, degree: int = DEFAULT_TAYLOR_DEGREE,
-                 cap: float = math.inf) -> float:
+def trust_window(model: SquaredDistance, cap: float = math.inf) -> float:
     """Certified window [0, W] on which the expansion is relatively accurate.
 
     Starts from a quarter period of the fastest sinusoid (which keeps every
@@ -449,7 +405,7 @@ def trust_window(model: SquaredDistance, degree: int = DEFAULT_TAYLOR_DEGREE,
     window = min(cap, (math.pi / 2.0) / rate)
     floor = window / 4096.0
     for _ in range(13):
-        bound = model.remainder_bound(degree, window)
+        bound = model.remainder_bound(window)
         ts = _TRUST_GRID * (window / (_TRUST_SAMPLES - 1))
         ts[-1] = window
         smallest = float(np.min(model(ts)))
@@ -561,14 +517,6 @@ class LltResult:
     residual: float | None
     horizon_capped: bool
 
-    @property
-    def bounded(self) -> bool:
-        return not self.horizon_capped
-
-    @property
-    def unbounded(self) -> bool:
-        return self.horizon_capped
-
 
 def _trajectory_of(state) -> Trajectory:
     if isinstance(state, (CurveTrajectory, StraightTrajectory)):
@@ -647,15 +595,14 @@ def compute_llt(
     state_b,
     tx_range: float,
     horizon: float = DEFAULT_HORIZON,
-    *,
-    degree: int = DEFAULT_TAYLOR_DEGREE,
 ) -> LltResult:
     """Predicted remaining link lifetime of a UAV pair.
 
     Accepts trajectories or any objects with a ``trajectory`` attribute and
     re-anchors both at the later epoch, so ``llt`` counts seconds from that
     instant. Requires the link to be up (planar separation at most
-    ``tx_range``); raises :class:`LinkNotUp` otherwise.
+    ``tx_range``); raises :class:`LinkNotUp` otherwise. ``tx_range`` and
+    ``horizon`` must be positive and finite; :class:`ValueError` otherwise.
 
     Straight/straight pairs are solved exactly. Curve cases run the
     expand/root/polish pipeline over successive trust windows. A bounded
@@ -664,10 +611,9 @@ def compute_llt(
     separation); if no break is found by ``horizon`` the result is marked
     ``horizon_capped``.
     """
-    if tx_range <= 0.0:
-        raise ValueError(f"transmission range must be positive, got {tx_range}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    for name, value in (("transmission range", tx_range), ("horizon", horizon)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     traj_a = _trajectory_of(state_a)
     traj_b = _trajectory_of(state_b)
     traj_a, traj_b, _ = _to_shared_epoch(traj_a, traj_b)
@@ -706,18 +652,17 @@ def compute_llt(
     win_a, win_b = traj_a, traj_b
     while t_base < horizon * (1.0 - 1e-12):
         window_model = squared_link_distance(win_a, win_b)
-        window = trust_window(window_model, degree, cap=horizon - t_base)
-        if not math.isfinite(window):
-            window = horizon - t_base
+        window = trust_window(window_model, cap=horizon - t_base)
         trust_radius = window * TRUST_RADIUS_FACTOR
         # A window the pair cannot leave range in, even flying straight apart
         # at full speed, holds no break: select_root would find none and the
         # scan below would not fire, so skipping them changes no result.
         if not window_model.stays_below(r2, speed, probe_reach(trust_radius)):
-            poly = window_model.taylor(degree).minus_constant(r2)
-            if poly.is_zero:
+            coeffs = window_model.taylor()
+            coeffs[0] -= r2
+            if not coeffs.any():
                 break  # separation identically equal to the range: never exceeds
-            roots = find_real_roots(poly)
+            roots = find_real_roots(coeffs)
             pick = select_root(roots, window_model, tx_range, trust_radius)
             if pick is None and window_model(window) - r2 > 0.0:
                 # The window provably contains a crossing the roots missed.

@@ -124,25 +124,13 @@ class LinkRecord:
         return self.estimate_history[-1][1]
 
     @property
-    def current_llt_estimate(self) -> float:
-        """Latest estimate in seconds; inf when predicted beyond the horizon."""
-        at, result = self.estimate_history[-1]
-        return math.inf if result.unbounded else result.llt
-
-    @property
     def predicted_termination(self) -> float:
         at, result = self.estimate_history[-1]
-        return math.inf if result.unbounded else at + result.llt
+        return math.inf if result.horizon_capped else at + result.llt
 
     def remaining_at(self, t: float) -> float:
         pred = self.predicted_termination
         return math.inf if math.isinf(pred) else max(0.0, pred - t)
-
-    @property
-    def actual_lifetime(self) -> float | None:
-        if self.terminated_at is None:
-            return None
-        return self.terminated_at - self.established_at
 
 
 @dataclass(frozen=True)
@@ -222,10 +210,6 @@ class ScriptedChanges:
                           for uid, items in schedule.items()}
         self._cursor = {uid: 0 for uid in self._schedule}
 
-    def first_change_at(self, uid) -> float:
-        items = self._schedule.get(uid, [])
-        return items[0][0] if items else math.inf
-
     def __call__(self, state: UavState, now: float) -> UavState:
         items = self._schedule[state.id]
         cursor = self._cursor[state.id]
@@ -281,7 +265,7 @@ class Simulator:
         self._segment_epochs = {uid: [self.states[uid].trajectory.epoch] for uid in self.order}
         self._index = {uid: i for i, uid in enumerate(self.order)}
         self._table = TrajectoryTable([self.states[uid].trajectory for uid in self.order])
-        self._heard: dict = {}
+        self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
         self._changed_since_hello: set = set()
         self._last_check = 0.0
@@ -315,7 +299,6 @@ class Simulator:
     def _handle_hello(self, t: float, uid) -> None:
         seq = self._hello_seq[uid]
         self._hello_seq[uid] = seq + 1
-        msg = HelloMessage.from_state(self.states[uid], t, seq)
         self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
         fresh = HANDSHAKE_FRESHNESS * self.hello_interval
         x, y = self._table.positions_at([t])
@@ -324,15 +307,16 @@ class Simulator:
         for vid, distance in zip(self.order, distances):
             if vid == uid or distance > self.tx_range:
                 continue
-            self._heard[(vid, uid)] = (t, msg)
+            self._heard[(vid, uid)] = t
             pair = (uid, vid) if uid <= vid else (vid, uid)
-            reverse = self._heard.get((uid, vid))
-            if pair not in self.live and reverse is not None and t - reverse[0] <= fresh:
+            heard_at = self._heard.get((uid, vid))
+            if pair not in self.live and heard_at is not None and t - heard_at <= fresh:
                 self._establish(pair, t)
         if uid in self._changed_since_hello:
             self._changed_since_hello.discard(uid)
             # Neighbors only now learn the new trajectory; log what their
             # estimate would be, for comparison with the change-instant one.
+            msg = HelloMessage.from_state(self.states[uid], t, seq)
             for pair, link in self.live.items():
                 if uid in pair:
                     other = pair[0] if pair[1] == uid else pair[1]
@@ -355,14 +339,14 @@ class Simulator:
         result = link.current_result
         self.events.append({
             "t": t, "event": "link_up", "a": pair[0], "b": pair[1],
-            "llt": None if result.unbounded else result.llt,
+            "llt": None if result.horizon_capped else result.llt,
             "case": result.case_used, "horizon_capped": result.horizon_capped,
         })
 
     def _estimate_event(self, t: float, pair, result: LltResult, basis: str) -> dict:
         return {
             "t": t, "event": "llt_recompute", "a": pair[0], "b": pair[1],
-            "llt": None if result.unbounded else result.llt,
+            "llt": None if result.horizon_capped else result.llt,
             "case": result.case_used, "horizon_capped": result.horizon_capped,
             "basis": basis,
         }

@@ -76,7 +76,7 @@ class InstanceOutcome:
 
     @property
     def both_bounded(self) -> bool:
-        return self.analytic.bounded and math.isfinite(self.oracle_llt)
+        return not self.analytic.horizon_capped and math.isfinite(self.oracle_llt)
 
     @property
     def abs_error(self) -> float | None:
@@ -109,10 +109,10 @@ class SweepReport:
         for o in self.outcomes:
             if o.both_bounded:
                 continue
-            if o.analytic.unbounded and not math.isfinite(o.oracle_llt):
+            if o.analytic.horizon_capped and not math.isfinite(o.oracle_llt):
                 continue
             near = (math.isfinite(o.oracle_llt) and self.horizon - o.oracle_llt <= slack) or (
-                o.analytic.bounded and self.horizon - o.analytic.llt <= slack)
+                not o.analytic.horizon_capped and self.horizon - o.analytic.llt <= slack)
             if excuse_near_horizon and near:
                 continue
             out.append(o)
@@ -146,7 +146,7 @@ class SweepReport:
 
     def table_row(self) -> str:
         return (f"case {self.case}: trials={self.trials} bounded={len(self.bounded)} "
-                f"unbounded_both={sum(1 for o in self.outcomes if o.analytic.unbounded and not math.isfinite(o.oracle_llt))} "
+                f"unbounded_both={sum(1 for o in self.outcomes if o.analytic.horizon_capped and not math.isfinite(o.oracle_llt))} "
                 f"verdict_mismatch={len(self.verdict_mismatches())} "
                 f"max_abs_err={self.max_abs_error:.3e}s mean_abs_err={self.mean_abs_error:.3e}s "
                 f"tol_failures={len(self.failures())} -> "

@@ -131,6 +131,26 @@ class TestPairCommand:
             main(["pair", "corkscrew:1,2,3", "straight:0,0,0,10,0", "--range", "100"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["straight:nan,0,0,10,100", "straight:0,0,inf,10,100",
+                                      "curve:0,0,100,20,ccw,nan,100", "curve:0,-inf,100,20,cw,0,1"])
+    def test_non_finite_trajectory_field_exit_2(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", spec, "straight:0,0,0,10,110", "--range", "100"])
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--range", "nan"], ["--range", "inf"],
+                                       ["--range", "100", "--horizon", "inf"],
+                                       ["--range", "100", "--horizon", "nan"]])
+    def test_non_finite_range_or_horizon_exit_2(self, flags, capsys):
+        # The straight flyer starts on the turn center; an infinite horizon
+        # there once died in a math domain error.
+        code = main(["pair", "curve:0,0,50,20,ccw,0,100", "straight:0,0,0,10,110", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def test_outputs_and_summary(self, scenario_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from uavllt.kinematics import (
     CurveTrajectory,
@@ -14,10 +15,8 @@ from scipy.optimize import brentq, minimize_scalar
 
 from uavllt import llt
 from uavllt.llt import (
-    DEFAULT_TAYLOR_DEGREE,
     TRUST_RADIUS_FACTOR,
     LinkNotUp,
-    Polynomial,
     SquaredDistance,
     ZeroPolynomial,
     case_geometry,
@@ -28,11 +27,17 @@ from uavllt.llt import (
     probe_reach,
     select_root,
     squared_link_distance,
-    taylor_link_polynomial,
     trust_window,
 )
 from uavllt.oracle import brute_force_llt
-from uavllt.validate import SPEED_RANGE, SWEEP_HORIZON, sample_instance
+from uavllt.validate import (
+    SPEED_RANGE,
+    SWEEP_DT,
+    SWEEP_HORIZON,
+    InstanceOutcome,
+    SweepReport,
+    sample_instance,
+)
 
 CCW = Direction.COUNTER_CLOCKWISE
 CW = Direction.CLOCKWISE
@@ -127,23 +132,17 @@ class TestTaylorPolynomial:
     def test_case_c_exact_quadratic(self):
         a = straight(0, 0, 0.0, 10.0)
         b = straight(50, 0, 0.0, 20.0)
-        poly = taylor_link_polynomial(a, b, 12)
-        assert poly.degree == 2
-        assert poly.coefficients == pytest.approx((2500.0, 1000.0, 100.0))
+        coeffs = squared_link_distance(a, b).taylor()
+        assert coeffs[:3] == pytest.approx((2500.0, 1000.0, 100.0))
+        assert not coeffs[3:].any()
 
     def test_equal_rate_concentric_collapses_to_constant(self):
         # Same center, same angular velocity: relative phase is frozen.
         a = curve(0, 0, 100, 20, CCW, 0.0)
         b = curve(0, 0, 150, 30, CCW, 1.0)
-        poly = taylor_link_polynomial(a, b, 12)
-        assert poly.degree == 0
-        assert poly.coefficients[0] == pytest.approx(
-            100**2 + 150**2 - 2 * 100 * 150 * math.cos(1.0))
-
-    def test_degree_below_two_rejected(self):
-        a = straight(0, 0, 0, 10)
-        with pytest.raises(ValueError):
-            taylor_link_polynomial(a, a, 1)
+        coeffs = squared_link_distance(a, b).taylor()
+        assert coeffs[0] == pytest.approx(100**2 + 150**2 - 2 * 100 * 150 * math.cos(1.0))
+        assert not coeffs[1:].any()
 
     @pytest.mark.parametrize("case", ["A", "B"])
     @pytest.mark.parametrize("seed", range(15))
@@ -151,29 +150,35 @@ class TestTaylorPolynomial:
         rng = np.random.default_rng([41, seed])
         traj_a, traj_b, _ = sample_instance(case, rng)
         model = squared_link_distance(traj_a, traj_b)
-        window = trust_window(model, 12)
-        poly = model.taylor(12)
+        window = trust_window(model)
+        coeffs = model.taylor()
         ts = np.linspace(0, window, 400)
         exact = model(ts)
-        rel = np.abs(poly(ts) - exact) / np.maximum(np.abs(exact), 1e-30)
+        rel = np.abs(npoly.polyval(ts, coeffs) - exact) / np.maximum(np.abs(exact), 1e-30)
         assert rel.max() <= 1e-6
 
 
 class TestFindRealRoots:
     def test_simple_quadratic(self):
-        roots = find_real_roots(Polynomial.from_coefficients([-4.0, 0.0, 1.0]))
+        roots = find_real_roots([-4.0, 0.0, 1.0])
         assert roots == pytest.approx([-2.0, 2.0])
 
     def test_constant_has_no_roots(self):
-        assert find_real_roots(Polynomial.from_coefficients([5.0])) == []
+        assert find_real_roots([5.0]) == []
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            find_real_roots(Polynomial.from_coefficients([0.0, 0.0]))
+            find_real_roots([0.0, 0.0])
+
+    def test_trailing_zeros_dropped(self):
+        assert find_real_roots(np.array([-4.0, 0.0, 1.0, 0.0, 0.0])) == pytest.approx([-2.0, 2.0])
+        assert find_real_roots([5.0, 0.0, 0.0]) == []
+        with pytest.raises(ZeroPolynomial):
+            find_real_roots(np.zeros(13))
 
     def test_complex_pairs_excluded(self):
         # t^2 + 1: no real roots
-        assert find_real_roots(Polynomial.from_coefficients([1.0, 0.0, 1.0])) == []
+        assert find_real_roots([1.0, 0.0, 1.0]) == []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_recovers_known_roots(self, seed):
@@ -183,7 +188,7 @@ class TestFindRealRoots:
         coeffs = np.array([1.0])
         for r in known:
             coeffs = np.convolve(coeffs, [-r, 1.0])
-        found = find_real_roots(Polynomial.from_coefficients(coeffs))
+        found = find_real_roots(coeffs)
         assert len(found) == n
         assert found == pytest.approx(list(known), abs=1e-6)
 
@@ -218,7 +223,7 @@ class TestComputeLlt:
         b = straight(50, 0, 0.0, 20.0)
         result = compute_llt(a, b, 100.0)
         assert result.case_used == "C"
-        assert result.bounded
+        assert not result.horizon_capped
         assert result.llt == pytest.approx(5.0, abs=1e-9)
         assert result.residual <= 1e-6
 
@@ -237,7 +242,7 @@ class TestComputeLlt:
         b = curve(0, 0, 150, 15.0, CW, 0.0)    # omega -0.1
         expected = math.acos((100**2 + 150**2 - 120**2) / (2 * 100 * 150)) / 0.2
         result = compute_llt(a, b, 120.0)
-        assert result.bounded
+        assert not result.horizon_capped
         assert result.llt == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(4.6156, abs=1e-3)
         oracle = brute_force_llt(a, b, 120.0)
@@ -249,6 +254,16 @@ class TestComputeLlt:
         with pytest.raises(LinkNotUp):
             compute_llt(a, b, 100.0)
 
+    @pytest.mark.parametrize("tx_range, horizon", [
+        (math.nan, 600.0), (math.inf, 600.0), (0.0, 600.0), (-5.0, 600.0),
+        (500.0, math.nan), (500.0, math.inf), (500.0, 0.0), (500.0, -1.0),
+    ])
+    def test_non_finite_or_non_positive_range_and_horizon_rejected(self, tx_range, horizon):
+        a = curve(0, 0, 100, 20, CCW, 0.0)
+        b = straight(0, 0, 1.0, 30)  # starts on a's turn center
+        with pytest.raises(ValueError, match="positive and finite"):
+            compute_llt(a, b, tx_range, horizon)
+
     def test_break_in_a_later_trust_window(self):
         # Slow beat: equal speeds, slightly different radii, opposite turns
         # around nearby centers; the break lands beyond the first window.
@@ -257,7 +272,7 @@ class TestComputeLlt:
         result = compute_llt(a, b, 800.0, horizon=600.0)
         oracle = brute_force_llt(a, b, 800.0, horizon=600.0)
         window = trust_window(squared_link_distance(a, b))
-        assert result.bounded and math.isfinite(oracle)
+        assert not result.horizon_capped and math.isfinite(oracle)
         assert result.llt > window
         assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
 
@@ -267,7 +282,7 @@ class TestComputeLlt:
             for _ in range(20):
                 traj_a, traj_b, tx = sample_instance(case, rng)
                 result = compute_llt(traj_a, traj_b, tx, horizon=150.0)
-                if result.bounded:
+                if not result.horizon_capped:
                     assert result.residual <= 0.01 * tx
 
     @pytest.mark.parametrize("case", ["A", "B", "C"])
@@ -285,7 +300,7 @@ class TestComputeLlt:
             traj_a, traj_b, tx = sample_instance(case, rng)
             result = compute_llt(traj_a, traj_b, tx, horizon=150.0)
             oracle = brute_force_llt(traj_a, traj_b, tx, dt=1e-3, horizon=150.0)
-            if result.bounded and math.isfinite(oracle):
+            if not result.horizon_capped and math.isfinite(oracle):
                 assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
 
     def test_planar_separation_helper(self):
@@ -304,7 +319,7 @@ class TestComputeLlt:
         b = straight(80, 0, math.pi, 20.0)  # head-on
         result = compute_llt(a, b, 100.0)
         oracle = brute_force_llt(a, b, 100.0)
-        assert result.bounded
+        assert not result.horizon_capped
         assert abs(result.llt - oracle) <= 1e-3
         # they meet first, so the break is well after the approach
         assert result.llt * 50.0 > 80.0
@@ -342,15 +357,17 @@ def assert_skips_sound(windows, tx):
         reach = probe_reach(trust_radius)
         ts = np.append(np.arange(0.0, reach, 1e-3), reach)
         assert np.max(model(ts)) < r2
-        roots = find_real_roots(model.taylor(DEFAULT_TAYLOR_DEGREE).minus_constant(r2))
+        coeffs = model.taylor()
+        coeffs[0] -= r2
+        roots = find_real_roots(coeffs)
         assert select_root(roots, model, tx, trust_radius) is None
         assert model(window) <= r2
 
 
 def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
     oracle = brute_force_llt(traj_a, traj_b, tx, dt=1e-3, horizon=horizon)
-    assert result.bounded == math.isfinite(oracle)
-    if result.bounded:
+    assert result.horizon_capped != math.isfinite(oracle)
+    if not result.horizon_capped:
         assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
 
 
@@ -383,7 +400,7 @@ class TestWindowSkip:
         result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
         assert windows[0][2], "the first window was not skipped"
         assert_skips_sound(windows, tx)
-        assert result.bounded
+        assert not result.horizon_capped
         assert result.llt == pytest.approx(t_break, abs=1e-9)
         assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
 
@@ -466,6 +483,53 @@ class TestGrazingCrossing:
             t_cross = brentq(lambda t: math.sqrt(direct_squared_separation(traj_a, traj_b, t))
                              - tx, below[-1], t_peak, xtol=1e-13)
             result = compute_llt(traj_a, traj_b, tx, SWEEP_HORIZON)
-            assert result.bounded
+            assert not result.horizon_capped
             assert result.llt == pytest.approx(t_cross, abs=1e-6)
             probed += 1
+
+
+class TestEqualOrbitalRates:
+    """Distinct centres, one angular velocity: the separation is periodic and
+    its peak is known in closed form, so ranges around it probe both the
+    solver's shortcut and the window search."""
+
+    PAIRS = [
+        (curve(0.0, 0.0, 200.0, 40.0, CCW, 0.3), curve(300.0, 100.0, 150.0, 30.0, CCW, -1.1)),
+        (curve(0.0, 0.0, 120.0, 30.0, CW, 2.0), curve(-250.0, 180.0, 240.0, 60.0, CW, 0.4)),
+    ]
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 + 1e-10, 1.0 - 1e-6, 1.0 - 1e-3])
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_range_around_the_peak(self, monkeypatch, pair, scale):
+        a, b = self.PAIRS[pair]
+        assert a.omega == b.omega
+        peak = math.sqrt(llt._equal_rate_peak(a, b))
+        ts = np.linspace(0.0, 2.0 * math.pi / abs(a.omega), 100_001)
+        assert math.sqrt(direct_squared_separation(a, b, ts).max()) == pytest.approx(peak, rel=1e-9)
+        tx = scale * peak
+        assert planar_separation(a, b) < tx
+        result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
+        assert_skips_sound(windows, tx)
+        assert result.horizon_capped == (scale > 1.0)
+        assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
+
+
+@pytest.mark.parametrize("offset", [-2.0 * SWEEP_DT, -1e-9, 1e-9, 2.0 * SWEEP_DT])
+def test_case_c_break_at_the_horizon_edge(offset):
+    # A break within 2*dt of the horizon, on either side of it: the solver
+    # caps exactly at the horizon, and the sweep's verdict rule holds.
+    a = straight(0.0, 0.0, 0.3, 25.0)
+    b = straight(40.0, -30.0, 2.0, 35.0)
+    tx = 1500.0
+    t_break = brentq(lambda t: math.sqrt(direct_squared_separation(a, b, t)) - tx,
+                     0.0, 100.0, xtol=1e-13)
+    horizon = t_break + offset
+    result = compute_llt(a, b, tx, horizon)
+    if offset > 0.0:
+        assert not result.horizon_capped
+        assert result.llt == pytest.approx(t_break, abs=1e-10)
+    else:
+        assert result.horizon_capped and result.llt == horizon
+    oracle = brute_force_llt(a, b, tx, dt=SWEEP_DT, horizon=horizon)
+    report = SweepReport("C", 1, 0, SWEEP_DT, horizon, [InstanceOutcome(0, tx, result, oracle)])
+    assert report.passed(), report.table_row()

@@ -337,7 +337,7 @@ class TestPredictionValidity:
         assert terminated, "run produced no terminations to score"
         for link in terminated:
             est_at, est = link.estimate_history[-1]
-            assert est.bounded, f"{link.endpoints}: capped estimate yet link broke"
+            assert not est.horizon_capped, f"{link.endpoints}: capped estimate yet link broke"
             remaining = link.terminated_at - est_at
             tol = max(2 * 0.01, 1e-3 * remaining)
             assert abs(link.predicted_termination - link.terminated_at) <= tol
