@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from uavllt.cli import main
-from uavllt.config import ScenarioConfig
+from uavllt.config import ScenarioConfig, load_config
 from uavllt.llt import DEFAULT_HORIZON, compute_llt
-from uavllt.mobility import SmoothTurnFleet, write_trace_csv
+from uavllt.mobility import Arena, SmoothTurnConfig, SmoothTurnFleet, generate_trace, write_trace_csv
 from uavllt.netsim import SmoothTurnChanges, Simulator, write_events_jsonl, write_snapshots_csv
 from uavllt.validate import SWEEP_HORIZON, sample_instance
 
@@ -35,12 +35,15 @@ def test_small_scenario_cli(tmp_path):
     }
 
 
-def run_fleet(config: ScenarioConfig, directory: Path) -> dict:
+def fleet_simulator(config: ScenarioConfig) -> Simulator:
     fleet = SmoothTurnFleet(config.uav_count, config.arena(), config.smooth_turn(), config.seed)
-    sim = Simulator(fleet.states, SmoothTurnChanges(fleet),
-                    tx_range=config.transmission_range, duration=config.duration,
-                    hello_interval=config.hello_interval, horizon=config.horizon)
-    result = sim.run()
+    return Simulator(fleet.states, SmoothTurnChanges(fleet),
+                     tx_range=config.transmission_range, duration=config.duration,
+                     hello_interval=config.hello_interval, horizon=config.horizon)
+
+
+def run_fleet(config: ScenarioConfig, directory: Path) -> dict:
+    result = fleet_simulator(config).run()
     write_events_jsonl(directory / "events.jsonl", result.events)
     write_snapshots_csv(directory / "snapshots.csv", result.snapshots)
     write_trace_csv(directory / "trace.csv", result.trace_rows)
@@ -57,10 +60,12 @@ def test_steady_fleet_scenario(tmp_path):
     }
 
 
+CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=100000)
+
+
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
-    config = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=100000)
-    assert run_fleet(config, tmp_path) == {
+    assert run_fleet(CHURN, tmp_path) == {
         "events.jsonl": "f9317ee53da0f0567345bc6204ffeddc904b05def2abddbbaebc9876419ffc3e",
         "snapshots.csv": "74ccd598eb7205ac12f1e0f0baabb48cbdab82d32bb34897aa87b61e029e34f2",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
@@ -88,3 +93,33 @@ def test_solver_results(case, horizon):
         r = compute_llt(a, b, tx_range, horizon)
         results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == SOLVER_DIGESTS[case, horizon]
+
+
+TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)
+
+
+@pytest.mark.parametrize("count, duration, wait, digest", [
+    # demos/03_smooth_turn_traces.py
+    (8, 300.0, (5, 20), "3ec27f55a5d4285e888a111804e936050f3463b84a9263703e66d5c47e8b63d3"),
+    # Every wait is 10 s, so all 72 change instants fall on sample instants.
+    (6, 120.0, (10, 10), "a6600936e49c67a1f8f5d04b56074676e1c12e54e55a7de0d3e0e70318fdcddb"),
+])
+def test_generate_trace(count, duration, wait, digest):
+    config = SmoothTurnConfig(radius_min=100, radius_max=800, speed_min=25, speed_max=55,
+                              wait_min=wait[0], wait_max=wait[1])
+    rows, segments = generate_trace(count, TRACE_ARENA, config, duration, seed=2024, sample_dt=1.0)
+    assert hashlib.sha256(repr((rows, segments)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config", [load_config(DEMOS / "scenario_small.cfg"), CHURN],
+                         ids=["small", "churn"])
+def test_generate_trace_matches_simulator(config):
+    # Standalone mobility and the network run fly the same fleet: same
+    # trace rows at the Hello interval, same per-UAV segment history.
+    sim = fleet_simulator(config)
+    result = sim.run()
+    rows, segments = generate_trace(config.uav_count, config.arena(), config.smooth_turn(),
+                                    config.duration, config.seed,
+                                    sample_dt=config.hello_interval)
+    assert rows == result.trace_rows
+    assert segments == [sim._segments[uid] for uid in sim.order]
