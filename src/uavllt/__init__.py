@@ -28,7 +28,6 @@ from .llt import (
     SquaredDistance,
     ZeroPolynomial,
     case_geometry,
-    classify_case,
     compute_llt,
     find_real_roots,
     select_root,
@@ -90,7 +89,6 @@ __all__ = [
     "ZeroPolynomial",
     "brute_force_llt",
     "case_geometry",
-    "classify_case",
     "compute_llt",
     "enumerate_best_route",
     "find_real_roots",

@@ -83,6 +83,9 @@ def _fmt_llt(llt: float, capped: bool, horizon: float) -> str:
 def _cmd_pair(args) -> int:
     try:
         result = compute_llt(args.traj_a, args.traj_b, args.range, args.horizon)
+        reference = (brute_force_llt(args.traj_a, args.traj_b, args.range,
+                                     dt=args.oracle_dt, horizon=args.horizon)
+                     if args.oracle else None)
     except LinkNotUp as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LINK_NOT_UP
@@ -95,8 +98,6 @@ def _cmd_pair(args) -> int:
         print(f"root: {result.root:.6f} s")
         print(f"residual: {result.residual:.3e} m")
     if args.oracle:
-        reference = brute_force_llt(args.traj_a, args.traj_b, args.range,
-                                    dt=args.oracle_dt, horizon=args.horizon)
         if math.isinf(reference):
             print(f"oracle: unbounded (horizon-capped at {args.horizon:g} s)")
         else:
@@ -149,7 +150,11 @@ def _cmd_validate(args) -> int:
     cases = ["A", "B", "C"] if args.case == "all" else [args.case]
     all_pass = True
     for case in cases:
-        report = run_sweep(case, args.trials, args.seed, dt=args.dt, horizon=args.horizon)
+        try:
+            report = run_sweep(case, args.trials, args.seed, dt=args.dt, horizon=args.horizon)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(report.table_row())
         all_pass = all_pass and report.passed()
     print("RESULT: " + ("PASS" if all_pass else "FAIL"))

@@ -36,7 +36,6 @@ class ScenarioConfig:
     duration: float = 600.0
     seed: int = 1
     horizon: float = 3600.0
-    oracle_dt: float = 1e-3
 
     def __post_init__(self):
         if self.uav_count < 2:
@@ -47,8 +46,7 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in ("transmission_range", "hello_interval", "duration", "horizon",
-                     "oracle_dt"):
+        for name in ("transmission_range", "hello_interval", "duration", "horizon"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         try:

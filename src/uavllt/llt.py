@@ -51,14 +51,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
-from .kinematics import (
-    CurveTrajectory,
-    Position,
-    StraightTrajectory,
-    Trajectory,
-    position_at,
-    re_anchor,
-)
+from .kinematics import CurveTrajectory, StraightTrajectory, Trajectory, re_anchor
 
 # Degree of the Taylor expansion of every sinusoid.
 TAYLOR_DEGREE = 12
@@ -309,17 +302,6 @@ class SquaredDistance:
         return (math.sqrt(max(d0_sq, 0.0) + slack) + speed * reach) ** 2 + slack < r2
 
 
-def classify_case(traj_a: Trajectory, traj_b: Trajectory) -> str:
-    """"A" for curve/curve, "B" for mixed, "C" for straight/straight."""
-    a_curve = isinstance(traj_a, CurveTrajectory)
-    b_curve = isinstance(traj_b, CurveTrajectory)
-    if a_curve and b_curve:
-        return "A"
-    if a_curve or b_curve:
-        return "B"
-    return "C"
-
-
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
     geom = case_geometry(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
     gap = geom.gap
@@ -466,8 +448,7 @@ def _polish_upward_crossing(f, t: float, trust_radius: float):
     return None
 
 
-def select_root(roots, exact_dist, tx_range: float, trust_radius: float,
-                *, range_tol: float | None = None):
+def select_root(roots, exact_dist, tx_range: float, trust_radius: float):
     """Pick the break time from polynomial root candidates.
 
     ``exact_dist`` maps time to the exact squared separation. Candidates
@@ -478,7 +459,7 @@ def select_root(roots, exact_dist, tx_range: float, trust_radius: float,
     """
     if tx_range <= 0.0:
         raise ValueError(f"transmission range must be positive, got {tx_range}")
-    tol = RANGE_RESIDUAL_RTOL * tx_range if range_tol is None else range_tol
+    tol = RANGE_RESIDUAL_RTOL * tx_range
     r2 = tx_range * tx_range
 
     def f(t):
@@ -516,12 +497,6 @@ class LltResult:
     root: float | None
     residual: float | None
     horizon_capped: bool
-
-
-def _trajectory_of(state) -> Trajectory:
-    if isinstance(state, (CurveTrajectory, StraightTrajectory)):
-        return state
-    return state.trajectory
 
 
 def _canonical_key(traj: Trajectory):
@@ -591,15 +566,14 @@ def _first_crossing_scan(model: SquaredDistance, tx_range: float, window: float)
 
 
 def compute_llt(
-    state_a,
-    state_b,
+    traj_a: Trajectory,
+    traj_b: Trajectory,
     tx_range: float,
     horizon: float = DEFAULT_HORIZON,
 ) -> LltResult:
     """Predicted remaining link lifetime of a UAV pair.
 
-    Accepts trajectories or any objects with a ``trajectory`` attribute and
-    re-anchors both at the later epoch, so ``llt`` counts seconds from that
+    Re-anchors both trajectories at the later epoch, so ``llt`` counts seconds from that
     instant. Requires the link to be up (planar separation at most
     ``tx_range``); raises :class:`LinkNotUp` otherwise. ``tx_range`` and
     ``horizon`` must be positive and finite; :class:`ValueError` otherwise.
@@ -614,8 +588,6 @@ def compute_llt(
     for name, value in (("transmission range", tx_range), ("horizon", horizon)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    traj_a = _trajectory_of(state_a)
-    traj_b = _trajectory_of(state_b)
     traj_a, traj_b, _ = _to_shared_epoch(traj_a, traj_b)
     # Canonical argument order makes the result exactly symmetric in the pair.
     if _canonical_key(traj_b) < _canonical_key(traj_a):
@@ -677,12 +649,3 @@ def compute_llt(
         win_b = re_anchor(win_b, win_b.epoch + window)
     return _unbounded(case, horizon)
 
-
-def planar_separation(state_a, state_b, at: float | None = None) -> float:
-    """Current planar separation of two states, or at an absolute time."""
-    traj_a = _trajectory_of(state_a)
-    traj_b = _trajectory_of(state_b)
-    t = max(traj_a.epoch, traj_b.epoch) if at is None else at
-    pa: Position = position_at(traj_a, t - traj_a.epoch)
-    pb: Position = position_at(traj_b, t - traj_b.epoch)
-    return math.hypot(pa.x - pb.x, pa.y - pb.y)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +83,6 @@ class SmoothTurnConfig:
     speed_max: float = 60.0
     wait_min: float = 5.0
     wait_max: float = 30.0
-    max_attempts: int = 64
 
     def __post_init__(self):
         for lo, hi, name in ((self.radius_min, self.radius_max, "radius"),
@@ -92,11 +92,11 @@ class SmoothTurnConfig:
                 raise ValueError(f"{name} range [{lo}, {hi}] must be finite")
             if not (0.0 < lo <= hi):
                 raise ValueError(f"{name} range [{lo}, {hi}] must be positive and ordered")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
 
 DEFAULT_CONFIG = SmoothTurnConfig()
+# Candidate segments drawn at a change before falling back to a loiter circle.
+MAX_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,6 @@ class UavState:
 
     id: int | str
     trajectory: Trajectory
-    speed: float
-    altitude: float
     next_change_at: float
 
     @property
@@ -261,7 +259,7 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
 
     The new segment starts at the exact current position and heading.
     Candidates are drawn until one keeps its whole Wait-Time path inside
-    the arena and ends in a recoverable pose; after ``max_attempts``
+    the arena and ends in a recoverable pose; after ``MAX_ATTEMPTS``
     failures the UAV falls back to the tightest inward loiter circle at the
     minimum radius. Raises :class:`ResampleExhausted` when even that circle
     does not fit (an arena/radius mismatch).
@@ -276,17 +274,17 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
         )
     kinds = _allowed_kinds(traj)
 
-    for _ in range(config.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         kind = kinds[int(rng.integers(0, len(kinds)))]
         wait = sample_wait_time(rng, config)
         if kind == "STRAIGHT":
-            candidate: Trajectory = make_straight(pos.x, pos.y, heading, state.speed,
-                                                  state.altitude, epoch=now)
+            candidate: Trajectory = make_straight(pos.x, pos.y, heading, traj.speed,
+                                                  traj.altitude, epoch=now)
         else:
             radius = float(rng.uniform(config.radius_min, config.radius_max))
             direction = Direction.CLOCKWISE if kind == "CW" else Direction.COUNTER_CLOCKWISE
-            candidate = make_turn(pos.x, pos.y, heading, radius, state.speed,
-                                  direction, state.altitude, epoch=now)
+            candidate = make_turn(pos.x, pos.y, heading, radius, traj.speed,
+                                  direction, traj.altitude, epoch=now)
         if (path_stays_inside(arena, candidate, wait)
                 and _end_pose_recoverable(arena, candidate, wait, config.radius_min)):
             return replace(state, trajectory=candidate, next_change_at=now + wait)
@@ -300,15 +298,14 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
             f"uav {state.id} cannot fit a radius-{config.radius_min:.0f} loiter "
             f"circle at ({pos.x:.1f}, {pos.y:.1f}); arena too tight for the config"
         )
-    loiter = make_turn(pos.x, pos.y, heading, config.radius_min, state.speed,
-                       direction, state.altitude, epoch=now)
+    loiter = make_turn(pos.x, pos.y, heading, config.radius_min, traj.speed,
+                       direction, traj.altitude, epoch=now)
     return replace(state, trajectory=loiter, next_change_at=now + wait)
 
 
 def initial_state(uid, arena: Arena, rng: np.random.Generator,
-                  config: SmoothTurnConfig = DEFAULT_CONFIG, *, altitude: float,
-                  start_time: float = 0.0) -> UavState:
-    """Spawn a UAV at a random interior pose and sample its first segment."""
+                  config: SmoothTurnConfig = DEFAULT_CONFIG, *, altitude: float) -> UavState:
+    """Spawn a UAV at a random interior pose at t = 0 and sample its first segment."""
     margin = max(arena.buffer_width, 2.0 * config.radius_min)
     if (arena.x_max - arena.x_min <= 2.0 * margin
             or arena.y_max - arena.y_min <= 2.0 * margin):
@@ -317,30 +314,26 @@ def initial_state(uid, arena: Arena, rng: np.random.Generator,
     y = float(rng.uniform(arena.y_min + margin, arena.y_max - margin))
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
     speed = float(rng.uniform(config.speed_min, config.speed_max))
-    seed_traj = make_straight(x, y, wrap_heading(heading), speed, altitude, epoch=start_time)
-    provisional = UavState(uid, seed_traj, speed, altitude, next_change_at=start_time)
-    return next_trajectory(provisional, arena, rng, start_time, config)
+    seed_traj = make_straight(x, y, wrap_heading(heading), speed, altitude, epoch=0.0)
+    return next_trajectory(UavState(uid, seed_traj, next_change_at=0.0), arena, rng, 0.0, config)
 
 
 class SmoothTurnFleet:
     """A set of independently moving UAVs with per-UAV random streams.
 
     Stream seeding uses (seed, uav index), so traces are reproducible
-    regardless of the order in which UAVs are advanced.
+    regardless of the order in which UAVs are advanced. UAV ``i`` starts at
+    t = 0 and flies at altitude 150 + 10 * i m.
     """
 
-    def __init__(self, count: int, arena: Arena, config: SmoothTurnConfig,
-                 seed: int, *, start_time: float = 0.0, altitude_base: float = 150.0,
-                 altitude_step: float = 10.0):
+    def __init__(self, count: int, arena: Arena, config: SmoothTurnConfig, seed: int):
         if count < 1:
             raise ValueError("need at least one UAV")
         self.arena = arena
         self.config = config
         self._rngs = [np.random.default_rng([seed, i]) for i in range(count)]
         self.states = [
-            initial_state(i, arena, self._rngs[i], config,
-                          altitude=altitude_base + altitude_step * i,
-                          start_time=start_time)
+            initial_state(i, arena, self._rngs[i], config, altitude=150.0 + 10.0 * i)
             for i in range(count)
         ]
 
@@ -371,7 +364,7 @@ def trace_row(t: float, state: UavState) -> list[str]:
         cx = cy = r = ""
         heading = repr(traj.heading)
     return [repr(float(t)), str(state.id), repr(pos.x), repr(pos.y), repr(pos.z),
-            traj.movement_state, cx, cy, r, heading, repr(state.speed)]
+            traj.movement_state, cx, cy, r, heading, repr(traj.speed)]
 
 
 def write_trace_csv(path, rows) -> None:
@@ -383,29 +376,26 @@ def write_trace_csv(path, rows) -> None:
 
 def generate_trace(count: int, arena: Arena, config: SmoothTurnConfig, duration: float,
                    seed: int, sample_dt: float = 1.0):
-    """Standalone mobility run: returns (trace rows, per-UAV segment lists)."""
+    """Standalone mobility run: returns (trace rows, per-UAV segment lists).
+
+    Each UAV draws from its own random stream, so each is flown to
+    ``duration`` on its own, then the fleet is sampled every ``sample_dt``
+    seconds from those histories. A sample on a change instant reports the
+    segment that ends there.
+    """
     fleet = SmoothTurnFleet(count, arena, config, seed)
-    segments = [[state.trajectory] for state in fleet.states]
-    changes = [(state.next_change_at, i) for i, state in enumerate(fleet.states)]
+    histories = []
+    for i, state in enumerate(fleet.states):
+        history = [state]
+        while state.next_change_at <= duration:
+            state = fleet.advance(i, state.next_change_at)
+            history.append(state)
+        histories.append(history)
+    epochs = [[state.trajectory.epoch for state in history] for history in histories]
     rows = []
-    n_samples = int(math.floor(duration / sample_dt))
-    sample_times = [k * sample_dt for k in range(n_samples + 1)]
-    cursor = 0
-    while changes:
-        changes.sort()
-        t_change, idx = changes[0]
-        changes.pop(0)
-        if t_change > duration:
-            break
-        while cursor < len(sample_times) and sample_times[cursor] <= t_change:
-            t = sample_times[cursor]
-            rows.extend(trace_row(t, s) for s in fleet.states)
-            cursor += 1
-        new_state = fleet.advance(idx, t_change)
-        segments[idx].append(new_state.trajectory)
-        changes.append((new_state.next_change_at, idx))
-    while cursor < len(sample_times):
-        t = sample_times[cursor]
-        rows.extend(trace_row(t, s) for s in fleet.states)
-        cursor += 1
+    for k in range(int(math.floor(duration / sample_dt)) + 1):
+        t = k * sample_dt
+        rows.extend(trace_row(t, history[bisect_left(starts, t, 1) - 1])
+                    for history, starts in zip(histories, epochs))
+    segments = [[state.trajectory for state in history] for history in histories]
     return rows, segments

@@ -22,9 +22,12 @@ it every output, is bit-identical to checking one tick and one pair at a
 time. Termination bisection and the change handler's range test stay on
 the scalar path.
 
-Event log entries are plain dicts (serialized as JSON lines); topology
-snapshots are edge lists whose weights are the remaining predicted
-lifetimes at the snapshot instant.
+Each UAV has exactly one trajectory change queued at a time: the change
+driver returns the new state together with the instant of the next
+change. Every Hello interval, starting at t = 0, the simulator appends one
+trace row per UAV and a topology snapshot. Event log entries are plain
+dicts (serialized as JSON lines); topology snapshots are edge lists whose
+weights are the remaining predicted lifetimes at the snapshot instant.
 """
 
 from __future__ import annotations
@@ -236,13 +239,9 @@ class Simulator:
 
     def __init__(self, states, change_driver, *, tx_range: float, duration: float,
                  hello_interval: float = 1.0, dt_check: float = DT_CHECK,
-                 horizon: float = DEFAULT_HORIZON, sample_interval: float | None = None,
-                 stop_after_first_termination: bool = False):
-        if sample_interval is None:
-            sample_interval = hello_interval
+                 horizon: float = DEFAULT_HORIZON, stop_after_first_termination: bool = False):
         for name, value in (("tx_range", tx_range), ("duration", duration),
-                            ("hello_interval", hello_interval), ("dt_check", dt_check),
-                            ("sample_interval", sample_interval)):
+                            ("hello_interval", hello_interval), ("dt_check", dt_check)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         self.states: dict = {s.id: s for s in states}
@@ -253,7 +252,6 @@ class Simulator:
         self.hello_interval = hello_interval
         self.dt_check = dt_check
         self.horizon = horizon
-        self.sample_interval = sample_interval
         self.stop_after_first_termination = stop_after_first_termination
 
         self.events: list = []
@@ -352,10 +350,7 @@ class Simulator:
         }
 
     def _handle_change(self, t: float, uid) -> None:
-        state = self.states[uid]
-        if not math.isfinite(state.next_change_at) or abs(state.next_change_at - t) > 1e-9:
-            return
-        new_state = self.driver(state, t)
+        new_state = self.driver(self.states[uid], t)
         self.states[uid] = new_state
         traj = new_state.trajectory
         self._segments[uid].append(traj)
@@ -363,7 +358,7 @@ class Simulator:
         self._table.set(self._index[uid], traj)
         self._changed_since_hello.add(uid)
         event = {"t": t, "event": "traj_change", "uav": uid, "state": traj.movement_state,
-                 "speed": new_state.speed}
+                 "speed": traj.speed}
         if isinstance(traj, CurveTrajectory):
             event.update({"cx": traj.center_x, "cy": traj.center_y, "r": traj.radius,
                           "heading": None})
@@ -447,7 +442,7 @@ class Simulator:
             self.trace_rows.append(trace_row(t, self.states[uid]))
         edges = {pair: link.remaining_at(t) for pair, link in self.live.items()}
         self.snapshots.append(LinkGraph(t, frozenset(self.order), edges))
-        nxt = t + self.sample_interval
+        nxt = t + self.hello_interval
         if nxt <= self.duration and not self._stop:
             self._push(nxt, _PRIORITY_SAMPLE, "sample", None)
 

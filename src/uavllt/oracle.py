@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .kinematics import planar_positions_at, position_at, re_anchor
-from .llt import LinkNotUp, _trajectory_of
+from .kinematics import Trajectory, planar_positions_at, position_at, re_anchor
+from .llt import LinkNotUp
 from .routing import NodeUnknown, Route
 
 _CHUNK = 1 << 16
@@ -25,19 +25,19 @@ class TooLarge(ValueError):
     """The graph is too big for exhaustive path enumeration."""
 
 
-def brute_force_llt(state_a, state_b, tx_range: float, dt: float = 1e-3,
-                    horizon: float = 3600.0) -> float:
+def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
+                    dt: float = 1e-3, horizon: float = 3600.0) -> float:
     """First time the pair's planar separation exceeds the range.
 
     Steps t by ``dt`` from the shared epoch, then refines the bracketing
     step by bisection to 1e-6 s. Returns ``math.inf`` when no break occurs
     before ``horizon``. Raises :class:`LinkNotUp` if the pair starts out of
-    range.
+    range, and :class:`ValueError` unless ``tx_range``, ``dt`` and
+    ``horizon`` are positive and finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    traj_a = _trajectory_of(state_a)
-    traj_b = _trajectory_of(state_b)
+    for name, value in (("transmission range", tx_range), ("dt", dt), ("horizon", horizon)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     epoch = max(traj_a.epoch, traj_b.epoch)
     traj_a = re_anchor(traj_a, epoch)
     traj_b = re_anchor(traj_b, epoch)

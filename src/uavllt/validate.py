@@ -98,7 +98,7 @@ class SweepReport:
     def bounded(self) -> list:
         return [o for o in self.outcomes if o.both_bounded]
 
-    def verdict_mismatches(self, excuse_near_horizon: bool = True) -> list:
+    def verdict_mismatches(self) -> list:
         """Instances where bounded/unbounded verdicts disagree.
 
         A mismatch is excused when the break sits within 2*dt of the
@@ -113,7 +113,7 @@ class SweepReport:
                 continue
             near = (math.isfinite(o.oracle_llt) and self.horizon - o.oracle_llt <= slack) or (
                 not o.analytic.horizon_capped and self.horizon - o.analytic.llt <= slack)
-            if excuse_near_horizon and near:
+            if near:
                 continue
             out.append(o)
         return out

@@ -151,10 +151,8 @@ def _scripted_scenario(seed, attempt):
         t_change += float(rng.uniform(2.0, 10.0))
         target = schedule_a if rng.integers(0, 2) else schedule_b
         target.append((t_change, _tangent_builder(rng)))
-    a = UavState("a", ta, ta.speed, 100.0,
-                 schedule_a[0][0] if schedule_a else math.inf)
-    b = UavState("b", tb, tb.speed, 110.0,
-                 schedule_b[0][0] if schedule_b else math.inf)
+    a = UavState("a", ta, schedule_a[0][0] if schedule_a else math.inf)
+    b = UavState("b", tb, schedule_b[0][0] if schedule_b else math.inf)
     sim = Simulator([a, b], ScriptedChanges({"a": schedule_a, "b": schedule_b}),
                     tx_range=tx, duration=240.0, stop_after_first_termination=True)
     return sim, sim.run()
@@ -262,7 +260,6 @@ hello_interval = 1.0
 duration = 60
 seed = 42
 horizon = 600
-oracle_dt = 0.001
 """
 
 

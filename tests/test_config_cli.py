@@ -27,7 +27,6 @@ hello_interval = 1.0
 duration = 30
 seed = 7
 horizon = 600
-oracle_dt = 0.001
 """
 
 
@@ -51,6 +50,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_oracle_dt_is_not_a_scenario_key(self, tmp_path):
+        # The simulator runs no oracle; files from before its removal fail loudly.
+        path = tmp_path / "old.cfg"
+        path.write_text("uav_count = 3\noracle_dt = 0.001\n")
+        with pytest.raises(ConfigError, match="unknown key 'oracle_dt'"):
+            load_config(str(path))
+
     def test_bad_value(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("uav_count = many\n")
@@ -69,7 +75,7 @@ class TestConfig:
         ("duration", math.inf), ("duration", math.nan), ("hello_interval", math.nan),
         ("hello_interval", math.inf), ("transmission_range", math.nan),
         ("transmission_range", math.inf), ("horizon", math.inf), ("horizon", math.nan),
-        ("oracle_dt", math.nan), ("x_max", math.nan), ("buffer_width", math.inf),
+        ("x_max", math.nan), ("buffer_width", math.inf),
         ("wait_max", math.inf), ("speed_min", math.nan), ("duration", 0.0),
         ("hello_interval", -1.0),
     ])
@@ -138,6 +144,17 @@ class TestPairCommand:
             main(["pair", spec, "straight:0,0,0,10,110", "--range", "100"])
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle_dt", ["inf", "nan", "0", "-1"])
+    def test_bad_oracle_dt_exit_2(self, oracle_dt, capsys):
+        # This pair breaks at 5 s; an infinite step once reported it unbounded.
+        code = main(["pair", "straight:0,0,0,10,100", "straight:50,0,0,20,110",
+                     "--range", "100", "--oracle", f"--oracle-dt={oracle_dt}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: dt must be positive and finite")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [["--range", "nan"], ["--range", "inf"],
                                        ["--range", "100", "--horizon", "inf"],
@@ -231,6 +248,23 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "case C" in out and "RESULT: PASS" in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dt", "inf"], "dt must be positive and finite"),
+        (["--dt", "nan"], "dt must be positive and finite"),
+        (["--dt", "0"], "dt must be positive and finite"),
+        (["--horizon", "nan"], "horizon must be positive and finite"),
+        (["--horizon", "inf"], "horizon must be positive and finite"),
+        (["--trials", "0"], "trials must be >= 1"),
+    ])
+    def test_bad_sweep_settings_exit_2(self, flags, message, capsys):
+        # An infinite step once checked t = 0 alone and printed RESULT: PASS.
+        code = main(["validate", "--case", "C", "--trials", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_fixed_seed_reruns_identical(self, capsys):
         main(["validate", "--case", "C", "--trials", "40", "--seed", "11"])

@@ -8,6 +8,7 @@ from uavllt.kinematics import (
     CurveTrajectory,
     Direction,
     StraightTrajectory,
+    planar_distance,
     planar_positions_at,
     position_at,
 )
@@ -20,10 +21,8 @@ from uavllt.llt import (
     SquaredDistance,
     ZeroPolynomial,
     case_geometry,
-    classify_case,
     compute_llt,
     find_real_roots,
-    planar_separation,
     probe_reach,
     select_root,
     squared_link_distance,
@@ -51,6 +50,10 @@ def straight(x, y, heading, v, z=100.0):
     return StraightTrajectory(x, y, heading, v, z)
 
 
+def initial_separation(traj_a, traj_b):
+    return planar_distance(position_at(traj_a, 0.0), position_at(traj_b, 0.0))
+
+
 def direct_squared_separation(traj_a, traj_b, ts):
     xa, ya = planar_positions_at(traj_a, ts)
     xb, yb = planar_positions_at(traj_b, ts)
@@ -61,10 +64,10 @@ class TestClassifyCase:
     def test_cases(self):
         c = curve(0, 0, 100, 20, CCW, 0)
         s = straight(0, 0, 0, 20)
-        assert classify_case(c, c) == "A"
-        assert classify_case(s, c) == "B"
-        assert classify_case(c, s) == "B"
-        assert classify_case(s, s) == "C"
+        assert squared_link_distance(c, c).case_label == "A"
+        assert squared_link_distance(s, c).case_label == "B"
+        assert squared_link_distance(c, s).case_label == "B"
+        assert squared_link_distance(s, s).case_label == "C"
 
 
 class TestCaseGeometry:
@@ -303,15 +306,6 @@ class TestComputeLlt:
             if not result.horizon_capped and math.isfinite(oracle):
                 assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
 
-    def test_planar_separation_helper(self):
-        a = straight(0, 0, 0.0, 10.0)
-        b = straight(50, 0, 0.0, 20.0)
-        assert planar_separation(a, b) == pytest.approx(50.0)
-        assert planar_separation(a, b, at=5.0) == pytest.approx(100.0)
-        late = StraightTrajectory(50, 0, 0.0, 20.0, 100.0, epoch=2.0)
-        # mismatched epochs measure at the later anchor by default
-        assert planar_separation(a, late) == pytest.approx(30.0)
-
     def test_flyby_first_break_is_after_the_dip(self):
         # Closing then receding pair: the separation dips, so the only
         # positive crossing is the break on the way out.
@@ -436,7 +430,7 @@ class TestWindowSkip:
         rng = np.random.default_rng([67, ord(case)])
         for _ in range(10):
             traj_a, traj_b, _ = sample_instance(case, rng)
-            tx = planar_separation(traj_a, traj_b) * (1.0 + 1e-9)
+            tx = initial_separation(traj_a, traj_b) * (1.0 + 1e-9)
             result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
                                                       SWEEP_HORIZON)
             assert not windows[0][2]
@@ -474,7 +468,7 @@ class TestGrazingCrossing:
                 continue
             t_peak, d_peak = peak
             tx = (1.0 - eps) * d_peak
-            if planar_separation(traj_a, traj_b) >= tx:
+            if initial_separation(traj_a, traj_b) >= tx:
                 continue
             # The separation rises monotonically into the peak, so the last
             # sample below the range before it brackets the only crossing.
@@ -507,7 +501,7 @@ class TestEqualOrbitalRates:
         ts = np.linspace(0.0, 2.0 * math.pi / abs(a.omega), 100_001)
         assert math.sqrt(direct_squared_separation(a, b, ts).max()) == pytest.approx(peak, rel=1e-9)
         tx = scale * peak
-        assert planar_separation(a, b) < tx
+        assert initial_separation(a, b) < tx
         result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
         assert_skips_sound(windows, tx)
         assert result.horizon_capped == (scale > 1.0)

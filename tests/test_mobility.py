@@ -88,7 +88,7 @@ class TestTransitions:
         cfg = SmoothTurnConfig()
         rng = np.random.default_rng(9)
         traj = CurveTrajectory(2500, 2500, 300, 40, -1, 0.0, 120, epoch=0.0)
-        state = UavState(0, traj, 40, 120, next_change_at=10.0)
+        state = UavState(0, traj, next_change_at=10.0)
         for _ in range(40):
             new = next_trajectory(state, ARENA, rng, 10.0, cfg)
             assert new.movement_state in ("CW", "STRAIGHT")
@@ -166,7 +166,7 @@ class TestBufferEncounters:
                 continue
             heading = float(rng.uniform(0, 2 * math.pi))
             traj = StraightTrajectory(x, y, heading, 40.0, 120.0, epoch=0.0)
-            state = UavState(0, traj, 40.0, 120.0, next_change_at=0.0)
+            state = UavState(0, traj, next_change_at=0.0)
             try:
                 new = next_trajectory(state, arena, rng, 0.0, cfg)
             except ResampleExhausted:
@@ -186,7 +186,7 @@ class TestResampleExhausted:
         arena = Arena(0.0, 500.0, 0.0, 500.0, 1.0)
         cfg = SmoothTurnConfig(radius_min=100.0, radius_max=200.0)
         traj = StraightTrajectory(498.0, 250.0, 0.0, 40.0, 100.0, epoch=0.0)
-        state = UavState(0, traj, 40.0, 100.0, next_change_at=0.0)
+        state = UavState(0, traj, next_change_at=0.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ResampleExhausted):
             next_trajectory(state, arena, rng, 0.0, cfg)
@@ -195,11 +195,11 @@ class TestResampleExhausted:
 class TestFleet:
     def test_unique_altitudes(self):
         fleet = SmoothTurnFleet(8, ARENA, SmoothTurnConfig(), seed=5)
-        altitudes = [s.altitude for s in fleet.states]
-        assert len(set(altitudes)) == len(altitudes)
+        altitudes = [s.trajectory.altitude for s in fleet.states]
+        assert altitudes == [150.0 + 10.0 * i for i in range(8)]
 
     def test_speeds_within_configured_range(self):
         cfg = SmoothTurnConfig(speed_min=25.0, speed_max=55.0)
         fleet = SmoothTurnFleet(8, ARENA, cfg, seed=6)
         for s in fleet.states:
-            assert 25.0 <= s.speed <= 55.0
+            assert 25.0 <= s.trajectory.speed <= 55.0

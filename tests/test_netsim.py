@@ -29,7 +29,7 @@ CW = Direction.CLOCKWISE
 
 
 def make_state(uid, traj, next_change_at=math.inf):
-    return UavState(uid, traj, traj.speed, traj.altitude, next_change_at)
+    return UavState(uid, traj, next_change_at)
 
 
 def turn_builder(kind, radius=None):
@@ -280,6 +280,21 @@ class TestCheckBlockScan:
         assert link_downs(result) == []
         assert ("a", "b") in result.snapshots[-1].edges
 
+    def test_reported_speed_is_the_current_trajectorys(self):
+        # "b" is parked by a scripted change at 3 s: its change event and its
+        # trace rows from then on report speed 0.
+        def park(state, now):
+            return StraightTrajectory(5.0, 0.0, 0.0, 0.0, 100.0, epoch=now)
+
+        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=3.0)
+        sim = Simulator([parked("a"), b], ScriptedChanges({"b": [(3.0, park)]}),
+                        tx_range=29.5, duration=6.0, dt_check=0.125)
+        result = sim.run()
+        (change,) = [e for e in result.events if e["event"] == "traj_change"]
+        assert change["speed"] == 0.0
+        speeds = {float(row[0]): float(row[-1]) for row in result.trace_rows if row[1] == "b"}
+        assert speeds == {0.0: 10.0, 1.0: 10.0, 2.0: 10.0, 3.0: 0.0, 4.0: 0.0, 5.0: 0.0, 6.0: 0.0}
+
     def test_break_on_the_last_tick_before_duration(self):
         duration = 20.0
         ticks = [0.01]
@@ -312,8 +327,7 @@ class TestCheckBlockScan:
         assert [(s.snapshot_time, s.edges) for s in fast.snapshots] == \
             [(s.snapshot_time, s.edges) for s in reference.snapshots]
 
-    @pytest.mark.parametrize("name", ["tx_range", "duration", "hello_interval", "dt_check",
-                                      "sample_interval"])
+    @pytest.mark.parametrize("name", ["tx_range", "duration", "hello_interval", "dt_check"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive_settings(self, name, value):
         kwargs = {"tx_range": 100.0, "duration": 10.0, name: value}

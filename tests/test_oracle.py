@@ -51,6 +51,15 @@ class TestBruteForceLlt:
         with pytest.raises(ValueError):
             brute_force_llt(a, a, 100.0, dt=0.0)
 
+    @pytest.mark.parametrize("name", ["tx_range", "dt", "horizon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_settings_rejected(self, name, value):
+        a = StraightTrajectory(0, 0, 0, 10, 0)
+        kwargs = {"tx_range": 100.0, name: value}
+        label = "transmission range" if name == "tx_range" else name
+        with pytest.raises(ValueError, match=f"{label} must be positive and finite"):
+            brute_force_llt(a, a, **kwargs)
+
 
 class TestEnumerateBestRoute:
     def test_single_edge(self):
