@@ -573,9 +573,9 @@ def compute_llt(
 ) -> LltResult:
     """Predicted remaining link lifetime of a UAV pair.
 
-    Re-anchors both trajectories at the later epoch, so ``llt`` counts seconds from that
-    instant. Requires the link to be up (planar separation at most
-    ``tx_range``); raises :class:`LinkNotUp` otherwise. ``tx_range`` and
+    Re-anchors both trajectories at the later epoch, so ``llt`` counts
+    seconds from that instant. Requires the link to be up (planar
+    separation at most ``tx_range``); raises :class:`LinkNotUp` otherwise. ``tx_range`` and
     ``horizon`` must be positive and finite; :class:`ValueError` otherwise.
 
     Straight/straight pairs are solved exactly. Curve cases run the
@@ -648,4 +648,3 @@ def compute_llt(
         win_a = re_anchor(win_a, win_a.epoch + window)
         win_b = re_anchor(win_b, win_b.epoch + window)
     return _unbounded(case, horizon)
-

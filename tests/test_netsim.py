@@ -279,21 +279,11 @@ class TestCheckBlockScan:
         result = sim.run()
         assert link_downs(result) == []
         assert ("a", "b") in result.snapshots[-1].edges
-
-    def test_reported_speed_is_the_current_trajectorys(self):
-        # "b" is parked by a scripted change at 3 s: its change event and its
-        # trace rows from then on report speed 0.
-        def park(state, now):
-            return StraightTrajectory(5.0, 0.0, 0.0, 0.0, 100.0, epoch=now)
-
-        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=3.0)
-        sim = Simulator([parked("a"), b], ScriptedChanges({"b": [(3.0, park)]}),
-                        tx_range=29.5, duration=6.0, dt_check=0.125)
-        result = sim.run()
+        # Its change event and its trace rows from 3 s on report the parked speed.
         (change,) = [e for e in result.events if e["event"] == "traj_change"]
         assert change["speed"] == 0.0
-        speeds = {float(row[0]): float(row[-1]) for row in result.trace_rows if row[1] == "b"}
-        assert speeds == {0.0: 10.0, 1.0: 10.0, 2.0: 10.0, 3.0: 0.0, 4.0: 0.0, 5.0: 0.0, 6.0: 0.0}
+        speeds = [float(row[-1]) for row in result.trace_rows if row[1] == "b"]
+        assert speeds == [10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_break_on_the_last_tick_before_duration(self):
         duration = 20.0
