@@ -13,6 +13,7 @@ import pytest
 
 from uavllt.cli import main
 from uavllt.config import ScenarioConfig, load_config
+from uavllt.kinematics import planar_distance, position_at
 from uavllt.llt import DEFAULT_HORIZON, compute_llt
 from uavllt.mobility import Arena, SmoothTurnConfig, SmoothTurnFleet, generate_trace, write_trace_csv
 from uavllt.netsim import SmoothTurnChanges, Simulator, write_events_jsonl, write_snapshots_csv
@@ -93,6 +94,22 @@ def test_solver_results(case, horizon):
         r = compute_llt(a, b, tx_range, horizon)
         results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == SOLVER_DIGESTS[case, horizon]
+
+
+def test_solver_results_near_tangent():
+    # Ranges just above the initial separation put the range circle within
+    # rounding of the separation: the windows where a bound that excludes a
+    # window from the root search is tightest.
+    rng = np.random.default_rng(97)
+    results = []
+    for i in range(600):
+        a, b, _ = sample_instance("AB"[i % 2], rng)
+        separation = planar_distance(position_at(a, 0.0), position_at(b, 0.0))
+        for scale in (1.0 + 1e-12, 1.0 + 1e-6, 1.01, 1.3, 3.0):
+            r = compute_llt(a, b, separation * scale, 200.0)
+            results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
+    assert (hashlib.sha256(repr(results).encode()).hexdigest()
+            == "5161158efb4ec544a1171f335b4f044976ca50784342300720cae8c53f5bcc3b")
 
 
 TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)
