@@ -73,6 +73,11 @@ _SKIP_ROUNDING = 64.0 * sys.float_info.epsilon
 # grid and pinning its last point gives np.linspace(0, W, 65) bit for bit.
 _TRUST_SAMPLES = 65
 _TRUST_GRID = np.arange(float(_TRUST_SAMPLES))
+# Change of basis from the power basis on [0, 1] to the Bernstein basis of
+# degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
+_POWERS = np.arange(float(TAYLOR_DEGREE + 1))
+_BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k) for k in range(TAYLOR_DEGREE + 1)]
+                       for i in range(TAYLOR_DEGREE + 1)])
 
 
 class LinkNotUp(RuntimeError):
@@ -300,6 +305,25 @@ class SquaredDistance:
                 d0_sq += term.amplitude * math.cos(term.phase)
         slack = _SKIP_ROUNDING * size
         return (math.sqrt(max(d0_sq, 0.0) + slack) + speed * reach) ** 2 + slack < r2
+
+    def bernstein_below(self, coeffs: np.ndarray, r2: float, reach: float) -> bool:
+        """True when the expansion proves the model below ``r2`` on ``[0, reach]``.
+
+        ``coeffs`` is :meth:`taylor` with ``r2`` subtracted from its constant
+        term. Written in the Bernstein basis of ``[0, reach]``, a polynomial
+        lies below its largest coefficient there. Adding the remainder bound
+        covers the expansion error and ``slack`` the rounding, sized as in
+        :meth:`stays_below`. A bound that overflowed is not finite and
+        proves nothing.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = coeffs * reach ** _POWERS
+            top = float((_BERNSTEIN @ scaled).max())
+            size = float(np.abs(scaled).sum()) + r2
+        for term in self.terms:
+            size += abs(term.amplitude) * reach ** term.t_power
+        bound = top + self.remainder_bound(reach) + _SKIP_ROUNDING * size
+        return bound < 0.0 and math.isfinite(bound)
 
 
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
@@ -618,6 +642,13 @@ def compute_llt(
                               traj_a.center_y - traj_b.center_y)
         if geom_gap + traj_a.radius + traj_b.radius <= tx_range * (1.0 - 1e-12):
             return _unbounded(case, horizon)
+    elif traj_b.speed == 0.0:
+        # Case B with the straight flyer parked (the canonical order puts the
+        # curve first): the separation never exceeds |gap| + R.
+        geom_gap = math.hypot(traj_a.center_x - traj_b.origin_x,
+                              traj_a.center_y - traj_b.origin_y)
+        if geom_gap + traj_a.radius <= tx_range * (1.0 - 1e-12):
+            return _unbounded(case, horizon)
 
     speed = traj_a.speed + traj_b.speed
     t_base = 0.0
@@ -626,24 +657,28 @@ def compute_llt(
         window_model = squared_link_distance(win_a, win_b)
         window = trust_window(window_model, cap=horizon - t_base)
         trust_radius = window * TRUST_RADIUS_FACTOR
+        reach = probe_reach(trust_radius)
         # A window the pair cannot leave range in, even flying straight apart
         # at full speed, holds no break: select_root would find none and the
         # scan below would not fire, so skipping them changes no result.
-        if not window_model.stays_below(r2, speed, probe_reach(trust_radius)):
+        if not window_model.stays_below(r2, speed, reach):
             coeffs = window_model.taylor()
             coeffs[0] -= r2
             if not coeffs.any():
                 break  # separation identically equal to the range: never exceeds
-            roots = find_real_roots(coeffs)
-            pick = select_root(roots, window_model, tx_range, trust_radius)
-            if pick is None and window_model(window) - r2 > 0.0:
-                # The window provably contains a crossing the roots missed.
-                pick = _first_crossing_scan(window_model, tx_range, window)
-            if pick is not None:
-                total = t_base + pick
-                if total > horizon:
-                    return _unbounded(case, horizon)
-                return _bounded(case, total, window_model, pick, tx_range)
+            # The same holds for a window whose expansion, with its remainder,
+            # is bounded below the range: the root search would find nothing.
+            if not window_model.bernstein_below(coeffs, r2, reach):
+                roots = find_real_roots(coeffs)
+                pick = select_root(roots, window_model, tx_range, trust_radius)
+                if pick is None and window_model(window) - r2 > 0.0:
+                    # The window provably contains a crossing the roots missed.
+                    pick = _first_crossing_scan(window_model, tx_range, window)
+                if pick is not None:
+                    total = t_base + pick
+                    if total > horizon:
+                        return _unbounded(case, horizon)
+                    return _bounded(case, total, window_model, pick, tx_range)
         t_base += window
         win_a = re_anchor(win_a, win_a.epoch + window)
         win_b = re_anchor(win_b, win_b.epoch + window)

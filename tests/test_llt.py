@@ -16,6 +16,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from uavllt import llt
 from uavllt.llt import (
+    DEFAULT_HORIZON,
     TRUST_RADIUS_FACTOR,
     LinkNotUp,
     SquaredDistance,
@@ -320,9 +321,11 @@ class TestComputeLlt:
 
 
 def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
-    """compute_llt's result and its windows as (model, W, skipped) triples."""
-    windows, skipped = [], []
-    real_window, real_stays_below = llt.trust_window, SquaredDistance.stays_below
+    """compute_llt's result and its windows as (model, W, status) triples,
+    status being "skipped", "excluded" or "searched"."""
+    windows, skipped, excluded = [], [], {}
+    real_window = llt.trust_window
+    real_stays_below, real_bernstein_below = SquaredDistance.stays_below, SquaredDistance.bernstein_below
 
     def window_of(model, *args, **kwargs):
         windows.append((model, real_window(model, *args, **kwargs)))
@@ -332,30 +335,45 @@ def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
         skipped.append(real_stays_below(self, *args))
         return skipped[-1]
 
+    def bernstein_below(self, *args):
+        excluded[len(windows) - 1] = real_bernstein_below(self, *args)
+        return excluded[len(windows) - 1]
+
     with monkeypatch.context() as m:
         m.setattr(llt, "trust_window", window_of)
         m.setattr(SquaredDistance, "stays_below", stays_below)
+        m.setattr(SquaredDistance, "bernstein_below", bernstein_below)
         result = compute_llt(traj_a, traj_b, tx, horizon)
     assert len(windows) == len(skipped)
-    return result, [(model, w, skip) for (model, w), skip in zip(windows, skipped)]
+    status = ["skipped" if skip else "excluded" if excluded.get(i) else "searched"
+              for i, skip in enumerate(skipped)]
+    return result, [(model, w, st) for (model, w), st in zip(windows, status)]
+
+
+def assert_no_break(model, window, tx):
+    """The window stays in range over all that select_root probes, and the
+    full root pipeline would have found no break in it either."""
+    r2 = tx * tx
+    trust_radius = window * TRUST_RADIUS_FACTOR
+    reach = probe_reach(trust_radius)
+    ts = np.append(np.arange(0.0, reach, 1e-3), reach)
+    assert np.max(model(ts)) < r2
+    coeffs = model.taylor()
+    coeffs[0] -= r2
+    roots = find_real_roots(coeffs)
+    assert select_root(roots, model, tx, trust_radius) is None
+    assert model(window) <= r2
 
 
 def assert_skips_sound(windows, tx):
-    """Every skipped window stays in range over all that select_root probes,
-    and the full root pipeline would have found no break in it either."""
-    r2 = tx * tx
-    for model, window, skipped in windows:
-        if not skipped:
-            continue
-        trust_radius = window * TRUST_RADIUS_FACTOR
-        reach = probe_reach(trust_radius)
-        ts = np.append(np.arange(0.0, reach, 1e-3), reach)
-        assert np.max(model(ts)) < r2
-        coeffs = model.taylor()
-        coeffs[0] -= r2
-        roots = find_real_roots(coeffs)
-        assert select_root(roots, model, tx, trust_radius) is None
-        assert model(window) <= r2
+    """Every skipped or excluded window holds no break."""
+    for model, window, status in windows:
+        if status != "searched":
+            assert_no_break(model, window, tx)
+
+
+def count(windows, status):
+    return sum(st == status for _, _, st in windows)
 
 
 def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
@@ -376,7 +394,7 @@ class TestWindowSkip:
             traj_a, traj_b, tx = sample_instance(case, rng)
             _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
-            n_skipped += sum(skip for _, _, skip in windows)
+            n_skipped += count(windows, "skipped")
         assert n_skipped >= 10
 
     def test_break_just_past_a_skipped_window(self, monkeypatch):
@@ -392,7 +410,7 @@ class TestWindowSkip:
         assert np.all(np.diff(model(np.linspace(0.0, t_break, 10_001))) > 0.0)
         tx = math.sqrt(model(t_break))
         result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
-        assert windows[0][2], "the first window was not skipped"
+        assert windows[0][2] == "skipped", "the first window was not skipped"
         assert_skips_sound(windows, tx)
         assert not result.horizon_capped
         assert result.llt == pytest.approx(t_break, abs=1e-9)
@@ -411,7 +429,7 @@ class TestWindowSkip:
             result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
-            n_skipped += sum(skip for _, _, skip in windows)
+            n_skipped += count(windows, "skipped")
         assert n_skipped >= 5
 
     def test_straight_flyer_at_zero_speed(self, monkeypatch):
@@ -422,8 +440,24 @@ class TestWindowSkip:
             result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
-        assert windows[0][2], "an out-of-reach range skipped no window"
+            # An out-of-reach range is answered before any window is sized.
+            assert (windows == []) == (tx > 1000.0)
         assert result.horizon_capped
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_parked_flyer_out_of_reach_visits_no_window(self, monkeypatch, swap):
+        c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
+        pair = [straight(800.0, 0.0, 1.0, 0.0), c] if swap else [c, straight(800.0, 0.0, 1.0, 0.0)]
+        # A flyer creeping at 1e-300 m/s keeps the window walk; it moves
+        # less than a femtometre by the horizon, so the answer is the same.
+        creeping = [straight(800.0, 0.0, 1.0, 1e-300) if t is not c else c for t in pair]
+        walk, walked = solve_recording_windows(monkeypatch, *creeping, 1200.0, DEFAULT_HORIZON)
+        assert len(walked) > 100
+        result, windows = solve_recording_windows(monkeypatch, *pair, 1200.0, DEFAULT_HORIZON)
+        assert windows == []
+        assert result == walk == llt.LltResult(DEFAULT_HORIZON, "B", None, None, True)
+        # Without the shortcut this horizon would walk ~10^8 windows.
+        assert compute_llt(*pair, 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_start_on_the_range_circle(self, monkeypatch, case):
@@ -433,9 +467,100 @@ class TestWindowSkip:
             tx = initial_separation(traj_a, traj_b) * (1.0 + 1e-9)
             result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
                                                       SWEEP_HORIZON)
-            assert not windows[0][2]
+            assert windows[0][2] != "skipped"
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
+
+
+class TestBernsteinExclusion:
+    """A searched window is excluded only when its expansion, written in the
+    Bernstein basis and widened by the remainder and rounding, stays below
+    the range."""
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_excluded_windows_hold_no_break(self, monkeypatch, case):
+        rng = np.random.default_rng([73, ord(case)])
+        n_excluded = 0
+        for _ in range(50):
+            traj_a, traj_b, tx = sample_instance(case, rng)
+            _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
+            assert_skips_sound(windows, tx)
+            n_excluded += count(windows, "excluded")
+        assert n_excluded >= 25
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_excludes_at_least_half_of_the_searched_windows(self, monkeypatch, case):
+        rng = np.random.default_rng([79, ord(case)])
+        n_excluded = n_searched = 0
+        for _ in range(100):
+            traj_a, traj_b, tx = sample_instance(case, rng)
+            _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
+            n_excluded += count(windows, "excluded")
+            n_searched += count(windows, "searched")
+        assert n_excluded >= n_searched
+
+    @staticmethod
+    def rising_first_windows(case, seed, horizon):
+        """Instances whose separation rises over all of the first window's
+        reach, with that model and reach: there the bound is tightest at the
+        reach, so the range can be put within its error terms."""
+        rng = np.random.default_rng([seed, ord(case)])
+        for _ in range(100):
+            traj_a, traj_b, _ = sample_instance(case, rng)
+            model = squared_link_distance(traj_a, traj_b)
+            reach = probe_reach(trust_window(model, cap=horizon) * TRUST_RADIUS_FACTOR)
+            if np.all(np.diff(model(np.linspace(0.0, reach, 2001))) > 0.0):
+                yield traj_a, traj_b, model, reach
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_range_between_expansion_and_separation(self, monkeypatch, case):
+        # The expansion falls short of the separation at the reach and the
+        # range lies between them: only the remainder bound keeps the window
+        # from being excluded.
+        probed = 0
+        for traj_a, traj_b, model, reach in self.rising_first_windows(case, 83, SWEEP_HORIZON):
+            expansion = npoly.polyval(reach, model.taylor())
+            if expansion >= model(reach):
+                continue
+            tx = math.sqrt(0.5 * (expansion + model(reach)))
+            result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
+                                                      SWEEP_HORIZON)
+            assert_skips_sound(windows, tx)
+            assert windows[0][2] == "searched"
+            assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
+            probed += 1
+        assert probed >= 10
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_range_within_rounding_of_the_separation(self, monkeypatch, case):
+        # A 1 ms horizon leaves one window whose remainder bound is far below
+        # rounding, so only the rounding allowance keeps the bound honest as
+        # the range steps ulp by ulp across the separation at the reach.
+        horizon = 1e-3
+        probed = 0
+        for traj_a, traj_b, model, reach in self.rising_first_windows(case, 89, horizon):
+            tx = math.sqrt(model(reach))
+            for _ in range(16):
+                tx = math.nextafter(tx, 0.0)
+            for _ in range(32):
+                _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon)
+                assert_skips_sound(windows, tx)
+                tx = math.nextafter(tx, math.inf)
+            probed += 1
+        assert probed >= 10
+
+    def test_overflowing_scale_never_excludes(self, monkeypatch):
+        # Orbits so wide and a horizon so long that reach**12 overflows:
+        # the bound is not finite, so the window must be searched.
+        big = 1e40
+        a = curve(0.0, -big, big, 40.0, CCW, math.pi / 2)
+        b = straight(100.0, 0.0, 0.3, 40.0)
+        _, windows = solve_recording_windows(monkeypatch, a, b, 500.0, big)
+        reach = probe_reach(windows[0][1] * TRUST_RADIUS_FACTOR)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(reach) ** llt.TAYLOR_DEGREE)
+        assert count(windows, "searched") >= 1
+        assert count(windows, "excluded") == 0
 
 
 def first_local_max(traj_a, traj_b, horizon):
