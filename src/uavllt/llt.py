@@ -39,6 +39,20 @@ squared range: it would accept no root, and the crossing scan would not run.
 Skipping such a window therefore leaves every result bit-identical, and the
 window sequence is unchanged because every window is still sized and
 re-anchored the same way.
+
+A window that is not skipped can still be excluded from the root search
+once its expansion is built. Substituting ``t = reach * u`` and changing to
+the Bernstein basis of degree :data:`TAYLOR_DEGREE` on ``u in [0, 1]`` turns
+the coefficients of the expansion minus ``r^2`` into Bernstein coefficients
+``b_i``. The Bernstein basis functions are non-negative and sum to one, so
+the polynomial never exceeds ``max(b_i)`` on ``[0, reach]`` (Lane and
+Riesenfeld 1981). The exact model differs from the expansion there by at
+most the remainder bound, so when ``max(b_i)`` plus that bound plus the
+rounding allowance is negative, the exact separation stays below the range
+wherever the root selection would evaluate it. As with the skip, the root
+selection would then accept nothing and the crossing scan would not run,
+so the exclusion leaves every result bit-identical. A window whose scaled
+coefficients overflow is not excluded.
 """
 
 from __future__ import annotations
@@ -75,7 +89,6 @@ _TRUST_SAMPLES = 65
 _TRUST_GRID = np.arange(float(_TRUST_SAMPLES))
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
-_POWERS = np.arange(float(TAYLOR_DEGREE + 1))
 _BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k) for k in range(TAYLOR_DEGREE + 1)]
                        for i in range(TAYLOR_DEGREE + 1)])
 
@@ -313,17 +326,25 @@ class SquaredDistance:
         term. Written in the Bernstein basis of ``[0, reach]``, a polynomial
         lies below its largest coefficient there. Adding the remainder bound
         covers the expansion error and ``slack`` the rounding, sized as in
-        :meth:`stays_below`. A bound that overflowed is not finite and
-        proves nothing.
+        :meth:`stays_below`. A scaling that overflowed proves nothing.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = coeffs * reach ** _POWERS
-            top = float((_BERNSTEIN @ scaled).max())
-            size = float(np.abs(scaled).sum()) + r2
+        # Plain floats: 13 products cost less than numpy's call overhead,
+        # and an overflow becomes inf or nan here without a warning.
+        scaled = []
+        power = 1.0
+        for c in coeffs.tolist():
+            scaled.append(c * power)
+            power *= reach
+        size = sum(map(abs, scaled))
+        if not math.isfinite(size):
+            return False
+        top = max((_BERNSTEIN @ scaled).tolist())
+        if top >= 0.0:  # most windows that hold a break stop here
+            return False
+        size += r2
         for term in self.terms:
             size += abs(term.amplitude) * reach ** term.t_power
-        bound = top + self.remainder_bound(reach) + _SKIP_ROUNDING * size
-        return bound < 0.0 and math.isfinite(bound)
+        return top + self.remainder_bound(reach) + _SKIP_ROUNDING * size < 0.0
 
 
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
