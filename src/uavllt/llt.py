@@ -89,7 +89,8 @@ _TRUST_SAMPLES = 65
 _TRUST_GRID = np.arange(float(_TRUST_SAMPLES))
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
-_BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k) for k in range(TAYLOR_DEGREE + 1)]
+_BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k)
+                        for k in range(TAYLOR_DEGREE + 1)]
                        for i in range(TAYLOR_DEGREE + 1)])
 
 
@@ -325,8 +326,9 @@ class SquaredDistance:
         ``coeffs`` is :meth:`taylor` with ``r2`` subtracted from its constant
         term. Written in the Bernstein basis of ``[0, reach]``, a polynomial
         lies below its largest coefficient there. Adding the remainder bound
-        covers the expansion error and ``slack`` the rounding, sized as in
-        :meth:`stays_below`. A scaling that overflowed proves nothing.
+        covers the expansion error, and an allowance sized as in
+        :meth:`stays_below` covers the rounding. A scaling that overflowed
+        proves nothing.
         """
         # Plain floats: 13 products cost less than numpy's call overhead,
         # and an overflow becomes inf or nan here without a warning.

@@ -325,7 +325,8 @@ def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
     status being "skipped", "excluded" or "searched"."""
     windows, skipped, excluded = [], [], {}
     real_window = llt.trust_window
-    real_stays_below, real_bernstein_below = SquaredDistance.stays_below, SquaredDistance.bernstein_below
+    real_stays_below = SquaredDistance.stays_below
+    real_bernstein_below = SquaredDistance.bernstein_below
 
     def window_of(model, *args, **kwargs):
         windows.append((model, real_window(model, *args, **kwargs)))
@@ -447,17 +448,20 @@ class TestWindowSkip:
     @pytest.mark.parametrize("swap", [False, True])
     def test_parked_flyer_out_of_reach_visits_no_window(self, monkeypatch, swap):
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
-        pair = [straight(800.0, 0.0, 1.0, 0.0), c] if swap else [c, straight(800.0, 0.0, 1.0, 0.0)]
+
+        def pair(speed):
+            s = straight(800.0, 0.0, 1.0, speed)
+            return (s, c) if swap else (c, s)
+
         # A flyer creeping at 1e-300 m/s keeps the window walk; it moves
         # less than a femtometre by the horizon, so the answer is the same.
-        creeping = [straight(800.0, 0.0, 1.0, 1e-300) if t is not c else c for t in pair]
-        walk, walked = solve_recording_windows(monkeypatch, *creeping, 1200.0, DEFAULT_HORIZON)
+        walk, walked = solve_recording_windows(monkeypatch, *pair(1e-300), 1200.0, DEFAULT_HORIZON)
         assert len(walked) > 100
-        result, windows = solve_recording_windows(monkeypatch, *pair, 1200.0, DEFAULT_HORIZON)
+        result, windows = solve_recording_windows(monkeypatch, *pair(0.0), 1200.0, DEFAULT_HORIZON)
         assert windows == []
         assert result == walk == llt.LltResult(DEFAULT_HORIZON, "B", None, None, True)
         # Without the shortcut this horizon would walk ~10^8 windows.
-        assert compute_llt(*pair, 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
+        assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_start_on_the_range_circle(self, monkeypatch, case):
@@ -501,9 +505,10 @@ class TestBernsteinExclusion:
 
     @staticmethod
     def rising_first_windows(case, seed, horizon):
-        """Instances whose separation rises over all of the first window's
-        reach, with that model and reach: there the bound is tightest at the
-        reach, so the range can be put within its error terms."""
+        """(traj_a, traj_b, model, reach) of instances whose separation rises
+        over all of the first window's reach. The largest Bernstein
+        coefficient is then the value at the reach, so a range put there
+        sits within the bound's error terms."""
         rng = np.random.default_rng([seed, ord(case)])
         for _ in range(100):
             traj_a, traj_b, _ = sample_instance(case, rng)
@@ -551,14 +556,14 @@ class TestBernsteinExclusion:
 
     def test_overflowing_scale_never_excludes(self, monkeypatch):
         # Orbits so wide and a horizon so long that reach**12 overflows:
-        # the bound is not finite, so the window must be searched.
+        # the scaled coefficients are not finite, so the window is searched.
         big = 1e40
         a = curve(0.0, -big, big, 40.0, CCW, math.pi / 2)
         b = straight(100.0, 0.0, 0.3, 40.0)
         _, windows = solve_recording_windows(monkeypatch, a, b, 500.0, big)
         reach = probe_reach(windows[0][1] * TRUST_RADIUS_FACTOR)
-        with np.errstate(over="ignore"):
-            assert np.isinf(np.float64(reach) ** llt.TAYLOR_DEGREE)
+        with pytest.raises(OverflowError):
+            reach ** llt.TAYLOR_DEGREE
         assert count(windows, "searched") >= 1
         assert count(windows, "excluded") == 0
 
