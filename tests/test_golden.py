@@ -73,6 +73,17 @@ def test_churn_fleet_scenario(tmp_path):
     }
 
 
+def test_sparse_hello_scenario(tmp_path):
+    # Hellos 20 s apart leave long gaps between queued events, so check
+    # blocks reach their 256-tick cap while links come up and go down.
+    config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
+    assert run_fleet(config, tmp_path) == {
+        "events.jsonl": "cd44f8554fe7605a5e4ff56a2dfa9e0d10894d07fa2f8f505b08b6e1d02f3ed9",
+        "snapshots.csv": "eba286077981d22c87582abe35a44617284136c5ebbda68bc143df7ceb24c20e",
+        "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
+    }
+
+
 SOLVER_DIGESTS = {
     ("A", SWEEP_HORIZON): "8df4c2b4a4779cf2c013aa011dd27b91df80fcce2b58cda9bb41ac22f3805245",
     ("A", DEFAULT_HORIZON): "0482114eb869d2d8ce40dfd6516c8e086ca9184b235c1076ea82ffd559a0c493",
