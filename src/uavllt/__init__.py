@@ -25,6 +25,7 @@ from .llt import (
     CaseGeometry,
     LinkNotUp,
     LltResult,
+    RangeLostInRounding,
     SquaredDistance,
     ZeroPolynomial,
     case_geometry,
@@ -73,6 +74,7 @@ __all__ = [
     "LltResult",
     "NodeUnknown",
     "Position",
+    "RangeLostInRounding",
     "ResampleExhausted",
     "Route",
     "ScenarioConfig",

@@ -12,8 +12,9 @@ Trajectories on the command line use compact specs::
     curve:cx,cy,r,v,dir,theta,z      dir is cw, ccw, -1 or +1
     straight:x,y,heading,v,z         heading in radians off the x-axis
 
-Exit codes: 0 success, 2 argument/config errors, 3 pair already out of
-range, 4 destination unreachable.
+Exit codes: 0 success, 2 argument/config errors (including a pair whose
+separation model cannot resolve the range), 3 pair already out of range,
+4 destination unreachable.
 """
 
 from __future__ import annotations

@@ -102,6 +102,12 @@ class ZeroPolynomial(ValueError):
     """Root finding was asked for the identically-zero polynomial."""
 
 
+class RangeLostInRounding(ValueError):
+    """The separation model leaves range in a window, yet none of its
+    crossings sits on the range circle: its terms are so large that the
+    range is lost in their rounding."""
+
+
 # ---------------------------------------------------------------------------
 # Case geometry
 # ---------------------------------------------------------------------------
@@ -600,15 +606,30 @@ def _equal_rate_peak(c1: CurveTrajectory, c2: CurveTrajectory) -> float:
 
 
 def _first_crossing_scan(model: SquaredDistance, tx_range: float, window: float):
-    """Safety net: locate the first upward crossing on [0, window] by scanning."""
+    """Safety net: locate the first upward crossing on [0, window] by scanning.
+
+    A crossing counts only if it sits on the range circle, as in
+    :func:`select_root`. Raises :class:`RangeLostInRounding` when the scan
+    finds crossings and none of them does.
+    """
     r2 = tx_range * tx_range
+    tol = RANGE_RESIDUAL_RTOL * tx_range
     ts = np.linspace(0.0, window, 257)
     values = model(ts) - r2
+    crossed = False
     for i in range(1, len(ts)):
         if values[i - 1] <= 0.0 < values[i]:
             lo, hi = float(ts[i - 1]), float(ts[i])
-            return float(brentq(lambda t: model(t) - r2, lo, hi,
-                                xtol=1e-12, rtol=4 * np.finfo(float).eps))
+            t = float(brentq(lambda t: model(t) - r2, lo, hi,
+                             xtol=1e-12, rtol=4 * np.finfo(float).eps))
+            if abs(math.sqrt(max(model(t), 0.0)) - tx_range) <= tol:
+                return t
+            crossed = True
+    if crossed:
+        raise RangeLostInRounding(
+            f"the separation model crosses the {tx_range:g} m range in a {window:.6g} s"
+            " trust window, but no crossing sits on the range circle: the range is lost"
+            " in the rounding of its terms")
     return None
 
 
@@ -624,6 +645,8 @@ def compute_llt(
     seconds from that instant. Requires the link to be up (planar
     separation at most ``tx_range``); raises :class:`LinkNotUp` otherwise. ``tx_range`` and
     ``horizon`` must be positive and finite; :class:`ValueError` otherwise.
+    Raises :class:`RangeLostInRounding` (a :class:`ValueError`) for a pair
+    whose separation model is too large to resolve the range.
 
     Straight/straight pairs are solved exactly. Curve cases run the
     expand/root/polish pipeline over successive trust windows. A bounded

@@ -127,6 +127,19 @@ class TestPairCommand:
         expected = math.acos((100**2 + 150**2 - 120**2) / (2 * 100 * 150)) / 0.2
         assert llt == pytest.approx(expected, abs=1e-4)
 
+    def test_range_lost_in_rounding_exit_2(self, capsys):
+        # A 1e12 m orbit puts the squared separation near 1e24 m^2, so its
+        # model minus the range squared is rounding noise; a sign change of
+        # that noise once came out as a break at 2.568 s with a residual of
+        # 1.1e4 m, where the pair actually leaves range at 5.068 s.
+        code = main(["pair", "curve:0,-1e12,1e12,40,ccw,1.5707963267948966,100",
+                     "straight:100,0,0.3,40,110", "--range", "500", "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "no crossing sits on the range circle" in captured.err
+
     def test_out_of_range_exit_3(self, capsys):
         code = main(["pair", "straight:0,0,0,10,100", "straight:900,0,0,10,110",
                      "--range", "100"])

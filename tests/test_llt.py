@@ -19,6 +19,7 @@ from uavllt.llt import (
     DEFAULT_HORIZON,
     TRUST_RADIUS_FACTOR,
     LinkNotUp,
+    RangeLostInRounding,
     SquaredDistance,
     ZeroPolynomial,
     case_geometry,
@@ -320,9 +321,10 @@ class TestComputeLlt:
         assert result.llt * 50.0 > 80.0
 
 
-def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
+def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon, raises=None):
     """compute_llt's result and its windows as (model, W, status) triples,
-    status being "skipped", "excluded" or "searched"."""
+    status being "skipped", "excluded" or "searched". With ``raises``,
+    compute_llt must raise that exception, and the result is None."""
     windows, skipped, excluded = [], [], {}
     real_window = llt.trust_window
     real_stays_below = SquaredDistance.stays_below
@@ -344,7 +346,12 @@ def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
         m.setattr(llt, "trust_window", window_of)
         m.setattr(SquaredDistance, "stays_below", stays_below)
         m.setattr(SquaredDistance, "bernstein_below", bernstein_below)
-        result = compute_llt(traj_a, traj_b, tx, horizon)
+        if raises is None:
+            result = compute_llt(traj_a, traj_b, tx, horizon)
+        else:
+            with pytest.raises(raises):
+                compute_llt(traj_a, traj_b, tx, horizon)
+            result = None
     assert len(windows) == len(skipped)
     status = ["skipped" if skip else "excluded" if excluded.get(i) else "searched"
               for i, skip in enumerate(skipped)]
@@ -557,10 +564,12 @@ class TestBernsteinExclusion:
     def test_overflowing_scale_never_excludes(self, monkeypatch):
         # Orbits so wide and a horizon so long that reach**12 overflows:
         # the scaled coefficients are not finite, so the window is searched.
+        # The search then finds the range lost in rounding, not a break.
         big = 1e40
         a = curve(0.0, -big, big, 40.0, CCW, math.pi / 2)
         b = straight(100.0, 0.0, 0.3, 40.0)
-        _, windows = solve_recording_windows(monkeypatch, a, b, 500.0, big)
+        _, windows = solve_recording_windows(monkeypatch, a, b, 500.0, big,
+                                             raises=RangeLostInRounding)
         reach = probe_reach(windows[0][1] * TRUST_RADIUS_FACTOR)
         with pytest.raises(OverflowError):
             reach ** llt.TAYLOR_DEGREE
