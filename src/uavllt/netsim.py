@@ -22,6 +22,21 @@ it every output, is bit-identical to checking one tick and one pair at a
 time. Termination bisection and the change handler's range test stay on
 the scalar path.
 
+Many blocks need no geometry at all. Planar separation grows by at most
+the sum of both UAVs' speeds per second, so a link evaluated at tick t
+with separation d stays in range until ``t + (r - d - allowance) / (v_a +
+v_b)``, or forever when both UAVs are parked: a kinetic certificate
+(Basch, Guibas & Hershberger 1999). The allowance, sized as in
+:meth:`~uavllt.llt.SquaredDistance.stays_below`, covers the rounding of the
+coordinates and of :func:`math.hypot`, so the bound holds for the
+separations the check computes. A block evaluates only the links whose
+certificate falls at or before its last tick, and each of them over all
+its ticks; a block with none makes no geometry call. Certificates are set
+from the block's last tick, expire when a link comes up or either endpoint
+changes trajectory (a scripted change may even teleport a UAV) and are
+dropped at termination. The links skipped could not have left range on any
+tick of the block, so every output stays bit-identical.
+
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state together with the instant of the next
 change. Every Hello interval, starting at t = 0, the simulator appends one
@@ -35,6 +50,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -62,6 +78,9 @@ BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
 HANDSHAKE_FRESHNESS = 2.0
 # Most check ticks one block scan covers; bounds its (ticks x links) arrays.
 _CHECK_BLOCK = 256
+# A link certificate's allowance for rounding, relative to the size of the
+# coordinates, the travel and the range that make up a computed separation.
+_CERT_ROUNDING = 64.0 * sys.float_info.epsilon
 
 _PRIORITY_CHANGE = 0
 _PRIORITY_HELLO = 1
@@ -166,6 +185,19 @@ class LinkGraph:
         return cls(snapshot_time, frozenset(seen), edges)
 
 
+def _speed_and_size(traj: Trajectory, until: float) -> tuple[float, float]:
+    """Planar speed of ``traj``, and the size of the terms
+    :class:`~uavllt.kinematics.TrajectoryTable` computes its coordinates from
+    at any time in ``[0, until]``: the scale of their rounding."""
+    if isinstance(traj, CurveTrajectory):
+        speed = traj.radius * abs(traj.omega)  # the table's R * |omega|
+        base = abs(traj.center_x) + abs(traj.center_y) + 6.0 * traj.radius
+    else:
+        speed = traj.speed
+        base = abs(traj.origin_x) + abs(traj.origin_y)
+    return speed, base + 3.0 * speed * (until + abs(traj.epoch))
+
+
 def recompute_llt(link: LinkRecord, states_now: dict, now: float, tx_range: float,
                   horizon: float = DEFAULT_HORIZON) -> LinkRecord:
     """Append a fresh estimate anchored at ``now``; replaces, never averages.
@@ -258,11 +290,16 @@ class Simulator:
         self.snapshots: list = []
         self.trace_rows: list = []
         self.live: dict = {}
+        # pair -> earliest instant its separation could exceed tx_range, in live order
+        self._due: dict = {}
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
         self._segment_epochs = {uid: [self.states[uid].trajectory.epoch] for uid in self.order}
         self._index = {uid: i for i, uid in enumerate(self.order)}
         self._table = TrajectoryTable([self.states[uid].trajectory for uid in self.order])
+        terms = [_speed_and_size(self.states[uid].trajectory, duration) for uid in self.order]
+        self._speed = [speed for speed, _ in terms]
+        self._size = [size for _, size in terms]
         self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
         self._changed_since_hello: set = set()
@@ -333,6 +370,7 @@ class Simulator:
         link = LinkRecord(endpoints=pair, established_at=t)
         recompute_llt(link, self.states, t, self.tx_range, self.horizon)
         self.live[pair] = link
+        self._due[pair] = -math.inf
         self.records.append(link)
         result = link.current_result
         self.events.append({
@@ -355,7 +393,9 @@ class Simulator:
         traj = new_state.trajectory
         self._segments[uid].append(traj)
         self._segment_epochs[uid].append(traj.epoch)
-        self._table.set(self._index[uid], traj)
+        i = self._index[uid]
+        self._table.set(i, traj)
+        self._speed[i], self._size[i] = _speed_and_size(traj, self.duration)
         self._changed_since_hello.add(uid)
         event = {"t": t, "event": "traj_change", "uav": uid, "state": traj.movement_state,
                  "speed": traj.speed}
@@ -373,6 +413,7 @@ class Simulator:
                 # look; terminate instead of re-estimating.
                 self._terminate(pair, max(self._last_check, link.established_at), t)
                 continue
+            self._due[pair] = -math.inf
             recompute_llt(link, self.states, t, self.tx_range, self.horizon)
             self.events.append(self._estimate_event(t, pair, link.current_result,
                                                     basis="change"))
@@ -389,15 +430,20 @@ class Simulator:
         while nxt <= self.duration and (nxt, _PRIORITY_CHECK) < top and len(ticks) < _CHECK_BLOCK:
             ticks.append(nxt)
             nxt += self.dt_check
-        pairs = list(self.live)
+        # Only links whose certificate has run out by the last tick can have
+        # left range on a tick of this block.
+        last = ticks[-1]
+        pairs = [pair for pair, due in self._due.items() if due <= last]
         if pairs:
             x, y = self._table.positions_at(ticks)
             a = [self._index[pair[0]] for pair in pairs]
             b = [self._index[pair[1]] for pair in pairs]
             dx = (x[:, a] - x[:, b]).ravel().tolist()
             dy = (y[:, a] - y[:, b]).ravel().tolist()
-            out = np.fromiter(map(math.hypot, dx, dy), float, len(dx)) > self.tx_range
-            out = out.reshape(len(ticks), len(pairs))
+            distances = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+            distances = distances.reshape(len(ticks), len(pairs))
+            self._certify(pairs, a, b, last, distances[-1].tolist())
+            out = distances > self.tx_range
             # Terminate in tick order, then in live order, as tick-by-tick checks would.
             for k in np.flatnonzero(out.any(axis=1)).tolist():
                 lo = ticks[k - 1] if k else self._last_check
@@ -411,8 +457,24 @@ class Simulator:
         if nxt <= self.duration and not self._stop:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
 
+    def _certify(self, pairs, a, b, t: float, separations) -> None:
+        """Certify each pair in range until its separation at ``t`` could have
+        grown past ``tx_range`` at the sum of its UAVs' speeds."""
+        r = self.tx_range
+        speed, size = self._speed, self._size
+        for pair, i, j, d in zip(pairs, a, b, separations):
+            closing = speed[i] + speed[j]
+            if closing > 0.0:
+                # The range term covers the separation, the travel the
+                # certificate spans and the rounding of the speeds.
+                slack = _CERT_ROUNDING * (size[i] + size[j] + 8.0 * r)
+                self._due[pair] = t + (r - d - slack) / closing
+            else:
+                self._due[pair] = math.inf  # both parked: positions never change
+
     def _terminate(self, pair, lo: float, hi: float) -> None:
         link = self.live.pop(pair)
+        del self._due[pair]
         a, b = pair
 
         def out_of_range(tau: float) -> bool:

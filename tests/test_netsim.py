@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from uavllt.kinematics import (
     Direction,
     Position,
     StraightTrajectory,
+    position_at,
     re_anchor,
 )
 from uavllt.llt import LinkNotUp, compute_llt
@@ -220,6 +222,34 @@ def link_downs(result):
     return [e for e in result.events if e["event"] == "link_down"]
 
 
+def jump_back(state, now):
+    return StraightTrajectory(5.0, 0.0, 0.0, 0.0, 100.0, epoch=now)
+
+
+def launch_east(state, now):
+    return StraightTrajectory(5.0, 0.0, 0.0, 40.0, 100.0, epoch=now)
+
+
+REFERENCE_FLEET = dict(x_max=3000.0, y_max=3000.0, buffer_width=400.0, uav_count=8,
+                       transmission_range=900.0, horizon=600.0)
+REFERENCE_CONFIGS = {
+    # Turns every 1-4 s: certificates rarely outlive a change.
+    "": ScenarioConfig(**REFERENCE_FLEET, wait_min=1.0, wait_max=4.0, duration=20.0),
+    # Turns every 30-90 s: certificates outlive many blocks.
+    "steady": ScenarioConfig(**REFERENCE_FLEET, wait_min=30.0, wait_max=90.0, duration=60.0),
+    # Hellos 10 s apart: blocks of over a hundred ticks.
+    "sparse": ScenarioConfig(**REFERENCE_FLEET, hello_interval=10.0, duration=120.0),
+}
+
+
+def reference_runs():
+    for name, config in REFERENCE_CONFIGS.items():
+        for stop in (False, True):
+            for seed in (3, 4, 5):
+                run_id = "-".join(filter(None, (name, str(stop), str(seed))))
+                yield pytest.param(replace(config, seed=seed), stop, id=run_id)
+
+
 class TickByTickSimulator(Simulator):
     """Reference ground-truth check: one tick, one scalar separation at a time."""
 
@@ -232,6 +262,17 @@ class TickByTickSimulator(Simulator):
         nxt = t + self.dt_check
         if nxt <= self.duration and not self._stop:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
+
+
+def assert_matches_reference(build):
+    """Run ``build(Simulator)`` and ``build(TickByTickSimulator)``; their
+    events and snapshots must agree. Returns the reference run."""
+    fast = build(Simulator).run()
+    reference = build(TickByTickSimulator).run()
+    assert fast.events == reference.events
+    assert [(s.snapshot_time, s.edges) for s in fast.snapshots] == \
+        [(s.snapshot_time, s.edges) for s in reference.snapshots]
+    return reference
 
 
 class TestCheckBlockScan:
@@ -270,9 +311,6 @@ class TestCheckBlockScan:
     def test_change_on_a_tick_applies_before_that_tick_is_scanned(self):
         # "b" leaves range at 2.95 s, between ticks; the 3 s change (same
         # instant as a tick) puts it back beside "a", so no tick sees a break.
-        def jump_back(state, now):
-            return StraightTrajectory(5.0, 0.0, 0.0, 0.0, 100.0, epoch=now)
-
         b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=3.0)
         sim = Simulator([parked("a"), b], ScriptedChanges({"b": [(3.0, jump_back)]}),
                         tx_range=29.5, duration=6.0, dt_check=0.125)
@@ -297,25 +335,115 @@ class TestCheckBlockScan:
         assert ticks[-2] < down["t"] <= ticks[-1]
         assert down["t"] == pytest.approx(crossing, abs=1e-5)
 
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    @pytest.mark.parametrize("stop", [False, True])
-    def test_matches_tick_by_tick_reference(self, seed, stop):
-        config = ScenarioConfig(x_max=3000.0, y_max=3000.0, buffer_width=400.0, uav_count=8,
-                                wait_min=1.0, wait_max=4.0, transmission_range=900.0,
-                                duration=20.0, seed=seed, horizon=600.0)
-        runs = []
-        for cls in (Simulator, TickByTickSimulator):
+    @pytest.mark.parametrize("config, stop", list(reference_runs()))
+    def test_matches_tick_by_tick_reference(self, config, stop):
+        def build(cls):
             fleet = SmoothTurnFleet(config.uav_count, config.arena(), config.smooth_turn(),
                                     config.seed)
-            sim = cls(fleet.states, SmoothTurnChanges(fleet), tx_range=config.transmission_range,
-                      duration=config.duration, horizon=config.horizon,
-                      stop_after_first_termination=stop)
-            runs.append(sim.run())
-        fast, reference = runs
+            return cls(fleet.states, SmoothTurnChanges(fleet),
+                       tx_range=config.transmission_range, duration=config.duration,
+                       hello_interval=config.hello_interval, horizon=config.horizon,
+                       stop_after_first_termination=stop)
+
+        reference = assert_matches_reference(build)
         assert link_downs(reference), "scenario produced no terminations to compare"
-        assert fast.events == reference.events
-        assert [(s.snapshot_time, s.edges) for s in fast.snapshots] == \
-            [(s.snapshot_time, s.edges) for s in reference.snapshots]
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_head_on_pair_at_top_speed(self, stop):
+        # They start 1 m inside range and close at 120 m/s; after they pass,
+        # the separation grows at exactly the speed sum the certificates use.
+        states = [flying("a", 0.0, 0.0, 60.0), flying("b", 599.0, math.pi, 60.0)]
+        reference = assert_matches_reference(
+            lambda cls: cls(states, ScriptedChanges({}), tx_range=600.0, duration=12.0,
+                            stop_after_first_termination=stop))
+        (down,) = link_downs(reference)
+        assert down["t"] == pytest.approx((599.0 + 600.0) / 120.0, abs=1e-5)
+
+    @pytest.mark.parametrize("launch_at", [2.0, 2.004])
+    def test_parked_pair_launched_at_top_speed(self, launch_at):
+        # Parked, the pair holds an infinite certificate; the change that
+        # launches both apart 1 m inside range must end it.
+        def launch(heading):
+            def build(state, now):
+                pos = position_at(state.trajectory, now - state.trajectory.epoch)
+                return StraightTrajectory(pos.x, pos.y, heading, 60.0, 100.0, epoch=now)
+            return build
+
+        schedule = {"a": [(launch_at, launch(math.pi))], "b": [(launch_at, launch(0.0))]}
+        states = [make_state("a", StraightTrajectory(0.0, 0.0, 0.0, 0.0, 100.0), launch_at),
+                  make_state("b", StraightTrajectory(599.0, 0.0, 0.0, 0.0, 100.0), launch_at)]
+        reference = assert_matches_reference(
+            lambda cls: cls(states, ScriptedChanges(schedule), tx_range=600.0, duration=4.0))
+        (down,) = link_downs(reference)
+        assert down["t"] == pytest.approx(launch_at + 1.0 / 120.0, abs=1e-5)
+
+    def test_teleport_matches_tick_by_tick_reference(self):
+        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=3.0)
+        schedule = {"b": [(3.0, jump_back), (4.5, launch_east)]}
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a"), b], ScriptedChanges(schedule), tx_range=29.5,
+                            duration=8.0, dt_check=0.125))
+        (down,) = link_downs(reference)
+        assert down["t"] == pytest.approx(4.5 + 24.5 / 40.0, abs=1e-5)
+
+    def test_range_within_rounding_of_the_separation(self):
+        # Two UAVs 10 km from the origin fly straight apart at 120 m/s. The
+        # link comes up with b's Hello at 0.5 s, is first evaluated on the
+        # ticks before a's 1 s Hello, and the next block ends on the last
+        # tick before b's 1.5 s Hello. Ranges within rounding of the
+        # separation at that tick are where a certificate without its
+        # rounding allowance would skip a tick that is already out of range.
+        ticks = [0.01]
+        while ticks[-1] < 1.5:
+            ticks.append(ticks[-1] + 0.01)
+        last = ticks[-2]
+        heading = 0.3
+        gap = 600.0 - 120.0 * last
+        a = StraightTrajectory(1e4, 1e4, heading + math.pi, 60.0, 100.0)
+        b = StraightTrajectory(1e4 + gap * math.cos(heading), 1e4 + gap * math.sin(heading),
+                               heading, 60.0, 100.0)
+        pa, pb = position_at(a, last), position_at(b, last)
+        tx_range = math.hypot(pa.x - pb.x, pa.y - pb.y)
+        for _ in range(32):
+            tx_range = math.nextafter(tx_range, 0.0)
+        breaks = set()
+        for _ in range(64):
+            reference = assert_matches_reference(
+                lambda cls: cls([make_state("a", a), make_state("b", b)], ScriptedChanges({}),
+                                tx_range=tx_range, duration=2.0))
+            (down,) = link_downs(reference)
+            breaks.add(down["t"] <= last)
+            tx_range = math.nextafter(tx_range, math.inf)
+        assert breaks == {True, False}
+
+    def test_parked_pair_needs_no_geometry(self):
+        # An in-range parked pair is certified for good at its first check.
+        sim = Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}),
+                        tx_range=100.0, duration=60.0)
+        calls = []
+        in_check = False
+        positions_at = sim._table.positions_at
+        handle_check = sim._handle_check
+
+        def spy_positions_at(times):
+            if in_check:
+                calls.append(len(times))
+            return positions_at(times)
+
+        def spy_handle_check(t):
+            nonlocal in_check
+            in_check = True
+            try:
+                handle_check(t)
+            finally:
+                in_check = False
+
+        sim._table.positions_at = spy_positions_at
+        sim._handle_check = spy_handle_check
+        result = sim.run()
+        assert [e["event"] for e in result.events].count("link_up") == 1
+        assert ("a", "b") in result.snapshots[-1].edges
+        assert 1 <= len(calls) <= 3
 
     @pytest.mark.parametrize("name", ["tx_range", "duration", "hello_interval", "dt_check"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
