@@ -512,7 +512,6 @@ def select_root(roots, exact_dist, tx_range: float, trust_radius: float):
     """
     if tx_range <= 0.0:
         raise ValueError(f"transmission range must be positive, got {tx_range}")
-    tol = RANGE_RESIDUAL_RTOL * tx_range
     r2 = tx_range * tx_range
 
     def f(t):
@@ -525,9 +524,14 @@ def select_root(roots, exact_dist, tx_range: float, trust_radius: float):
         crossing = _polish_upward_crossing(f, max(t, 0.0), trust_radius)
         if crossing is None:
             continue
-        if abs(math.sqrt(max(exact_dist(crossing), 0.0)) - tx_range) <= tol:
+        if _on_range_circle(exact_dist, crossing, tx_range):
             accepted.append(crossing)
     return min(accepted) if accepted else None
+
+
+def _on_range_circle(exact_dist, t: float, tx_range: float) -> bool:
+    """True when the separation at ``t`` is the range to within RANGE_RESIDUAL_RTOL."""
+    return abs(math.sqrt(max(exact_dist(t), 0.0)) - tx_range) <= RANGE_RESIDUAL_RTOL * tx_range
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +617,6 @@ def _first_crossing_scan(model: SquaredDistance, tx_range: float, window: float)
     finds crossings and none of them does.
     """
     r2 = tx_range * tx_range
-    tol = RANGE_RESIDUAL_RTOL * tx_range
     ts = np.linspace(0.0, window, 257)
     values = model(ts) - r2
     crossed = False
@@ -622,7 +625,7 @@ def _first_crossing_scan(model: SquaredDistance, tx_range: float, window: float)
             lo, hi = float(ts[i - 1]), float(ts[i])
             t = float(brentq(lambda t: model(t) - r2, lo, hi,
                              xtol=1e-12, rtol=4 * np.finfo(float).eps))
-            if abs(math.sqrt(max(model(t), 0.0)) - tx_range) <= tol:
+            if _on_range_circle(model, t, tx_range):
                 return t
             crossed = True
     if crossed:
