@@ -27,7 +27,6 @@ from .llt import (
     LltResult,
     RangeLostInRounding,
     SquaredDistance,
-    ZeroPolynomial,
     case_geometry,
     compute_llt,
     find_real_roots,
@@ -88,7 +87,6 @@ __all__ = [
     "TooLarge",
     "Trajectory",
     "UavState",
-    "ZeroPolynomial",
     "brute_force_llt",
     "case_geometry",
     "compute_llt",

@@ -13,46 +13,40 @@ them with a linear-in-t amplitude. Two straight flyers (case C) give a pure
 quadratic that is solved exactly.
 
 For cases A and B the sinusoids are Taylor-expanded to degree
-:data:`TAYLOR_DEGREE` to obtain a polynomial whose real roots locate
-candidate break times. Polynomials are plain float64 numpy arrays of
-coefficients in ascending degree, as :mod:`numpy.polynomial.polynomial`
-takes them: :meth:`SquaredDistance.taylor` returns one and
-:func:`find_real_roots` accepts any such sequence. A
-fixed-degree expansion of a cosine is only trustworthy while its argument
-stays small, so the expansion is applied piecewise over certified trust
-windows: each window is sized from the largest sinusoid rate and shrunk
-until a remainder bound guarantees the requested relative accuracy, and the
-search re-anchors at the window edge until a break is found or the horizon
-is reached. Every polynomial root is polished against the exact
-transcendental separation by bracketed root refinement before acceptance,
-so the reported break time does not inherit the expansion error; the
-polynomial only supplies brackets.
+:data:`TAYLOR_DEGREE` to obtain a polynomial that stands for the separation.
+Polynomials are plain float64 numpy arrays of coefficients in ascending
+degree, as :mod:`numpy.polynomial.polynomial` takes them:
+:meth:`SquaredDistance.taylor` returns one. A fixed-degree expansion of a
+cosine is only trustworthy while its argument stays small, so the expansion
+is applied piecewise over certified trust windows: each window is sized from
+the largest sinusoid rate and shrunk until a remainder bound guarantees the
+requested relative accuracy, and the search re-anchors at the window edge
+until a break is found or the horizon is reached. The windows tile the
+horizon, so each one is searched on ``[0, W]`` only.
 
 A window in which the link provably cannot break is skipped after it has
 been sized, before the expansion is built. The planar separation grows no
-faster than the sum of the two speeds, so on ``[0, reach]`` it stays below
-``sqrt(D^2(0)) + (v_a + v_b) * reach``, where ``reach`` (:func:`probe_reach`)
-is the latest time the root selection would evaluate the separation at.
-When that bound, widened by an allowance for rounding, is below the range,
-every evaluation the root selection would make returns less than the
-squared range: it would accept no root, and the crossing scan would not run.
-Skipping such a window therefore leaves every result bit-identical, and the
-window sequence is unchanged because every window is still sized and
-re-anchored the same way.
+faster than the sum of the two speeds, so on ``[0, W]`` it stays below
+``sqrt(D^2(0)) + (v_a + v_b) * W``. When that bound, widened by an allowance
+for rounding, is below the range, the window holds no break.
 
-A window that is not skipped can still be excluded from the root search
-once its expansion is built. Substituting ``t = reach * u`` and changing to
-the Bernstein basis of degree :data:`TAYLOR_DEGREE` on ``u in [0, 1]`` turns
-the coefficients of the expansion minus ``r^2`` into Bernstein coefficients
-``b_i``. The Bernstein basis functions are non-negative and sum to one, so
-the polynomial never exceeds ``max(b_i)`` on ``[0, reach]`` (Lane and
-Riesenfeld 1981). The exact model differs from the expansion there by at
-most the remainder bound, so when ``max(b_i)`` plus that bound plus the
-rounding allowance is negative, the exact separation stays below the range
-wherever the root selection would evaluate it. As with the skip, the root
-selection would then accept nothing and the crossing scan would not run,
-so the exclusion leaves every result bit-identical. A window whose scaled
-coefficients overflow is not excluded.
+Any other window is searched by Bernstein subdivision. Substituting
+``t = W * u`` and changing to the Bernstein basis of degree
+:data:`TAYLOR_DEGREE` on ``u in [0, 1]`` turns the coefficients of the
+expansion minus ``r^2`` into Bernstein coefficients ``b_i``. The basis
+functions are non-negative and sum to one, so on any piece the polynomial
+never exceeds the largest coefficient of that piece (Lane and Riesenfeld
+1981), and the exact model differs from the expansion by at most the
+remainder bound. :func:`find_real_roots` splits the window at midpoints
+with de Casteljau's algorithm, drops every piece whose largest coefficient
+plus that bound and a rounding allowance is negative, and stops splitting a
+piece whose coefficients change sign at most once, since the polynomial
+then has at most one root there (Collins and Akritas 1976).
+:func:`select_root` brackets the break in the first remaining piece that
+the exact separation enters in range and leaves beyond it, and refines it
+against the exact transcendental separation, so the reported break time
+does not inherit the expansion error. "No break here" therefore rests on
+the remainder bound, and no sampled safety net is needed.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from .kinematics import CurveTrajectory, StraightTrajectory, Trajectory, re_anchor
@@ -72,13 +65,12 @@ TAYLOR_DEGREE = 12
 DEFAULT_HORIZON = 3600.0
 # Target relative accuracy of the Taylor polynomial inside a trust window.
 TRUST_REL_ERROR = 1e-6
-# Root refinement target relative to the polynomial's largest coefficient.
-ROOT_RESIDUAL_RTOL = 1e-9
 # A bounded result must sit on the range circle to within this fraction.
 RANGE_RESIDUAL_RTOL = 0.01
-# select_root looks for a break this far past a trust window, as a fraction
-# of the window: a root just outside it is still polished, not lost.
-TRUST_RADIUS_FACTOR = 1.05
+# brentq's tolerances on the break time; find_real_roots splits no piece
+# narrower than they resolve.
+_ROOT_XTOL = 1e-12
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
 # The window skip's allowance for rounding, relative to the size of the
 # model's terms: parameters, evaluation and the test itself each round by a
 # few units in the last place.
@@ -98,14 +90,10 @@ class LinkNotUp(RuntimeError):
     """The pair is already farther apart than the transmission range."""
 
 
-class ZeroPolynomial(ValueError):
-    """Root finding was asked for the identically-zero polynomial."""
-
-
 class RangeLostInRounding(ValueError):
-    """The separation model leaves range in a window, yet none of its
-    crossings sits on the range circle: its terms are so large that the
-    range is lost in their rounding."""
+    """The separation model's terms are so large that the range is lost in
+    their rounding: the model leaves range in a window, but off the range
+    circle, or its expansion overflows when scaled to the window."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,66 +137,54 @@ def case_geometry(dx: float, dy: float) -> CaseGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# Bernstein subdivision
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs, t: float) -> float:
-    """``npoly.polyval(t, coeffs)`` in the same operations on plain floats."""
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * t + c
-    return value
+def _sign_changes(coeffs) -> int:
+    """Sign changes along ``coeffs``, zeros ignored."""
+    signs = [c > 0.0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def find_real_roots(coeffs) -> list[float]:
-    """All real roots of a polynomial in ascending order, Newton-polished.
+def _split(coeffs) -> tuple[list[float], list[float]]:
+    """Bernstein coefficients of the two halves of a piece (de Casteljau)."""
+    left, right = [], []
+    row = coeffs
+    while row:
+        left.append(row[0])
+        right.append(row[-1])
+        row = [0.5 * (x + y) for x, y in zip(row, row[1:])]
+    right.reverse()
+    return left, right
 
-    ``coeffs`` holds the coefficients in ascending degree; trailing zeros
-    are dropped. Complex-conjugate pairs are dropped (imaginary part beyond
-    a small relative threshold); surviving roots are refined on the real
-    axis until ``|p(t)| <= 1e-9 * max|coefficient|`` or the step size
-    degenerates. A nonzero constant has no roots. Raises
-    :class:`ZeroPolynomial` when every coefficient is zero.
+
+def find_real_roots(bernstein, margin: float, window: float) -> list[tuple[float, float]]:
+    """Pieces ``(lo, hi)`` of ``[0, window]`` that may hold a root, in order.
+
+    ``bernstein`` holds a polynomial's Bernstein coefficients on
+    ``[0, window]``, and ``margin`` bounds how far the function it stands
+    for lies above it. Midpoint splits, taken left to right, drop every
+    piece whose largest coefficient plus ``margin`` is negative: the
+    function is below zero there. A piece whose coefficients change sign at
+    most once holds at most one root of the polynomial and is kept whole, as
+    is a piece that brentq's tolerances no longer resolve. Touching pieces
+    share their common end exactly.
     """
-    coeffs = np.asarray(coeffs, dtype=float).tolist()
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    if not coeffs:
-        raise ZeroPolynomial("the zero polynomial has no isolated roots")
-    if len(coeffs) == 1:
-        return []
-    raw = npoly.polyroots(coeffs)
-    # The Newton polish runs on plain floats: polyval and polyder on numpy
-    # arrays cost more in call overhead than the polynomial's arithmetic.
-    dcoeffs = tuple(k * c for k, c in enumerate(coeffs) if k)
-    target = ROOT_RESIDUAL_RTOL * max(map(abs, coeffs))
-
-    roots = []
-    for z in raw.tolist():
-        if abs(z.imag) > 1e-5 * (1.0 + abs(z.real)):
+    pieces = []
+    stack = [(list(bernstein), 0.0, window)]
+    while stack:
+        coeffs, lo, hi = stack.pop()
+        if max(coeffs) + margin < 0.0:
             continue
-        t = z.real
-        best_t, best_f = t, abs(_horner(coeffs, t))
-        for _ in range(60):
-            ft = _horner(coeffs, t)
-            if abs(ft) < best_f:
-                best_t, best_f = t, abs(ft)
-            if abs(ft) <= 0.01 * target:
-                break
-            dt = _horner(dcoeffs, t)
-            if dt == 0.0:
-                break
-            step = ft / dt
-            t -= step
-            if not math.isfinite(t) or abs(step) <= 1e-16 * (1.0 + abs(t)):
-                if math.isfinite(t):
-                    ft = _horner(coeffs, t)
-                    if abs(ft) < best_f:
-                        best_t, best_f = t, abs(ft)
-                break
-        roots.append(best_t)
-    return sorted(roots)
+        if _sign_changes(coeffs) <= 1 or hi - lo <= _ROOT_XTOL + _ROOT_RTOL * hi:
+            pieces.append((lo, hi))
+            continue
+        left, right = _split(coeffs)
+        mid = 0.5 * (lo + hi)
+        stack.append((right, mid, hi))
+        stack.append((left, lo, mid))
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -326,33 +302,32 @@ class SquaredDistance:
         slack = _SKIP_ROUNDING * size
         return (math.sqrt(max(d0_sq, 0.0) + slack) + speed * reach) ** 2 + slack < r2
 
-    def bernstein_below(self, coeffs: np.ndarray, r2: float, reach: float) -> bool:
-        """True when the expansion proves the model below ``r2`` on ``[0, reach]``.
+    def bernstein(self, coeffs: np.ndarray, r2: float, window: float) -> tuple[list[float], float]:
+        """Bernstein coefficients of ``coeffs`` on ``[0, window]``, and their margin.
 
         ``coeffs`` is :meth:`taylor` with ``r2`` subtracted from its constant
-        term. Written in the Bernstein basis of ``[0, reach]``, a polynomial
-        lies below its largest coefficient there. Adding the remainder bound
-        covers the expansion error, and an allowance sized as in
-        :meth:`stays_below` covers the rounding. A scaling that overflowed
-        proves nothing.
+        term. On ``[0, window]`` the model minus ``r2`` lies within the
+        margin of that polynomial: the remainder bound covers the expansion
+        error, and an allowance sized as in :meth:`stays_below` covers the
+        rounding. Raises :class:`RangeLostInRounding` when scaling to the
+        window overflows.
         """
         # Plain floats: 13 products cost less than numpy's call overhead,
-        # and an overflow becomes inf or nan here without a warning.
+        # and an overflow becomes inf or nan here without a warning. A zero
+        # coefficient stays zero even where the window's power overflows.
         scaled = []
         power = 1.0
         for c in coeffs.tolist():
-            scaled.append(c * power)
-            power *= reach
+            scaled.append(c * power if c else 0.0)
+            power *= window
         size = sum(map(abs, scaled))
         if not math.isfinite(size):
-            return False
-        top = max((_BERNSTEIN @ scaled).tolist())
-        if top >= 0.0:  # most windows that hold a break stop here
-            return False
+            raise RangeLostInRounding(
+                f"the separation model overflows when scaled to a {window:.6g} s trust window")
         size += r2
         for term in self.terms:
-            size += abs(term.amplitude) * reach ** term.t_power
-        return top + self.remainder_bound(reach) + _SKIP_ROUNDING * size < 0.0
+            size += abs(term.amplitude) * window ** term.t_power
+        return (_BERNSTEIN @ scaled).tolist(), self.remainder_bound(window) + _SKIP_ROUNDING * size
 
 
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
@@ -457,58 +432,18 @@ def trust_window(model: SquaredDistance, cap: float = math.inf) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _latest_candidate(trust_radius: float) -> float:
-    """Largest polynomial root that :func:`select_root` still polishes."""
-    return trust_radius * (1.0 + 1e-9)
+def select_root(pieces, exact_dist, tx_range: float):
+    """The break time in a window searched into ``pieces``, or None.
 
-
-def _bracket_widths(t: float, trust_radius: float) -> tuple[float, float]:
-    """First and largest half-width of the bracket polished around ``t``."""
-    delta = max(1e-9, 1e-6 * max(1.0, abs(t)))
-    return delta, max(0.5 * min(trust_radius, 1e9), 4.0 * delta)
-
-
-def probe_reach(trust_radius: float) -> float:
-    """Latest time at which :func:`select_root` evaluates the separation.
-
-    Both bracket widths grow with the candidate, so the latest candidate
-    with its widest bracket bounds every probe.
-    """
-    t = _latest_candidate(trust_radius)
-    return t + _bracket_widths(t, trust_radius)[1]
-
-
-def _polish_upward_crossing(f, t: float, trust_radius: float):
-    """Bracket and refine an upward zero crossing of ``f`` near ``t``.
-
-    Returns the refined crossing time, or None when no sign change from
-    below to above exists nearby (entering-range crossings and tangencies
-    are rejected here).
-    """
-    delta, delta_max = _bracket_widths(t, trust_radius)
-    while delta <= delta_max:
-        lo = max(0.0, t - delta)
-        hi = t + delta
-        flo = f(lo)
-        fhi = f(hi)
-        if flo < 0.0 < fhi:
-            return float(brentq(f, lo, hi, xtol=1e-12, rtol=4 * np.finfo(float).eps))
-        if flo == 0.0 and lo == 0.0 and fhi > 0.0:
-            return 0.0
-        if flo > 0.0 and fhi < 0.0:
-            return None
-        delta *= 4.0
-    return None
-
-
-def select_root(roots, exact_dist, tx_range: float, trust_radius: float):
-    """Pick the break time from polynomial root candidates.
-
-    ``exact_dist`` maps time to the exact squared separation. Candidates
-    must be real, non-negative and within the trust radius; each is polished
-    against the exact function and kept only if the separation crosses the
-    range from below to above there (a link break, not a link formation).
-    Returns the smallest accepted time, or None.
+    ``pieces`` are :func:`find_real_roots` pieces of a window that starts
+    at 0, and ``exact_dist`` maps time to the exact squared separation. A
+    window that starts on or beyond the range circle breaks at 0. Otherwise
+    the first piece where the separation is inside the range at its start
+    and not inside at its end brackets the break (a link break, not a link
+    formation), which brentq refines against the exact separation. An end
+    exactly on the circle counts as not inside, so a break at a piece's or
+    a window's edge is not lost between two pieces. Raises
+    :class:`RangeLostInRounding` when that crossing is off the range circle.
     """
     if tx_range <= 0.0:
         raise ValueError(f"transmission range must be positive, got {tx_range}")
@@ -517,16 +452,21 @@ def select_root(roots, exact_dist, tx_range: float, trust_radius: float):
     def f(t):
         return exact_dist(t) - r2
 
-    accepted = []
-    for t in sorted(roots):
-        if t < -1e-9 or t > _latest_candidate(trust_radius):
-            continue
-        crossing = _polish_upward_crossing(f, max(t, 0.0), trust_radius)
-        if crossing is None:
-            continue
-        if _on_range_circle(exact_dist, crossing, tx_range):
-            accepted.append(crossing)
-    return min(accepted) if accepted else None
+    end = f_end = None
+    for lo, hi in pieces:
+        f_lo = f_end if lo == end else f(lo)
+        if lo == 0.0 and f_lo >= 0.0:
+            return 0.0
+        end, f_end = hi, f(hi)
+        if f_lo < 0.0 <= f_end:
+            t = float(brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL))
+            if not _on_range_circle(exact_dist, t, tx_range):
+                raise RangeLostInRounding(
+                    f"the separation model crosses the {tx_range:g} m range at {t:.6g} s, but no"
+                    " crossing sits on the range circle: the range is lost in the rounding of its"
+                    " terms")
+            return t
+    return None
 
 
 def _on_range_circle(exact_dist, t: float, tx_range: float) -> bool:
@@ -609,33 +549,6 @@ def _equal_rate_peak(c1: CurveTrajectory, c2: CurveTrajectory) -> float:
     return base + 2.0 * gap * math.hypot(px, py)
 
 
-def _first_crossing_scan(model: SquaredDistance, tx_range: float, window: float):
-    """Safety net: locate the first upward crossing on [0, window] by scanning.
-
-    A crossing counts only if it sits on the range circle, as in
-    :func:`select_root`. Raises :class:`RangeLostInRounding` when the scan
-    finds crossings and none of them does.
-    """
-    r2 = tx_range * tx_range
-    ts = np.linspace(0.0, window, 257)
-    values = model(ts) - r2
-    crossed = False
-    for i in range(1, len(ts)):
-        if values[i - 1] <= 0.0 < values[i]:
-            lo, hi = float(ts[i - 1]), float(ts[i])
-            t = float(brentq(lambda t: model(t) - r2, lo, hi,
-                             xtol=1e-12, rtol=4 * np.finfo(float).eps))
-            if _on_range_circle(model, t, tx_range):
-                return t
-            crossed = True
-    if crossed:
-        raise RangeLostInRounding(
-            f"the separation model crosses the {tx_range:g} m range in a {window:.6g} s"
-            " trust window, but no crossing sits on the range circle: the range is lost"
-            " in the rounding of its terms")
-    return None
-
-
 def compute_llt(
     traj_a: Trajectory,
     traj_b: Trajectory,
@@ -652,10 +565,10 @@ def compute_llt(
     whose separation model is too large to resolve the range.
 
     Straight/straight pairs are solved exactly. Curve cases run the
-    expand/root/polish pipeline over successive trust windows. A bounded
-    result's ``root`` sits on the range circle to within 1% of the range
-    (far tighter in practice, since roots are polished against the exact
-    separation); if no break is found by ``horizon`` the result is marked
+    expand/subdivide/refine pipeline over successive trust windows. A
+    bounded result's ``root`` sits on the range circle to within 1% of the
+    range (far tighter in practice, since breaks are refined against the
+    exact separation); if no break is found by ``horizon`` the result is marked
     ``horizon_capped``.
     """
     for name, value in (("transmission range", tx_range), ("horizon", horizon)):
@@ -705,29 +618,21 @@ def compute_llt(
     while t_base < horizon * (1.0 - 1e-12):
         window_model = squared_link_distance(win_a, win_b)
         window = trust_window(window_model, cap=horizon - t_base)
-        trust_radius = window * TRUST_RADIUS_FACTOR
-        reach = probe_reach(trust_radius)
         # A window the pair cannot leave range in, even flying straight apart
-        # at full speed, holds no break: select_root would find none and the
-        # scan below would not fire, so skipping them changes no result.
-        if not window_model.stays_below(r2, speed, reach):
+        # at full speed, holds no break.
+        if not window_model.stays_below(r2, speed, window):
             coeffs = window_model.taylor()
             coeffs[0] -= r2
             if not coeffs.any():
                 break  # separation identically equal to the range: never exceeds
-            # The same holds for a window whose expansion, with its remainder,
-            # is bounded below the range: the root search would find nothing.
-            if not window_model.bernstein_below(coeffs, r2, reach):
-                roots = find_real_roots(coeffs)
-                pick = select_root(roots, window_model, tx_range, trust_radius)
-                if pick is None and window_model(window) - r2 > 0.0:
-                    # The window provably contains a crossing the roots missed.
-                    pick = _first_crossing_scan(window_model, tx_range, window)
-                if pick is not None:
-                    total = t_base + pick
-                    if total > horizon:
-                        return _unbounded(case, horizon)
-                    return _bounded(case, total, window_model, pick, tx_range)
+            bernstein, margin = window_model.bernstein(coeffs, r2, window)
+            pieces = find_real_roots(bernstein, margin, window)
+            pick = select_root(pieces, window_model, tx_range)
+            if pick is not None:
+                total = t_base + pick
+                if total > horizon:
+                    return _unbounded(case, horizon)
+                return _bounded(case, total, window_model, pick, tx_range)
         t_base += window
         win_a = re_anchor(win_a, win_a.epoch + window)
         win_b = re_anchor(win_b, win_b.epoch + window)

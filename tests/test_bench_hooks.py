@@ -1,0 +1,54 @@
+"""The benchmark's traced pass replaces solver and simulator names with
+timing wrappers by ``(module, attribute)``; every name must still exist,
+and the solver must reach its stages through them."""
+
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from uavllt import llt
+from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+    return workloads, spans
+
+
+def test_internal_targets_resolve(bench):
+    workloads, spans = bench
+    for module, attr, span_name, _ in workloads.INTERNAL:
+        assert callable(getattr(module, attr, None)), span_name
+    assert set(spans.STAGES.values()) <= {span for _, _, span, _ in workloads.INTERNAL}
+
+
+CCW = Direction.COUNTER_CLOCKWISE
+PAIRS = {
+    "A": (CurveTrajectory(0, 0, 100, 10, CCW, 0.0, 100),
+          CurveTrajectory(0, 0, 150, 15, Direction.CLOCKWISE, 0.0, 110), 120.0),
+    "B": (CurveTrajectory(0, 0, 300, 40, CCW, 0.0, 100),
+          StraightTrajectory(350, 0, 1.0, 50, 110), 500.0),
+}
+
+
+@pytest.mark.parametrize("case", PAIRS)
+def test_searched_window_calls_the_wrapped_stages(bench, monkeypatch, case):
+    workloads, _ = bench
+    calls = Counter()
+    for module, attr, span_name, _ in workloads.INTERNAL:
+        def counted(*args, _fn=getattr(module, attr), _name=span_name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    traj_a, traj_b, tx = PAIRS[case]
+    result = llt.compute_llt(traj_a, traj_b, tx, 600.0)
+    assert result.case_used == case and not result.horizon_capped
+    assert calls["llt.trust_window"] >= 1
+    assert calls["llt.find_real_roots"] >= 1
+    assert calls["llt.select_root"] >= 1

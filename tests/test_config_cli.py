@@ -118,6 +118,15 @@ class TestPairCommand:
         assert code == 0
         assert "unbounded (horizon-capped" in out
 
+    def test_pair_a_few_ulps_beyond_range_breaks_now(self, capsys):
+        # The pair starts a few ulps beyond the range, which the link-up
+        # tolerance admits, and is flying apart: the link is breaking now.
+        code = main(["pair", "curve:0,0,300,40,ccw,0,100", "straight:400,0,0,50,110",
+                     "--range", "99.99999999999999", "--horizon", "600"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "llt: 0.000000 s" in out
+
     def test_concentric_example(self, capsys):
         code = main(["pair", "curve:0,0,100,10,ccw,0,100", "curve:0,0,150,15,cw,0,110",
                      "--range", "120"])

@@ -30,8 +30,8 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "61dec5be7825dec6122e0ce131ecf1a81ef028c3632c29cfd2aa566bafe64c33",
-        "snapshots.csv": "7b6e468242a36bb38ad9cf5a2c8f790d49ec67d0310aea9fb8ed5bf3008227c3",
+        "events.jsonl": "5de47890c110818a8d7a7323a0c47e07a25c004fd33800366756dd238b8c6d72",
+        "snapshots.csv": "bbe49e85e1eb2d7d97d5b9f8cd01e1e5a8e755d16af795ec8c30487a6ad8ea0d",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
 
@@ -55,8 +55,8 @@ def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     config = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "41d6833df397ef6e8d18e9a7a2bfd358526c1f80b24ad11dcee7fd9775e02a63",
-        "snapshots.csv": "a46f2aa4d147a5240a781a1ada72274a7433d7a90235f066725fb7d2e7eca684",
+        "events.jsonl": "fa8b1efd27d61018f6eda1cb413a7a2afc93c76e1e0596455e1dfc546fefd40b",
+        "snapshots.csv": "16fdeb84ac45765d7609ccb24505f1ee09289246975286c70622a86705d81a1a",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
 
@@ -67,8 +67,8 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "f9317ee53da0f0567345bc6204ffeddc904b05def2abddbbaebc9876419ffc3e",
-        "snapshots.csv": "74ccd598eb7205ac12f1e0f0baabb48cbdab82d32bb34897aa87b61e029e34f2",
+        "events.jsonl": "3152f8fe0e22df2d58efb539c95a6153ad678f54c0e18eb0f9fd1ea43a0d30a5",
+        "snapshots.csv": "1a3897534f97c3ff29e2c006ffc4101dbbac8e3e4fc463e5cfe7235962213bb3",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
 
@@ -78,17 +78,17 @@ def test_sparse_hello_scenario(tmp_path):
     # blocks reach their 256-tick cap while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "cd44f8554fe7605a5e4ff56a2dfa9e0d10894d07fa2f8f505b08b6e1d02f3ed9",
-        "snapshots.csv": "eba286077981d22c87582abe35a44617284136c5ebbda68bc143df7ceb24c20e",
+        "events.jsonl": "b44752e24a7b488ab2ab92064e35ad2489ed1770af5205312144129c66e1608f",
+        "snapshots.csv": "110819d39c84d8479b28d89ad0e54e1f46df48c6c289f0d4ba075130700aaac3",
         "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
     }
 
 
 SOLVER_DIGESTS = {
-    ("A", SWEEP_HORIZON): "8df4c2b4a4779cf2c013aa011dd27b91df80fcce2b58cda9bb41ac22f3805245",
-    ("A", DEFAULT_HORIZON): "0482114eb869d2d8ce40dfd6516c8e086ca9184b235c1076ea82ffd559a0c493",
-    ("B", SWEEP_HORIZON): "12e421bd234421cb94ecf9eefba0bd2152ddbf4c5387668d7b4f14f6788f2fce",
-    ("B", DEFAULT_HORIZON): "a7ba87dd4e85d62c34421b454d1b4f07dcaea959ca1a202b7661a2e227949ed9",
+    ("A", SWEEP_HORIZON): "e30b210a0c993ca01470498ab814c17651d55f52bc546a66f77f2cb0820938e8",
+    ("A", DEFAULT_HORIZON): "e529bad4d2f571820fe114e1758bcb548bb612878637624ab74464edcec82326",
+    ("B", SWEEP_HORIZON): "98e49812c56af818ae0cbcab572a47a2772ed2b337ee715235d9a35bb3ac99bb",
+    ("B", DEFAULT_HORIZON): "3f4fe7a50ea7b47f37c5e24dbe0a8bde7861b7bf3457101f0002a8ab15d00a23",
     ("C", SWEEP_HORIZON): "43105c1053ca5e0542f101942dc64973d26f6590e5466d078e9b4698d4a60f52",
     ("C", DEFAULT_HORIZON): "368bb863ad7ea9f9f1b843a6e28f3ce10ec7fad75e5db8b96155a585ab6d1e90",
 }
@@ -120,7 +120,7 @@ def test_solver_results_near_tangent():
             r = compute_llt(a, b, separation * scale, 200.0)
             results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
     assert (hashlib.sha256(repr(results).encode()).hexdigest()
-            == "5161158efb4ec544a1171f335b4f044976ca50784342300720cae8c53f5bcc3b")
+            == "a979ab999123e0470c9f5d20e24091e70c124532d8bd14b4aee7aba68fd01e90")
 
 
 TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)

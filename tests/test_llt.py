@@ -17,15 +17,13 @@ from scipy.optimize import brentq, minimize_scalar
 from uavllt import llt
 from uavllt.llt import (
     DEFAULT_HORIZON,
-    TRUST_RADIUS_FACTOR,
+    TAYLOR_DEGREE,
     LinkNotUp,
     RangeLostInRounding,
     SquaredDistance,
-    ZeroPolynomial,
     case_geometry,
     compute_llt,
     find_real_roots,
-    probe_reach,
     select_root,
     squared_link_distance,
     trust_window,
@@ -163,63 +161,130 @@ class TestTaylorPolynomial:
         assert rel.max() <= 1e-6
 
 
+def unit_bernstein(coeffs):
+    """Bernstein coefficients on [0, 1] of ascending power coefficients."""
+    padded = np.zeros(TAYLOR_DEGREE + 1)
+    padded[:len(coeffs)] = coeffs
+    return (llt._BERNSTEIN @ padded).tolist()
+
+
+def holds(piece, u):
+    lo, hi = piece
+    return lo <= u <= hi
+
+
 class TestFindRealRoots:
+    """Bernstein subdivision of polynomials on a unit window."""
+
     def test_simple_quadratic(self):
-        roots = find_real_roots([-4.0, 0.0, 1.0])
-        assert roots == pytest.approx([-2.0, 2.0])
+        # u^2 - 1/4: one root, at 1/2, in the single piece [0, 1].
+        pieces = find_real_roots(unit_bernstein([-0.25, 0.0, 1.0]), 0.0, 1.0)
+        assert pieces == [(0.0, 1.0)]
 
     def test_constant_has_no_roots(self):
-        assert find_real_roots([5.0]) == []
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            find_real_roots([0.0, 0.0])
-
-    def test_trailing_zeros_dropped(self):
-        assert find_real_roots(np.array([-4.0, 0.0, 1.0, 0.0, 0.0])) == pytest.approx([-2.0, 2.0])
-        assert find_real_roots([5.0, 0.0, 0.0]) == []
-        with pytest.raises(ZeroPolynomial):
-            find_real_roots(np.zeros(13))
+        # An all-negative polynomial: every piece is dropped, unless the
+        # margin lifts it to zero.
+        assert find_real_roots(unit_bernstein([-5.0]), 0.0, 1.0) == []
+        assert find_real_roots(unit_bernstein([-5.0]), 4.9, 1.0) == []
+        assert find_real_roots(unit_bernstein([-5.0]), 5.0, 1.0) == [(0.0, 1.0)]
 
     def test_complex_pairs_excluded(self):
-        # t^2 + 1: no real roots
-        assert find_real_roots([1.0, 0.0, 1.0]) == []
+        # -((u - 1/2)^2 + 1e-4): negative, but a complex root pair near the
+        # interval makes the coefficients change sign until splits drop it.
+        bernstein = unit_bernstein([-0.2501, 1.0, -1.0])
+        assert max(bernstein) > 0.0
+        assert find_real_roots(bernstein, 0.0, 1.0) == []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_recovers_known_roots(self, seed):
+        # Roots drawn in [-10, 10], mapped onto [0, 1] by t = 20 u - 10.
         rng = np.random.default_rng([43, seed])
         n = int(rng.integers(2, 8))
-        known = np.sort(rng.uniform(-10, 10, n))
+        known = (np.sort(rng.uniform(-10, 10, n)) + 10.0) / 20.0
         coeffs = np.array([1.0])
-        for r in known:
-            coeffs = np.convolve(coeffs, [-r, 1.0])
-        found = find_real_roots(coeffs)
-        assert len(found) == n
-        assert found == pytest.approx(list(known), abs=1e-6)
+        for u in known:
+            coeffs = np.convolve(coeffs, [-u, 1.0])
+        pieces = find_real_roots(unit_bernstein(coeffs), 0.0, 1.0)
+        assert all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
+        for u in known:
+            assert sum(holds(piece, u) for piece in pieces) == 1
+        for lo, hi in pieces:
+            inside = sum(holds((lo, hi), u) for u in known)
+            assert inside <= 1
+            ends = npoly.polyval(np.array([lo, hi]), coeffs)
+            assert (ends[0] * ends[1] < 0.0) == (inside == 1)
+
+    def test_root_at_the_first_split(self):
+        # (u - 1/2)((u - 1/4)^2 + 1e-4): the first split lands on the root,
+        # which both halves then share as an end. The split rounds the
+        # root's value to -9e-18, so a margin for rounding keeps the left half.
+        coeffs = np.convolve([-0.5, 1.0], [0.0626, -0.5, 1.0])
+        margin = 64.0 * np.finfo(float).eps * np.abs(coeffs).sum()
+        pieces = find_real_roots(unit_bernstein(coeffs), margin, 1.0)
+        at_root = [piece for piece in pieces if holds(piece, 0.5)]
+        assert len(at_root) == 2 and at_root[0][1] == 0.5 == at_root[1][0]
+        exact = lambda t: 1.0 + npoly.polyval(t, coeffs)
+        assert select_root(pieces, exact, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+    def test_double_root_stops_at_the_depth_floor(self):
+        # -(3u - 1)^2 in the Bernstein basis of degree 2 touches zero at 1/3
+        # without crossing: the piece around 1/3 keeps the signs (-, +, -)
+        # down to brentq's resolution, and no break is found there.
+        pieces = find_real_roots([-1.0, 2.0, -4.0], 0.0, 1.0)
+        assert 0 < len(pieces) <= 2
+        for lo, hi in pieces:
+            assert hi - lo <= llt._ROOT_XTOL + llt._ROOT_RTOL * hi
+            assert lo - 1e-12 <= 1.0 / 3.0 <= hi + 1e-12
+        exact = lambda t: 1.0 - (3.0 * t - 1.0) ** 2
+        assert select_root(pieces, exact, 1.0) is None
 
 
 class TestSelectRoot:
     def test_smallest_valid_positive_root(self):
         exact = lambda t: 100.0 + (t - 2.0) * 10.0  # crosses 100 upward at t=2
-        pick = select_root([-3.0, 2.0, 7.0], exact, 10.0, trust_radius=20.0)
+        pick = select_root([(0.0, 1.0), (1.0, 5.0), (6.0, 9.0)], exact, 10.0)
         assert pick == pytest.approx(2.0, abs=1e-9)
 
     def test_all_negative_gives_none(self):
-        exact = lambda t: 100.0 + t
-        assert select_root([-5.0, -1.0], exact, 10.0, trust_radius=20.0) is None
+        # Every piece stays below the range; each shared end is evaluated once.
+        seen = []
+
+        def exact(t):
+            seen.append(t)
+            return 50.0 + t
+
+        assert select_root([(0.0, 1.0), (1.0, 2.0), (3.0, 4.0)], exact, 10.0) is None
+        assert seen == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_roots_beyond_trust_radius_filtered(self):
+        # The windows tile the horizon: a crossing past the last piece
+        # belongs to the next window.
         exact = lambda t: 100.0 + (t - 15.0) * 10.0  # crossing at 15
-        assert select_root([15.0], exact, 10.0, trust_radius=5.0) is None
-        assert select_root([15.0], exact, 10.0, trust_radius=20.0) == pytest.approx(15.0)
+        assert select_root([(0.0, 10.0)], exact, 10.0) is None
+        assert select_root([(0.0, 10.0), (10.0, 20.0)], exact, 10.0) == pytest.approx(15.0)
 
     def test_downward_crossing_skipped(self):
         # Separation dips back inside range at t=3 then leaves again at t=8;
         # the entering-range crossing must be skipped for the later break.
-        def exact(t):
-            return 100.0 + 5.0 * (t - 3.0) * (t - 8.0) * (0.1 if t < 5.5 else 1.0)
-        pick = select_root([3.0, 8.0], exact, 10.0, trust_radius=20.0)
-        assert pick == pytest.approx(8.0, abs=1e-6)
+        exact = lambda t: 100.0 + 5.0 * (t - 3.0) * (t - 8.0)
+        pick = select_root([(1.0, 5.0), (5.0, 10.0)], exact, 10.0)
+        assert pick == pytest.approx(8.0, abs=1e-9)
+
+    def test_start_above_range_breaks_at_once(self):
+        exact = lambda t: 100.0 + 1e-9 - t
+        assert select_root([(0.0, 1.0)], exact, 10.0) == 0.0
+        assert select_root([(0.5, 1.0)], exact, 10.0) is None
+
+    def test_break_on_a_shared_end(self):
+        # The separation reaches the range exactly at the end two pieces
+        # share, exceeds it just after and falls back within the next one.
+        exact = lambda t: 100.0 - (t - 1.0) * (t - 1.5)
+        assert select_root([(0.0, 1.0), (1.0, 2.0)], exact, 10.0) == 1.0
+
+    def test_crossing_off_the_range_circle_raises(self):
+        exact = lambda t: 0.0 if t < 1.0 else 1e6
+        with pytest.raises(RangeLostInRounding):
+            select_root([(0.0, 2.0)], exact, 10.0)
 
 
 class TestComputeLlt:
@@ -252,6 +317,17 @@ class TestComputeLlt:
         assert expected == pytest.approx(4.6156, abs=1e-3)
         oracle = brute_force_llt(a, b, 120.0)
         assert abs(result.llt - oracle) <= 2e-3
+
+    def test_start_a_few_ulps_beyond_range_breaks_at_once(self):
+        # Within the link-up tolerance but beyond the range, and flying
+        # apart: the break is now, not past the horizon.
+        a = curve(0, 0, 300, 40, CCW, 0.0)
+        b = straight(400, 0, 0.0, 50)
+        tx = 99.99999999999999
+        assert initial_separation(a, b) > tx
+        result = compute_llt(a, b, tx, horizon=600.0)
+        assert not result.horizon_capped
+        assert result.llt == 0.0
 
     def test_link_not_up(self):
         a = straight(0, 0, 0, 10)
@@ -323,12 +399,13 @@ class TestComputeLlt:
 
 def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon, raises=None):
     """compute_llt's result and its windows as (model, W, status) triples,
-    status being "skipped", "excluded" or "searched". With ``raises``,
-    compute_llt must raise that exception, and the result is None."""
+    status being "skipped", "excluded" (find_real_roots left no piece) or
+    "searched". With ``raises``, compute_llt must raise that exception,
+    and the result is None."""
     windows, skipped, excluded = [], [], {}
     real_window = llt.trust_window
     real_stays_below = SquaredDistance.stays_below
-    real_bernstein_below = SquaredDistance.bernstein_below
+    real_find_real_roots = llt.find_real_roots
 
     def window_of(model, *args, **kwargs):
         windows.append((model, real_window(model, *args, **kwargs)))
@@ -338,14 +415,15 @@ def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon, raises=Non
         skipped.append(real_stays_below(self, *args))
         return skipped[-1]
 
-    def bernstein_below(self, *args):
-        excluded[len(windows) - 1] = real_bernstein_below(self, *args)
-        return excluded[len(windows) - 1]
+    def find_roots(*args):
+        pieces = real_find_real_roots(*args)
+        excluded[len(windows) - 1] = not pieces
+        return pieces
 
     with monkeypatch.context() as m:
         m.setattr(llt, "trust_window", window_of)
         m.setattr(SquaredDistance, "stays_below", stays_below)
-        m.setattr(SquaredDistance, "bernstein_below", bernstein_below)
+        m.setattr(llt, "find_real_roots", find_roots)
         if raises is None:
             result = compute_llt(traj_a, traj_b, tx, horizon)
         else:
@@ -359,17 +437,15 @@ def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon, raises=Non
 
 
 def assert_no_break(model, window, tx):
-    """The window stays in range over all that select_root probes, and the
-    full root pipeline would have found no break in it either."""
+    """The window stays in range all over [0, W], and the subdivision and
+    root selection would have found no break in it either."""
     r2 = tx * tx
-    trust_radius = window * TRUST_RADIUS_FACTOR
-    reach = probe_reach(trust_radius)
-    ts = np.append(np.arange(0.0, reach, 1e-3), reach)
+    ts = np.append(np.arange(0.0, window, 1e-3), window)
     assert np.max(model(ts)) < r2
     coeffs = model.taylor()
     coeffs[0] -= r2
-    roots = find_real_roots(coeffs)
-    assert select_root(roots, model, tx, trust_radius) is None
+    pieces = find_real_roots(*model.bernstein(coeffs, r2, window), window)
+    assert select_root(pieces, model, tx) is None
     assert model(window) <= r2
 
 
@@ -409,12 +485,11 @@ class TestWindowSkip:
         # Nearly co-located UAVs flying apart at full speed: the separation
         # grows almost as fast as the skip test assumes, and the first window
         # is tiny because the separation starts near zero. The range is set
-        # so the break falls 1 % past everything the first window probes.
+        # so the break falls 1 % past the first window.
         c = curve(0.0, -500.0, 500.0, 60.0, CCW, math.pi / 2)  # at (0, 0), heading -x
         s = straight(1e-3, 0.0, 0.0, 60.0)                      # heading +x
         model = squared_link_distance(c, s)
-        reach = probe_reach(trust_window(model, cap=SWEEP_HORIZON) * TRUST_RADIUS_FACTOR)
-        t_break = 1.01 * reach
+        t_break = 1.01 * trust_window(model, cap=SWEEP_HORIZON)
         assert np.all(np.diff(model(np.linspace(0.0, t_break, 10_001))) > 0.0)
         tx = math.sqrt(model(t_break))
         result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
@@ -512,29 +587,29 @@ class TestBernsteinExclusion:
 
     @staticmethod
     def rising_first_windows(case, seed, horizon):
-        """(traj_a, traj_b, model, reach) of instances whose separation rises
-        over all of the first window's reach. The largest Bernstein
-        coefficient is then the value at the reach, so a range put there
-        sits within the bound's error terms."""
+        """(traj_a, traj_b, model, W) of instances whose separation rises
+        over all of the first window. The largest Bernstein coefficient of
+        the piece that ends at W is then the value at W, so a range put
+        there sits within the bound's error terms."""
         rng = np.random.default_rng([seed, ord(case)])
         for _ in range(100):
             traj_a, traj_b, _ = sample_instance(case, rng)
             model = squared_link_distance(traj_a, traj_b)
-            reach = probe_reach(trust_window(model, cap=horizon) * TRUST_RADIUS_FACTOR)
-            if np.all(np.diff(model(np.linspace(0.0, reach, 2001))) > 0.0):
-                yield traj_a, traj_b, model, reach
+            window = trust_window(model, cap=horizon)
+            if np.all(np.diff(model(np.linspace(0.0, window, 2001))) > 0.0):
+                yield traj_a, traj_b, model, window
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_range_between_expansion_and_separation(self, monkeypatch, case):
-        # The expansion falls short of the separation at the reach and the
-        # range lies between them: only the remainder bound keeps the window
-        # from being excluded.
+        # The expansion falls short of the separation at W and the range
+        # lies between them: only the remainder bound keeps the piece that
+        # ends at W from being dropped.
         probed = 0
-        for traj_a, traj_b, model, reach in self.rising_first_windows(case, 83, SWEEP_HORIZON):
-            expansion = npoly.polyval(reach, model.taylor())
-            if expansion >= model(reach):
+        for traj_a, traj_b, model, window in self.rising_first_windows(case, 83, SWEEP_HORIZON):
+            expansion = npoly.polyval(window, model.taylor())
+            if expansion >= model(window):
                 continue
-            tx = math.sqrt(0.5 * (expansion + model(reach)))
+            tx = math.sqrt(0.5 * (expansion + model(window)))
             result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
                                                       SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
@@ -547,11 +622,11 @@ class TestBernsteinExclusion:
     def test_range_within_rounding_of_the_separation(self, monkeypatch, case):
         # A 1 ms horizon leaves one window whose remainder bound is far below
         # rounding, so only the rounding allowance keeps the bound honest as
-        # the range steps ulp by ulp across the separation at the reach.
+        # the range steps ulp by ulp across the separation at W.
         horizon = 1e-3
         probed = 0
-        for traj_a, traj_b, model, reach in self.rising_first_windows(case, 89, horizon):
-            tx = math.sqrt(model(reach))
+        for traj_a, traj_b, model, window in self.rising_first_windows(case, 89, horizon):
+            tx = math.sqrt(model(window))
             for _ in range(16):
                 tx = math.nextafter(tx, 0.0)
             for _ in range(32):
@@ -562,19 +637,37 @@ class TestBernsteinExclusion:
         assert probed >= 10
 
     def test_overflowing_scale_never_excludes(self, monkeypatch):
-        # Orbits so wide and a horizon so long that reach**12 overflows:
-        # the scaled coefficients are not finite, so the window is searched.
-        # The search then finds the range lost in rounding, not a break.
+        # Orbits so wide and a horizon so long that W**12 overflows: the
+        # scaled coefficients are not finite, so the window cannot be
+        # subdivided, and the range is reported lost in rounding.
         big = 1e40
         a = curve(0.0, -big, big, 40.0, CCW, math.pi / 2)
         b = straight(100.0, 0.0, 0.3, 40.0)
         _, windows = solve_recording_windows(monkeypatch, a, b, 500.0, big,
                                              raises=RangeLostInRounding)
-        reach = probe_reach(windows[0][1] * TRUST_RADIUS_FACTOR)
         with pytest.raises(OverflowError):
-            reach ** llt.TAYLOR_DEGREE
-        assert count(windows, "searched") >= 1
+            windows[-1][1] ** TAYLOR_DEGREE
+        assert count(windows, "searched") == 1
         assert count(windows, "excluded") == 0
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_break_at_the_window_edge(self, monkeypatch, case):
+        # The range is the separation at the first window's edge W, which
+        # it reaches rising: the break is found at W, whichever of the two
+        # windows that meet there brackets it, and also where the separation
+        # falls back inside the range soon after W.
+        probed = 0
+        for traj_a, traj_b, model, window in self.rising_first_windows(case, 101, SWEEP_HORIZON):
+            tx = math.sqrt(model(window))
+            result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
+                                                      SWEEP_HORIZON)
+            assert windows[0][1] == window
+            assert_skips_sound(windows, tx)
+            assert not result.horizon_capped
+            assert result.llt == pytest.approx(window, abs=1e-9)
+            assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
+            probed += 1
+        assert probed >= 10
 
 
 def first_local_max(traj_a, traj_b, horizon):
