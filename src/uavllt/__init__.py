@@ -14,7 +14,6 @@ from .kinematics import (
     Position,
     StraightTrajectory,
     Trajectory,
-    infer_trajectory,
     initial_phase,
     planar_distance,
     position_at,
@@ -92,7 +91,6 @@ __all__ = [
     "compute_llt",
     "enumerate_best_route",
     "find_real_roots",
-    "infer_trajectory",
     "initial_phase",
     "load_config",
     "max_min_route",

@@ -96,8 +96,3 @@ def load_config(path) -> ScenarioConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def write_config(path, config: ScenarioConfig) -> None:
-    with open(path, "w") as fh:
-        for f in fields(ScenarioConfig):
-            fh.write(f"{f.name} = {getattr(config, f.name)}\n")

@@ -3,10 +3,7 @@
 A UAV moves either on a circular arc around a fixed center or along a
 straight ray, always at a fixed altitude. Both motions are parameterized
 so that the position at any time offset from the trajectory's anchor
-instant (its *epoch*) is available in closed form. The module also
-recovers trajectory parameters from three consecutive GPS fixes, which is
-what a node does when a neighbor's beacon carries raw locations instead
-of explicit curve parameters.
+instant (its *epoch*) is available in closed form.
 
 Angles are handled quadrant-aware throughout (two-argument arctangent),
 so vertical headings and points in any quadrant are unambiguous.
@@ -25,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegenerateFix(ValueError):
-    """GPS fixes (or a center/point pair) too degenerate to define a trajectory."""
+    """A center/point pair too degenerate to define a trajectory."""
 
 
 class Direction(IntEnum):
@@ -254,66 +251,3 @@ def initial_phase(center_x: float, center_y: float, p: Position) -> float:
     if dx == 0.0 and dy == 0.0:
         raise DegenerateFix("point coincides with the circle center")
     return math.atan2(dy, dx)
-
-
-# Three fixes are treated as collinear when the triangle they span is tiny
-# relative to their spread; the threshold is scale invariant.
-COLLINEAR_AREA_RTOL = 1e-6
-
-
-def infer_trajectory(
-    p0: Position, p1: Position, p2: Position, interval: float, *, epoch: float = 0.0
-) -> tuple[Trajectory, float]:
-    """Recover the trajectory and speed from three consecutive GPS fixes.
-
-    The fixes are assumed equally spaced ``interval`` seconds apart, newest
-    last. Collinear fixes yield a straight trajectory anchored at ``p2``
-    with the heading of the last displacement and speed ``|p1 p2| / interval``.
-    Otherwise the three points fix a circle (circumcenter/circumradius); the
-    turning sense comes from the sign of the chord cross product and the
-    speed from the angular displacement over the last interval.
-
-    Returns ``(trajectory, speed)``; the speed is also stored on the
-    trajectory. Raises :class:`DegenerateFix` for coincident fixes or a
-    non-positive interval.
-    """
-    if not (interval > 0.0 and math.isfinite(interval)):
-        raise DegenerateFix(f"interval must be positive, got {interval}")
-    d01 = planar_distance(p0, p1)
-    d12 = planar_distance(p1, p2)
-    d02 = planar_distance(p0, p2)
-    if min(d01, d12, d02) == 0.0:
-        raise DegenerateFix("GPS fixes must be pairwise distinct")
-
-    ux, uy = p1.x - p0.x, p1.y - p0.y
-    vx, vy = p2.x - p1.x, p2.y - p1.y
-    cross = ux * vy - uy * vx
-    area = 0.5 * abs(cross)
-    dmax = max(d01, d12, d02)
-
-    if area < COLLINEAR_AREA_RTOL * dmax * dmax:
-        heading = math.atan2(vy, vx)
-        speed = d12 / interval
-        traj = StraightTrajectory(p2.x, p2.y, heading, speed, p2.z, epoch=epoch)
-        return traj, speed
-
-    ax, ay = p0.x, p0.y
-    bx, by = p1.x, p1.y
-    cx, cy = p2.x, p2.y
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        raise DegenerateFix("fixes are collinear; no circumcircle exists")
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ccx = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    ccy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    radius = math.hypot(cx - ccx, cy - ccy)
-
-    direction = Direction.COUNTER_CLOCKWISE if cross > 0.0 else Direction.CLOCKWISE
-    phase2 = math.atan2(cy - ccy, cx - ccx)
-    phase1 = math.atan2(by - ccy, bx - ccx)
-    dphase = wrap_angle(phase2 - phase1)
-    speed = radius * abs(dphase) / interval
-    traj = CurveTrajectory(ccx, ccy, radius, speed, direction, phase2, p2.z, epoch=epoch)
-    return traj, speed

@@ -18,10 +18,11 @@ Polynomials are plain float64 numpy arrays of coefficients in ascending
 degree, as :mod:`numpy.polynomial.polynomial` takes them:
 :meth:`SquaredDistance.taylor` returns one. A fixed-degree expansion of a
 cosine is only trustworthy while its argument stays small, so the expansion
-is applied piecewise over certified trust windows: each window is sized from
-the largest sinusoid rate and shrunk until a remainder bound guarantees the
-requested relative accuracy, and the search re-anchors at the window edge
-until a break is found or the horizon is reached. The windows tile the
+is applied piecewise over certified trust windows: each window starts at a
+quarter period of the fastest sinusoid and is halved until a remainder bound
+guarantees the requested relative accuracy against a certified lower bound
+on the separation, and the search re-anchors at the window edge until a
+break is found or the horizon is reached. The windows tile the
 horizon, so each one is searched on ``[0, W]`` only.
 
 A window in which the link provably cannot break is skipped after it has
@@ -47,6 +48,12 @@ the exact separation enters in range and leaves beyond it, and refines it
 against the exact transcendental separation, so the reported break time
 does not inherit the expansion error. "No break here" therefore rests on
 the remainder bound, and no sampled safety net is needed.
+
+The same basis sizes the windows: the expansion never drops below its
+smallest Bernstein coefficient either, so that coefficient less the
+remainder bound and the rounding allowance is the certified lower bound on
+the separation that :func:`trust_window` uses. "This window is accurate"
+thus rests on a bound too, not on samples.
 """
 
 from __future__ import annotations
@@ -75,10 +82,6 @@ _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 # model's terms: parameters, evaluation and the test itself each round by a
 # few units in the last place.
 _SKIP_ROUNDING = 64.0 * sys.float_info.epsilon
-# Sample points of trust_window's smallest-separation estimate. Scaling this
-# grid and pinning its last point gives np.linspace(0, W, 65) bit for bit.
-_TRUST_SAMPLES = 65
-_TRUST_GRID = np.arange(float(_TRUST_SAMPLES))
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
 _BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k)
@@ -306,7 +309,8 @@ class SquaredDistance:
         """Bernstein coefficients of ``coeffs`` on ``[0, window]``, and their margin.
 
         ``coeffs`` is :meth:`taylor` with ``r2`` subtracted from its constant
-        term. On ``[0, window]`` the model minus ``r2`` lies within the
+        term; :func:`trust_window` passes 0 to bound the separation itself.
+        On ``[0, window]`` the model minus ``r2`` lies within the
         margin of that polynomial: the remainder bound covers the expansion
         error, and an allowance sized as in :meth:`stays_below` covers the
         rounding. Raises :class:`RangeLostInRounding` when scaling to the
@@ -406,19 +410,26 @@ def trust_window(model: SquaredDistance, cap: float = math.inf) -> float:
 
     Starts from a quarter period of the fastest sinusoid (which keeps every
     argument at or below pi/2, including the difference-rate term of case A)
-    and halves until an analytic remainder bound is small against the
-    smallest sampled separation. Purely quadratic models trust any window.
+    and halves until an analytic remainder bound is small against a lower
+    bound on the separation over the window: the smallest Bernstein
+    coefficient of the expansion minus its margin. A window whose scaling
+    overflows bounds nothing and is halved. Purely quadratic models trust
+    any window.
     """
     rate = model.max_rate()
     if rate == 0.0:
         return cap
     window = min(cap, (math.pi / 2.0) / rate)
     floor = window / 4096.0
+    coeffs = model.taylor()
     for _ in range(13):
         bound = model.remainder_bound(window)
-        ts = _TRUST_GRID * (window / (_TRUST_SAMPLES - 1))
-        ts[-1] = window
-        smallest = float(np.min(model(ts)))
+        try:
+            bernstein, margin = model.bernstein(coeffs, 0.0, window)
+        except RangeLostInRounding:
+            smallest = -math.inf
+        else:
+            smallest = min(bernstein) - margin
         if bound <= 0.25 * TRUST_REL_ERROR * max(smallest, 1e-12):
             break
         if window <= floor:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from uavllt.cli import main
-from uavllt.config import ConfigError, ScenarioConfig, load_config, write_config
+from uavllt.config import ConfigError, ScenarioConfig, load_config
 from uavllt.mobility import TRACE_HEADER
 
 SMALL_SCENARIO = """
@@ -91,12 +91,6 @@ class TestConfig:
             load_config(str(path))
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
-
-    def test_write_round_trip(self, tmp_path):
-        cfg = ScenarioConfig(uav_count=4, seed=99)
-        path = tmp_path / "rt.cfg"
-        write_config(str(path), cfg)
-        assert load_config(str(path)) == cfg
 
 
 class TestPairCommand:

@@ -30,8 +30,8 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "5de47890c110818a8d7a7323a0c47e07a25c004fd33800366756dd238b8c6d72",
-        "snapshots.csv": "bbe49e85e1eb2d7d97d5b9f8cd01e1e5a8e755d16af795ec8c30487a6ad8ea0d",
+        "events.jsonl": "485cd87a8eea2ab3b967c82d34ca71b069157d493e8d496ee1526bb9db305a3b",
+        "snapshots.csv": "f9e48f9f71a12f8c7e08b404d452b0f44701bd44a3f7dc9669798e8b6db22534",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
 
@@ -55,8 +55,8 @@ def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     config = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "fa8b1efd27d61018f6eda1cb413a7a2afc93c76e1e0596455e1dfc546fefd40b",
-        "snapshots.csv": "16fdeb84ac45765d7609ccb24505f1ee09289246975286c70622a86705d81a1a",
+        "events.jsonl": "2da5eb993fd539cc6b3cd7a9b87ac93ab22680e8b32cb24b62b4c9f086e85b3d",
+        "snapshots.csv": "dc8e0309cbadb411b660b35870d50c0b329261912c6c48c7d9af4e0732aa0a69",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
 
@@ -67,8 +67,8 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "3152f8fe0e22df2d58efb539c95a6153ad678f54c0e18eb0f9fd1ea43a0d30a5",
-        "snapshots.csv": "1a3897534f97c3ff29e2c006ffc4101dbbac8e3e4fc463e5cfe7235962213bb3",
+        "events.jsonl": "2c8a12239f325d0642dbb4ba0fde2e703bd32b1297c613742b791afac852a28a",
+        "snapshots.csv": "3190fa75056dd5ee84c25f967a0e8db4715060248c043143e7108ba2ed77f9ce",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
 
@@ -85,10 +85,10 @@ def test_sparse_hello_scenario(tmp_path):
 
 
 SOLVER_DIGESTS = {
-    ("A", SWEEP_HORIZON): "e30b210a0c993ca01470498ab814c17651d55f52bc546a66f77f2cb0820938e8",
-    ("A", DEFAULT_HORIZON): "e529bad4d2f571820fe114e1758bcb548bb612878637624ab74464edcec82326",
-    ("B", SWEEP_HORIZON): "98e49812c56af818ae0cbcab572a47a2772ed2b337ee715235d9a35bb3ac99bb",
-    ("B", DEFAULT_HORIZON): "3f4fe7a50ea7b47f37c5e24dbe0a8bde7861b7bf3457101f0002a8ab15d00a23",
+    ("A", SWEEP_HORIZON): "4cdd75307228c0f1641fbea20538eb51bcbe41356cb788388e4f9de422057497",
+    ("A", DEFAULT_HORIZON): "8c8040196be802367e28e4f526c4102e895309599cf409285643b502cdb7aa54",
+    ("B", SWEEP_HORIZON): "3f0e1f81a36b74a7447a791524b4b89f36cd895a104965e2fff2873cb497e41c",
+    ("B", DEFAULT_HORIZON): "2d611d88ce31ee9387671dce15e66efbbb7f3009b86d6f9cadfcffdc576a9cdc",
     ("C", SWEEP_HORIZON): "43105c1053ca5e0542f101942dc64973d26f6590e5466d078e9b4698d4a60f52",
     ("C", DEFAULT_HORIZON): "368bb863ad7ea9f9f1b843a6e28f3ce10ec7fad75e5db8b96155a585ab6d1e90",
 }
@@ -120,7 +120,7 @@ def test_solver_results_near_tangent():
             r = compute_llt(a, b, separation * scale, 200.0)
             results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
     assert (hashlib.sha256(repr(results).encode()).hexdigest()
-            == "a979ab999123e0470c9f5d20e24091e70c124532d8bd14b4aee7aba68fd01e90")
+            == "096b8e787a93c6c207f8e3fcf31008485067c8ddb74a8479fc5914a402fec346")
 
 
 TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)

@@ -10,7 +10,6 @@ from uavllt.kinematics import (
     Direction,
     Position,
     StraightTrajectory,
-    infer_trajectory,
     initial_phase,
     planar_distance,
     planar_positions_at,
@@ -130,66 +129,6 @@ class TestInitialPhase:
     def test_center_degenerate(self):
         with pytest.raises(DegenerateFix):
             initial_phase(2.0, 3.0, Position(2.0, 3.0, 50.0))
-
-
-class TestInferTrajectory:
-    def test_symmetric_circle(self):
-        traj, speed = infer_trajectory(Position(100, 0, 10), Position(0, 100, 10),
-                                       Position(-100, 0, 10), 1.0)
-        assert isinstance(traj, CurveTrajectory)
-        assert traj.center_x == pytest.approx(0.0, abs=1e-9)
-        assert traj.center_y == pytest.approx(0.0, abs=1e-9)
-        assert traj.radius == pytest.approx(100.0)
-        assert traj.direction is Direction.COUNTER_CLOCKWISE
-
-    def test_collinear(self):
-        traj, speed = infer_trajectory(Position(0, 0, 0), Position(10, 0, 0),
-                                       Position(20, 0, 0), 1.0)
-        assert isinstance(traj, StraightTrajectory)
-        assert traj.heading == 0.0
-        assert speed == pytest.approx(10.0)
-
-    def test_recovers_generating_circle(self):
-        # Fixes sampled from a parametric circle; parameters must come back.
-        source = CurveTrajectory(37.0, -12.0, 55.0, 20.0,
-                                 Direction.COUNTER_CLOCKWISE, 0.4, 80.0)
-        h = 0.9
-        fixes = [position_at(source, k * h) for k in range(3)]
-        traj, speed = infer_trajectory(*fixes, h)
-        assert isinstance(traj, CurveTrajectory)
-        assert traj.center_x == pytest.approx(37.0, rel=1e-9, abs=1e-7)
-        assert traj.center_y == pytest.approx(-12.0, rel=1e-9, abs=1e-7)
-        assert traj.radius == pytest.approx(55.0, rel=1e-9)
-        assert speed == pytest.approx(20.0, rel=1e-9)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_round_trip(self, seed):
-        rng = np.random.default_rng([17, seed])
-        traj = random_trajectory(rng)
-        if isinstance(traj, CurveTrajectory):
-            h = rng.uniform(0.05, 0.9) * (math.pi / 2) / abs(traj.omega)
-        else:
-            h = rng.uniform(0.1, 10.0)
-        fixes = [position_at(traj, k * h) for k in range(3)]
-        recovered, speed = infer_trajectory(*fixes, h)
-        assert type(recovered) is type(traj)
-        assert speed == pytest.approx(traj.speed, rel=1e-6)
-        if isinstance(traj, CurveTrajectory):
-            assert recovered.center_x == pytest.approx(traj.center_x, rel=1e-6, abs=1e-4)
-            assert recovered.center_y == pytest.approx(traj.center_y, rel=1e-6, abs=1e-4)
-            assert recovered.radius == pytest.approx(traj.radius, rel=1e-6)
-            assert recovered.direction is traj.direction
-        else:
-            assert recovered.heading == pytest.approx(traj.heading, rel=1e-6, abs=1e-9)
-
-    def test_coincident_fixes_rejected(self):
-        p = Position(1, 2, 3)
-        with pytest.raises(DegenerateFix):
-            infer_trajectory(p, p, Position(4, 5, 3), 1.0)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(DegenerateFix):
-            infer_trajectory(Position(0, 0, 0), Position(1, 0, 0), Position(2, 0, 0), 0.0)
 
 
 class TestReAnchor:

@@ -147,18 +147,46 @@ class TestTaylorPolynomial:
         assert coeffs[0] == pytest.approx(100**2 + 150**2 - 2 * 100 * 150 * math.cos(1.0))
         assert not coeffs[1:].any()
 
+    @staticmethod
+    def worst_relative_error(model, samples):
+        window = trust_window(model)
+        ts = np.linspace(0, window, samples)
+        exact = model(ts)
+        rel = np.abs(npoly.polyval(ts, model.taylor()) - exact) / np.maximum(np.abs(exact), 1e-30)
+        return rel.max()
+
     @pytest.mark.parametrize("case", ["A", "B"])
     @pytest.mark.parametrize("seed", range(15))
     def test_accurate_inside_trust_window(self, case, seed):
         rng = np.random.default_rng([41, seed])
         traj_a, traj_b, _ = sample_instance(case, rng)
         model = squared_link_distance(traj_a, traj_b)
-        window = trust_window(model)
-        coeffs = model.taylor()
-        ts = np.linspace(0, window, 400)
-        exact = model(ts)
-        rel = np.abs(npoly.polyval(ts, coeffs) - exact) / np.maximum(np.abs(exact), 1e-30)
-        assert rel.max() <= 1e-6
+        assert self.worst_relative_error(model, 400) <= 1e-6
+
+    @pytest.mark.parametrize("miss", [0.5, 5.0])
+    def test_accurate_inside_trust_window_near_collision(self, miss):
+        # A straight flyer crosses a 500 m, 40 m/s orbit inward and passes
+        # ``miss`` metres from the orbiting UAV, at instants spread over the
+        # first quarter period and off any dyadic grid: the separation dips
+        # far below its size elsewhere in the window, and a window sized
+        # from sampled separations can step over the dip.
+        orbit = curve(0.0, 0.0, 500.0, 40.0, CCW, 0.0)
+        quarter = (math.pi / 2.0) / orbit.omega
+        for k in range(37):
+            t_meet = quarter * (k + 0.3) / 37
+            theta = orbit.omega * t_meet
+            heading = theta + math.pi
+            # Offset across the relative velocity: the closest approach.
+            rel_vx = 40.0 * math.cos(heading) + 40.0 * math.sin(theta)
+            rel_vy = 40.0 * math.sin(heading) - 40.0 * math.cos(theta)
+            norm = math.hypot(rel_vx, rel_vy)
+            x = 500.0 * math.cos(theta) - miss * rel_vy / norm
+            y = 500.0 * math.sin(theta) + miss * rel_vx / norm
+            flyer = straight(x - 40.0 * t_meet * math.cos(heading),
+                             y - 40.0 * t_meet * math.sin(heading), heading, 40.0)
+            model = squared_link_distance(orbit, flyer)
+            assert model(t_meet) == pytest.approx(miss * miss, rel=0.01)
+            assert self.worst_relative_error(model, 200_001) <= 1e-6, k
 
 
 def unit_bernstein(coeffs):
