@@ -25,35 +25,29 @@ on the separation, and the search re-anchors at the window edge until a
 break is found or the horizon is reached. The windows tile the
 horizon, so each one is searched on ``[0, W]`` only.
 
-A window in which the link provably cannot break is skipped after it has
-been sized, before the expansion is built. The planar separation grows no
-faster than the sum of the two speeds, so on ``[0, W]`` it stays below
-``sqrt(D^2(0)) + (v_a + v_b) * W``. When that bound, widened by an allowance
-for rounding, is below the range, the window holds no break.
-
-Any other window is searched by Bernstein subdivision. Substituting
-``t = W * u`` and changing to the Bernstein basis of degree
-:data:`TAYLOR_DEGREE` on ``u in [0, 1]`` turns the coefficients of the
-expansion minus ``r^2`` into Bernstein coefficients ``b_i``. The basis
-functions are non-negative and sum to one, so on any piece the polynomial
-never exceeds the largest coefficient of that piece (Lane and Riesenfeld
+Both the sizing and the search rest on one Bernstein form of the window's
+expansion. Substituting ``t = W * u`` and changing to the Bernstein basis of
+degree :data:`TAYLOR_DEGREE` on ``u in [0, 1]`` turns the coefficients of
+the expansion into Bernstein coefficients ``b_i``. The basis functions are
+non-negative and sum to one, so on any piece the polynomial lies between
+the smallest and the largest coefficient of that piece (Lane and Riesenfeld
 1981), and the exact model differs from the expansion by at most the
-remainder bound. :func:`find_real_roots` splits the window at midpoints
-with de Casteljau's algorithm, drops every piece whose largest coefficient
-plus that bound and a rounding allowance is negative, and stops splitting a
-piece whose coefficients change sign at most once, since the polynomial
-then has at most one root there (Collins and Akritas 1976).
-:func:`select_root` brackets the break in the first remaining piece that
-the exact separation enters in range and leaves beyond it, and refines it
-against the exact transcendental separation, so the reported break time
-does not inherit the expansion error. "No break here" therefore rests on
-the remainder bound, and no sampled safety net is needed.
+remainder bound. :func:`trust_window` takes the smallest coefficient less
+that bound and a rounding allowance as the certified lower bound on the
+separation, so "this window is accurate" rests on a bound, not on samples.
 
-The same basis sizes the windows: the expansion never drops below its
-smallest Bernstein coefficient either, so that coefficient less the
-remainder bound and the rounding allowance is the certified lower bound on
-the separation that :func:`trust_window` uses. "This window is accurate"
-thus rests on a bound too, not on samples.
+The search subtracts ``r^2`` from the same coefficients.
+:func:`find_real_roots` splits the window at midpoints with de Casteljau's
+algorithm, drops every piece whose largest coefficient plus the remainder
+bound and the rounding allowance is negative, and stops splitting a piece
+whose coefficients change sign at most once, since the polynomial then has
+at most one root there (Collins and Akritas 1976). A window the link
+provably cannot leave range in is thus dropped whole, before any piece is
+split. :func:`select_root` brackets the break in the first remaining piece
+that the exact separation enters in range and leaves beyond it, and refines
+it against the exact transcendental separation, so the reported break time
+does not inherit the expansion error. "No break here" therefore rests on
+the remainder bound too, and no sampled safety net is needed.
 """
 
 from __future__ import annotations
@@ -78,10 +72,11 @@ RANGE_RESIDUAL_RTOL = 0.01
 # narrower than they resolve.
 _ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
-# The window skip's allowance for rounding, relative to the size of the
-# model's terms: parameters, evaluation and the test itself each round by a
-# few units in the last place.
-_SKIP_ROUNDING = 64.0 * sys.float_info.epsilon
+# Allowance for rounding in a window's Bernstein form, relative to the size
+# of the model's terms and of r^2: the model's parameters, its exact
+# evaluation, the scaling, the basis change, the subtraction of r^2 and the
+# splits each round by a few units in the last place.
+_ROUNDING = 64.0 * sys.float_info.epsilon
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
 _BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k)
@@ -286,35 +281,14 @@ class SquaredDistance:
     def remainder_bound(self, window: float) -> float:
         return sum(term.remainder_bound(window) for term in self.terms)
 
-    def stays_below(self, r2: float, speed: float, reach: float) -> bool:
-        """True when the model provably stays below ``r2`` on ``[0, reach]``.
+    def bernstein(self, coeffs: np.ndarray, window: float) -> tuple[list[float], float]:
+        """Bernstein coefficients of ``coeffs`` on ``[0, window]``, and their
+        rounding allowance.
 
-        ``speed`` bounds how fast the separation can grow: the sum of both
-        UAVs' speeds. The separation is then at most
-        ``sqrt(D^2(0)) + speed * t``, and ``slack`` bounds the rounding of the
-        model's parameters, of its evaluation and of this test, so wherever
-        the model is evaluated on ``[0, reach]`` it returns less than ``r2``.
-        """
-        q0, q1, q2 = self.quadratic
-        d0_sq = q0
-        size = abs(q0) + abs(q1) * reach + abs(q2) * reach * reach + r2
-        for term in self.terms:
-            size += abs(term.amplitude) * reach ** term.t_power
-            if not term.t_power:
-                d0_sq += term.amplitude * math.cos(term.phase)
-        slack = _SKIP_ROUNDING * size
-        return (math.sqrt(max(d0_sq, 0.0) + slack) + speed * reach) ** 2 + slack < r2
-
-    def bernstein(self, coeffs: np.ndarray, r2: float, window: float) -> tuple[list[float], float]:
-        """Bernstein coefficients of ``coeffs`` on ``[0, window]``, and their margin.
-
-        ``coeffs`` is :meth:`taylor` with ``r2`` subtracted from its constant
-        term; :func:`trust_window` passes 0 to bound the separation itself.
-        On ``[0, window]`` the model minus ``r2`` lies within the
-        margin of that polynomial: the remainder bound covers the expansion
-        error, and an allowance sized as in :meth:`stays_below` covers the
-        rounding. Raises :class:`RangeLostInRounding` when scaling to the
-        window overflows.
+        ``coeffs`` is :meth:`taylor`. On ``[0, window]`` the model lies within
+        the remainder bound plus the allowance of that polynomial; the
+        allowance covers the rounding of the model and of the form. Raises
+        :class:`RangeLostInRounding` when scaling to the window overflows.
         """
         # Plain floats: 13 products cost less than numpy's call overhead,
         # and an overflow becomes inf or nan here without a warning. A zero
@@ -328,10 +302,9 @@ class SquaredDistance:
         if not math.isfinite(size):
             raise RangeLostInRounding(
                 f"the separation model overflows when scaled to a {window:.6g} s trust window")
-        size += r2
         for term in self.terms:
             size += abs(term.amplitude) * window ** term.t_power
-        return (_BERNSTEIN @ scaled).tolist(), self.remainder_bound(window) + _SKIP_ROUNDING * size
+        return (_BERNSTEIN @ scaled).tolist(), _ROUNDING * size
 
 
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
@@ -405,37 +378,38 @@ def squared_link_distance(traj_a: Trajectory, traj_b: Trajectory) -> SquaredDist
     return _straight_pair_model(a, b)
 
 
-def trust_window(model: SquaredDistance, cap: float = math.inf) -> float:
-    """Certified window [0, W] on which the expansion is relatively accurate.
+def trust_window(model: SquaredDistance,
+                 cap: float = math.inf) -> tuple[float, list[float], float]:
+    """Certified window [0, W] on which the expansion is relatively accurate,
+    with the expansion's Bernstein coefficients on it and their margin.
 
     Starts from a quarter period of the fastest sinusoid (which keeps every
     argument at or below pi/2, including the difference-rate term of case A)
-    and halves until an analytic remainder bound is small against a lower
-    bound on the separation over the window: the smallest Bernstein
-    coefficient of the expansion minus its margin. A window whose scaling
-    overflows bounds nothing and is halved. Purely quadratic models trust
-    any window.
+    and halves, down to 1/4096 of that start, until an analytic remainder
+    bound is small against a lower bound on the separation over the window:
+    the smallest Bernstein coefficient of the expansion minus the margin,
+    which is the remainder bound plus the rounding allowance. A window whose
+    scaling overflows bounds nothing and is halved; if the smallest window
+    still overflows, :class:`RangeLostInRounding` is raised. A model with no
+    sinusoid, or only constant ones, trusts the whole ``cap``.
     """
     rate = model.max_rate()
-    if rate == 0.0:
-        return cap
-    window = min(cap, (math.pi / 2.0) / rate)
-    floor = window / 4096.0
+    window = min(cap, (math.pi / 2.0) / rate) if rate else cap
+    floor = window / 4096.0 if rate else window
     coeffs = model.taylor()
-    for _ in range(13):
+    while True:
         bound = model.remainder_bound(window)
         try:
-            bernstein, margin = model.bernstein(coeffs, 0.0, window)
+            bernstein, rounding = model.bernstein(coeffs, window)
         except RangeLostInRounding:
-            smallest = -math.inf
+            if window <= floor:
+                raise
         else:
+            margin = bound + rounding
             smallest = min(bernstein) - margin
-        if bound <= 0.25 * TRUST_REL_ERROR * max(smallest, 1e-12):
-            break
-        if window <= floor:
-            break
+            if window <= floor or bound <= 0.25 * TRUST_REL_ERROR * max(smallest, 1e-12):
+                return window, bernstein, margin
         window *= 0.5
-    return window
 
 
 # ---------------------------------------------------------------------------
@@ -623,27 +597,21 @@ def compute_llt(
         if geom_gap + traj_a.radius <= tx_range * (1.0 - 1e-12):
             return _unbounded(case, horizon)
 
-    speed = traj_a.speed + traj_b.speed
     t_base = 0.0
     win_a, win_b = traj_a, traj_b
     while t_base < horizon * (1.0 - 1e-12):
         window_model = squared_link_distance(win_a, win_b)
-        window = trust_window(window_model, cap=horizon - t_base)
-        # A window the pair cannot leave range in, even flying straight apart
-        # at full speed, holds no break.
-        if not window_model.stays_below(r2, speed, window):
-            coeffs = window_model.taylor()
-            coeffs[0] -= r2
-            if not coeffs.any():
-                break  # separation identically equal to the range: never exceeds
-            bernstein, margin = window_model.bernstein(coeffs, r2, window)
-            pieces = find_real_roots(bernstein, margin, window)
-            pick = select_root(pieces, window_model, tx_range)
-            if pick is not None:
-                total = t_base + pick
-                if total > horizon:
-                    return _unbounded(case, horizon)
-                return _bounded(case, total, window_model, pick, tx_range)
+        window, bernstein, margin = trust_window(window_model, cap=horizon - t_base)
+        shifted = [b - r2 for b in bernstein]
+        if not any(shifted):
+            break  # separation identically equal to the range: never exceeds
+        pieces = find_real_roots(shifted, margin + _ROUNDING * r2, window)
+        pick = select_root(pieces, window_model, tx_range)
+        if pick is not None:
+            total = t_base + pick
+            if total > horizon:
+                return _unbounded(case, horizon)
+            return _bounded(case, total, window_model, pick, tx_range)
         t_base += window
         win_a = re_anchor(win_a, win_a.epoch + window)
         win_b = re_anchor(win_b, win_b.epoch + window)

@@ -26,8 +26,8 @@ Many blocks need no geometry at all. Planar separation grows by at most
 the sum of both UAVs' speeds per second, so a link evaluated at tick t
 with separation d stays in range until ``t + (r - d - allowance) / (v_a +
 v_b)``, or forever when both UAVs are parked: a kinetic certificate
-(Basch, Guibas & Hershberger 1999). The allowance, sized as in
-:meth:`~uavllt.llt.SquaredDistance.stays_below`, covers the rounding of the
+(Basch, Guibas & Hershberger 1999). The allowance, 64 eps times the size
+of the coordinates, the travel and the range, covers the rounding of the
 coordinates and of :func:`math.hypot`, so the bound holds for the
 separations the check computes. A block evaluates only the links whose
 certificate falls at or before its last tick, and each of them over all

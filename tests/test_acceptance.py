@@ -110,7 +110,7 @@ def test_4_taylor_trust_region():
             from uavllt.validate import sample_instance
             traj_a, traj_b, _ = sample_instance(case, rng)
             model = squared_link_distance(traj_a, traj_b)
-            window = trust_window(model)
+            window, _, _ = trust_window(model)
             if not math.isfinite(window):
                 window = 100.0
             coeffs = model.taylor()

@@ -37,6 +37,9 @@ def test_taylor_accuracy(capsys):
     assert "certified trust window" in out
     worst = float(re.search(r"max relative error over the window: (\S+)", out).group(1))
     assert worst <= 1e-6
+    bound = float(re.search(r"certified lower bound on D\^2 over the window: (\S+)", out).group(1))
+    sampled = float(re.search(r"smallest sampled D\^2 over the window *: (\S+)", out).group(1))
+    assert 0.0 < bound <= sampled
 
 
 def test_smooth_turn_traces(capsys, tmp_path):

@@ -20,7 +20,6 @@ from uavllt.llt import (
     TAYLOR_DEGREE,
     LinkNotUp,
     RangeLostInRounding,
-    SquaredDistance,
     case_geometry,
     compute_llt,
     find_real_roots,
@@ -149,11 +148,26 @@ class TestTaylorPolynomial:
 
     @staticmethod
     def worst_relative_error(model, samples):
-        window = trust_window(model)
+        window, _, _ = trust_window(model)
         ts = np.linspace(0, window, samples)
         exact = model(ts)
         rel = np.abs(npoly.polyval(ts, model.taylor()) - exact) / np.maximum(np.abs(exact), 1e-30)
         return rel.max()
+
+    @staticmethod
+    def assert_form_of_window(model):
+        """trust_window's Bernstein form is the expansion's on its [0, W],
+        and with its margin it encloses the exact model there."""
+        window, bernstein, margin = trust_window(model)
+        coeffs = model.taylor()
+        assert bernstein[0] == coeffs[0]
+        # The value at W, to 1e-12 of the size of its terms: near a close
+        # pass they cancel to a separation many orders below them.
+        size = npoly.polyval(window, np.abs(coeffs))
+        assert abs(bernstein[-1] - npoly.polyval(window, coeffs)) <= 1e-12 * size
+        exact = model(np.linspace(0.0, window, 2001))
+        assert min(bernstein) - margin <= exact.min()
+        assert exact.max() <= max(bernstein) + margin
 
     @pytest.mark.parametrize("case", ["A", "B"])
     @pytest.mark.parametrize("seed", range(15))
@@ -162,6 +176,7 @@ class TestTaylorPolynomial:
         traj_a, traj_b, _ = sample_instance(case, rng)
         model = squared_link_distance(traj_a, traj_b)
         assert self.worst_relative_error(model, 400) <= 1e-6
+        self.assert_form_of_window(model)
 
     @pytest.mark.parametrize("miss", [0.5, 5.0])
     def test_accurate_inside_trust_window_near_collision(self, miss):
@@ -187,6 +202,7 @@ class TestTaylorPolynomial:
             model = squared_link_distance(orbit, flyer)
             assert model(t_meet) == pytest.approx(miss * miss, rel=0.01)
             assert self.worst_relative_error(model, 200_001) <= 1e-6, k
+            self.assert_form_of_window(model)
 
 
 def unit_bernstein(coeffs):
@@ -357,6 +373,16 @@ class TestComputeLlt:
         assert not result.horizon_capped
         assert result.llt == 0.0
 
+    def test_separation_identically_on_the_range_circle(self):
+        # A flyer parked at the orbit's centre stays one radius away: the
+        # separation equals the range at every instant and never exceeds it.
+        c = curve(100.0, -50.0, 500.0, 40.0, CCW, 0.7)
+        s = straight(100.0, -50.0, 1.0, 0.0)
+        model = squared_link_distance(c, s)
+        assert model.terms == () and model.quadratic[0] == 500.0**2
+        result = compute_llt(c, s, 500.0, horizon=600.0)
+        assert result == llt.LltResult(600.0, "B", None, None, True)
+
     def test_link_not_up(self):
         a = straight(0, 0, 0, 10)
         b = straight(500, 0, 0, 10)
@@ -380,7 +406,7 @@ class TestComputeLlt:
         b = curve(150, 0, 420, 20, CW, 0.0)
         result = compute_llt(a, b, 800.0, horizon=600.0)
         oracle = brute_force_llt(a, b, 800.0, horizon=600.0)
-        window = trust_window(squared_link_distance(a, b))
+        window = trust_window(squared_link_distance(a, b))[0]
         assert not result.horizon_capped and math.isfinite(oracle)
         assert result.llt > window
         assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
@@ -425,23 +451,19 @@ class TestComputeLlt:
         assert result.llt * 50.0 > 80.0
 
 
-def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon, raises=None):
-    """compute_llt's result and its windows as (model, W, status) triples,
-    status being "skipped", "excluded" (find_real_roots left no piece) or
-    "searched". With ``raises``, compute_llt must raise that exception,
-    and the result is None."""
-    windows, skipped, excluded = [], [], {}
+def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
+    """compute_llt's result and its windows as (model, W, status, form)
+    tuples, status being "excluded" (find_real_roots left no piece) or
+    "searched", and form the (Bernstein coefficients, margin) that
+    trust_window returned with W."""
+    windows, excluded = [], {}
     real_window = llt.trust_window
-    real_stays_below = SquaredDistance.stays_below
     real_find_real_roots = llt.find_real_roots
 
     def window_of(model, *args, **kwargs):
-        windows.append((model, real_window(model, *args, **kwargs)))
-        return windows[-1][1]
-
-    def stays_below(self, *args):
-        skipped.append(real_stays_below(self, *args))
-        return skipped[-1]
+        sized = real_window(model, *args, **kwargs)
+        windows.append((model, sized))
+        return sized
 
     def find_roots(*args):
         pieces = real_find_real_roots(*args)
@@ -450,42 +472,35 @@ def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon, raises=Non
 
     with monkeypatch.context() as m:
         m.setattr(llt, "trust_window", window_of)
-        m.setattr(SquaredDistance, "stays_below", stays_below)
         m.setattr(llt, "find_real_roots", find_roots)
-        if raises is None:
-            result = compute_llt(traj_a, traj_b, tx, horizon)
-        else:
-            with pytest.raises(raises):
-                compute_llt(traj_a, traj_b, tx, horizon)
-            result = None
-    assert len(windows) == len(skipped)
-    status = ["skipped" if skip else "excluded" if excluded.get(i) else "searched"
-              for i, skip in enumerate(skipped)]
-    return result, [(model, w, st) for (model, w), st in zip(windows, status)]
+        result = compute_llt(traj_a, traj_b, tx, horizon)
+    return result, [(model, window, "excluded" if excluded.get(i) else "searched", form)
+                    for i, (model, (window, *form)) in enumerate(windows)]
 
 
-def assert_no_break(model, window, tx):
-    """The window stays in range all over [0, W], and the subdivision and
-    root selection would have found no break in it either."""
+def assert_no_break(model, window, form, tx):
+    """The window stays in range all over [0, W], and the subdivision of
+    the form trust_window returned with W, and root selection, would have
+    found no break in it either."""
     r2 = tx * tx
     ts = np.append(np.arange(0.0, window, 1e-3), window)
     assert np.max(model(ts)) < r2
-    coeffs = model.taylor()
-    coeffs[0] -= r2
-    pieces = find_real_roots(*model.bernstein(coeffs, r2, window), window)
+    bernstein, margin = form
+    shifted = [b - r2 for b in bernstein]
+    pieces = find_real_roots(shifted, margin + llt._ROUNDING * r2, window)
     assert select_root(pieces, model, tx) is None
     assert model(window) <= r2
 
 
 def assert_skips_sound(windows, tx):
-    """Every skipped or excluded window holds no break."""
-    for model, window, status in windows:
-        if status != "searched":
-            assert_no_break(model, window, tx)
+    """Every excluded window holds no break."""
+    for model, window, status, form in windows:
+        if status == "excluded":
+            assert_no_break(model, window, form, tx)
 
 
 def count(windows, status):
-    return sum(st == status for _, _, st in windows)
+    return sum(st == status for _, _, st, _ in windows)
 
 
 def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
@@ -496,7 +511,8 @@ def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
 
 
 class TestWindowSkip:
-    """A trust window is skipped only when no break can lie in it."""
+    """A trust window in which the link cannot leave range is skipped: the
+    Bernstein test drops it whole, and only when no break can lie in it."""
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_skipped_windows_hold_no_break(self, monkeypatch, case):
@@ -506,22 +522,22 @@ class TestWindowSkip:
             traj_a, traj_b, tx = sample_instance(case, rng)
             _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
-            n_skipped += count(windows, "skipped")
+            n_skipped += count(windows, "excluded")
         assert n_skipped >= 10
 
     def test_break_just_past_a_skipped_window(self, monkeypatch):
         # Nearly co-located UAVs flying apart at full speed: the separation
-        # grows almost as fast as the skip test assumes, and the first window
-        # is tiny because the separation starts near zero. The range is set
-        # so the break falls 1 % past the first window.
+        # grows as fast as it can, and the first window is tiny because the
+        # separation starts near zero. The range is set so the break falls
+        # 1 % past the first window.
         c = curve(0.0, -500.0, 500.0, 60.0, CCW, math.pi / 2)  # at (0, 0), heading -x
         s = straight(1e-3, 0.0, 0.0, 60.0)                      # heading +x
         model = squared_link_distance(c, s)
-        t_break = 1.01 * trust_window(model, cap=SWEEP_HORIZON)
+        t_break = 1.01 * trust_window(model, cap=SWEEP_HORIZON)[0]
         assert np.all(np.diff(model(np.linspace(0.0, t_break, 10_001))) > 0.0)
         tx = math.sqrt(model(t_break))
         result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
-        assert windows[0][2] == "skipped", "the first window was not skipped"
+        assert windows[0][2] == "excluded", "the first window was not skipped"
         assert_skips_sound(windows, tx)
         assert not result.horizon_capped
         assert result.llt == pytest.approx(t_break, abs=1e-9)
@@ -540,7 +556,7 @@ class TestWindowSkip:
             result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
-            n_skipped += count(windows, "skipped")
+            n_skipped += count(windows, "excluded")
         assert n_skipped >= 5
 
     def test_straight_flyer_at_zero_speed(self, monkeypatch):
@@ -581,7 +597,6 @@ class TestWindowSkip:
             tx = initial_separation(traj_a, traj_b) * (1.0 + 1e-9)
             result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
                                                       SWEEP_HORIZON)
-            assert windows[0][2] != "skipped"
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
 
@@ -623,7 +638,7 @@ class TestBernsteinExclusion:
         for _ in range(100):
             traj_a, traj_b, _ = sample_instance(case, rng)
             model = squared_link_distance(traj_a, traj_b)
-            window = trust_window(model, cap=horizon)
+            window = trust_window(model, cap=horizon)[0]
             if np.all(np.diff(model(np.linspace(0.0, window, 2001))) > 0.0):
                 yield traj_a, traj_b, model, window
 
@@ -664,19 +679,20 @@ class TestBernsteinExclusion:
             probed += 1
         assert probed >= 10
 
-    def test_overflowing_scale_never_excludes(self, monkeypatch):
-        # Orbits so wide and a horizon so long that W**12 overflows: the
-        # scaled coefficients are not finite, so the window cannot be
-        # subdivided, and the range is reported lost in rounding.
+    def test_overflowing_scale_never_excludes(self):
+        # Orbits so wide and a horizon so long that W**12 overflows down to
+        # the smallest window: the scaled coefficients are not finite, so no
+        # window can be sized or subdivided, and the range is reported lost
+        # in rounding.
         big = 1e40
         a = curve(0.0, -big, big, 40.0, CCW, math.pi / 2)
         b = straight(100.0, 0.0, 0.3, 40.0)
-        _, windows = solve_recording_windows(monkeypatch, a, b, 500.0, big,
-                                             raises=RangeLostInRounding)
         with pytest.raises(OverflowError):
-            windows[-1][1] ** TAYLOR_DEGREE
-        assert count(windows, "searched") == 1
-        assert count(windows, "excluded") == 0
+            (big / 4096.0) ** TAYLOR_DEGREE
+        with pytest.raises(RangeLostInRounding):
+            trust_window(squared_link_distance(a, b), cap=big)
+        with pytest.raises(RangeLostInRounding):
+            compute_llt(a, b, 500.0, big)
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_break_at_the_window_edge(self, monkeypatch, case):
