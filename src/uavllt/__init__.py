@@ -9,12 +9,10 @@ selects longest-lasting routes by the max-min lifetime rule.
 from .config import ConfigError, ScenarioConfig, load_config
 from .kinematics import (
     CurveTrajectory,
-    DegenerateFix,
     Direction,
     Position,
     StraightTrajectory,
     Trajectory,
-    initial_phase,
     planar_distance,
     position_at,
     re_anchor,
@@ -44,7 +42,6 @@ from .mobility import (
     tangent_trajectory,
 )
 from .netsim import (
-    HelloMessage,
     LinkGraph,
     LinkRecord,
     ScriptedChanges,
@@ -63,9 +60,7 @@ __all__ = [
     "CaseGeometry",
     "ConfigError",
     "CurveTrajectory",
-    "DegenerateFix",
     "Direction",
-    "HelloMessage",
     "LinkGraph",
     "LinkNotUp",
     "LinkRecord",
@@ -91,7 +86,6 @@ __all__ = [
     "compute_llt",
     "enumerate_best_route",
     "find_real_roots",
-    "initial_phase",
     "load_config",
     "max_min_route",
     "next_trajectory",

@@ -21,10 +21,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class DegenerateFix(ValueError):
-    """A center/point pair too degenerate to define a trajectory."""
-
-
 class Direction(IntEnum):
     """Turning sense of a circular trajectory; the value is the sign of omega."""
 
@@ -239,15 +235,3 @@ def re_anchor(traj: Trajectory, epoch: float) -> Trajectory:
                               traj.origin_y + traj.speed * dt * math.sin(traj.heading),
                               traj.heading, traj.speed, traj.altitude, epoch)
 
-
-def initial_phase(center_x: float, center_y: float, p: Position) -> float:
-    """Quadrant-aware polar angle of ``p`` about a circle center, in (-pi, pi].
-
-    A plain ratio arctangent would collapse opposite quadrants onto each
-    other; the two-argument form keeps, e.g., (-1, 0) at pi rather than 0.
-    """
-    dx = p.x - center_x
-    dy = p.y - center_y
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateFix("point coincides with the circle center")
-    return math.atan2(dy, dx)

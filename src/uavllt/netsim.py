@@ -5,10 +5,13 @@ parameters (delivery is instantaneous and lossless to any neighbor within
 transmission range; the channel itself is not modeled). A link is
 established the first time a pair completes a Hello exchange in both
 directions, at which point its lifetime is predicted analytically. The
-prediction is refreshed whenever either endpoint changes trajectory, never
-averaged with history. Ground-truth terminations are detected by sampling
-live-link separations on a fine grid and bisecting the crossing, so the
-simulator can score its own predictions.
+prediction is refreshed at the instant either endpoint changes trajectory,
+never averaged with history. A neighbor would learn the new trajectory
+only at the changed UAV's next Hello; both instants are in the event log,
+so that lag can be scored without solving again. Ground-truth
+terminations are detected by sampling live-link separations on a fine
+grid and bisecting the crossing, so the simulator can score its own
+predictions.
 
 Nothing moves a trajectory or brings a link up between two queued events,
 so the ground-truth check scans every grid tick up to the next event as
@@ -60,16 +63,13 @@ import numpy as np
 from .config import ScenarioConfig
 from .kinematics import (
     CurveTrajectory,
-    Direction,
     Position,
-    StraightTrajectory,
     Trajectory,
     TrajectoryTable,
-    initial_phase,
     position_at,
     re_anchor,
 )
-from .llt import DEFAULT_HORIZON, LinkNotUp, LltResult, compute_llt
+from .llt import DEFAULT_HORIZON, LltResult, compute_llt
 from .mobility import SmoothTurnFleet, UavState, trace_row
 
 DT_CHECK = 0.01          # ground-truth sampling resolution, seconds
@@ -86,50 +86,6 @@ _PRIORITY_CHANGE = 0
 _PRIORITY_HELLO = 1
 _PRIORITY_CHECK = 2
 _PRIORITY_SAMPLE = 3
-
-
-@dataclass(frozen=True)
-class HelloMessage:
-    """Periodic trajectory advertisement broadcast to 1-hop neighbors."""
-
-    sender: int | str
-    timestamp: float
-    position: Position
-    movement_state: str
-    center: tuple[float, float] | None
-    radius: float | None
-    heading: float | None
-    speed: float
-    sequence: int
-
-    def __post_init__(self):
-        turning = self.movement_state in ("CW", "CCW")
-        if turning and (self.center is None or self.radius is None or self.heading is not None):
-            raise ValueError("turn messages carry center and radius, no heading")
-        if not turning and (self.heading is None or self.center is not None or self.radius is not None):
-            raise ValueError("straight messages carry a heading, no center or radius")
-
-    @classmethod
-    def from_state(cls, state: UavState, timestamp: float, sequence: int) -> "HelloMessage":
-        traj = state.trajectory
-        pos = position_at(traj, timestamp - traj.epoch)
-        if isinstance(traj, CurveTrajectory):
-            return cls(state.id, timestamp, pos, traj.movement_state,
-                       (traj.center_x, traj.center_y), traj.radius, None,
-                       traj.speed, sequence)
-        return cls(state.id, timestamp, pos, "STRAIGHT", None, None,
-                   traj.heading, traj.speed, sequence)
-
-    def trajectory(self) -> Trajectory:
-        """Reconstruct the sender's trajectory, anchored at the send instant."""
-        if self.movement_state == "STRAIGHT":
-            return StraightTrajectory(self.position.x, self.position.y, self.heading,
-                                      self.speed, self.position.z, epoch=self.timestamp)
-        direction = Direction.CLOCKWISE if self.movement_state == "CW" else Direction.COUNTER_CLOCKWISE
-        cx, cy = self.center
-        phase = initial_phase(cx, cy, self.position)
-        return CurveTrajectory(cx, cy, self.radius, self.speed, direction, phase,
-                               self.position.z, epoch=self.timestamp)
 
 
 @dataclass
@@ -202,8 +158,8 @@ def recompute_llt(link: LinkRecord, states_now: dict, now: float, tx_range: floa
                   horizon: float = DEFAULT_HORIZON) -> LinkRecord:
     """Append a fresh estimate anchored at ``now``; replaces, never averages.
 
-    Raises :class:`LinkNotUp` when the pair is already out of range (the
-    link should be terminated instead of re-estimated).
+    Raises :class:`~uavllt.llt.LinkNotUp` when the pair is already out of
+    range (the link should be terminated instead of re-estimated).
     """
     a, b = link.endpoints
     traj_a = re_anchor(states_now[a].trajectory, now)
@@ -273,7 +229,8 @@ class Simulator:
                  hello_interval: float = 1.0, dt_check: float = DT_CHECK,
                  horizon: float = DEFAULT_HORIZON, stop_after_first_termination: bool = False):
         for name, value in (("tx_range", tx_range), ("duration", duration),
-                            ("hello_interval", hello_interval), ("dt_check", dt_check)):
+                            ("hello_interval", hello_interval), ("dt_check", dt_check),
+                            ("horizon", horizon)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         self.states: dict = {s.id: s for s in states}
@@ -302,7 +259,6 @@ class Simulator:
         self._size = [size for _, size in terms]
         self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
-        self._changed_since_hello: set = set()
         self._last_check = 0.0
         self._heap: list = []
         self._seq = 0
@@ -347,21 +303,6 @@ class Simulator:
             heard_at = self._heard.get((uid, vid))
             if pair not in self.live and heard_at is not None and t - heard_at <= fresh:
                 self._establish(pair, t)
-        if uid in self._changed_since_hello:
-            self._changed_since_hello.discard(uid)
-            # Neighbors only now learn the new trajectory; log what their
-            # estimate would be, for comparison with the change-instant one.
-            msg = HelloMessage.from_state(self.states[uid], t, seq)
-            for pair, link in self.live.items():
-                if uid in pair:
-                    other = pair[0] if pair[1] == uid else pair[1]
-                    try:
-                        result = compute_llt(msg.trajectory(),
-                                             re_anchor(self.states[other].trajectory, t),
-                                             self.tx_range, self.horizon)
-                    except LinkNotUp:
-                        continue
-                    self.events.append(self._estimate_event(t, pair, result, basis="hello"))
         nxt = t + self.hello_interval
         if nxt <= self.duration:
             self._push(nxt, _PRIORITY_HELLO, "hello", uid)
@@ -372,20 +313,14 @@ class Simulator:
         self.live[pair] = link
         self._due[pair] = -math.inf
         self.records.append(link)
-        result = link.current_result
+        self._log_estimate(t, "link_up", pair, link.current_result)
+
+    def _log_estimate(self, t: float, kind: str, pair, result: LltResult) -> None:
         self.events.append({
-            "t": t, "event": "link_up", "a": pair[0], "b": pair[1],
+            "t": t, "event": kind, "a": pair[0], "b": pair[1],
             "llt": None if result.horizon_capped else result.llt,
             "case": result.case_used, "horizon_capped": result.horizon_capped,
         })
-
-    def _estimate_event(self, t: float, pair, result: LltResult, basis: str) -> dict:
-        return {
-            "t": t, "event": "llt_recompute", "a": pair[0], "b": pair[1],
-            "llt": None if result.horizon_capped else result.llt,
-            "case": result.case_used, "horizon_capped": result.horizon_capped,
-            "basis": basis,
-        }
 
     def _handle_change(self, t: float, uid) -> None:
         new_state = self.driver(self.states[uid], t)
@@ -396,7 +331,6 @@ class Simulator:
         i = self._index[uid]
         self._table.set(i, traj)
         self._speed[i], self._size[i] = _speed_and_size(traj, self.duration)
-        self._changed_since_hello.add(uid)
         event = {"t": t, "event": "traj_change", "uav": uid, "state": traj.movement_state,
                  "speed": traj.speed}
         if isinstance(traj, CurveTrajectory):
@@ -415,8 +349,7 @@ class Simulator:
                 continue
             self._due[pair] = -math.inf
             recompute_llt(link, self.states, t, self.tx_range, self.horizon)
-            self.events.append(self._estimate_event(t, pair, link.current_result,
-                                                    basis="change"))
+            self._log_estimate(t, "llt_recompute", pair, link.current_result)
         if math.isfinite(new_state.next_change_at) and new_state.next_change_at <= self.duration:
             self._push(new_state.next_change_at, _PRIORITY_CHANGE, "change", uid)
 

@@ -30,7 +30,7 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "485cd87a8eea2ab3b967c82d34ca71b069157d493e8d496ee1526bb9db305a3b",
+        "events.jsonl": "8ce82469fe73af655350230c26429a492f95c8f6efeee539cd8723dff84d131a",
         "snapshots.csv": "f9e48f9f71a12f8c7e08b404d452b0f44701bd44a3f7dc9669798e8b6db22534",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
@@ -55,7 +55,7 @@ def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     config = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "2da5eb993fd539cc6b3cd7a9b87ac93ab22680e8b32cb24b62b4c9f086e85b3d",
+        "events.jsonl": "5af45aa65bb1540c55afc83ae331ba939acd809556381d1c8721449dd69c2088",
         "snapshots.csv": "dc8e0309cbadb411b660b35870d50c0b329261912c6c48c7d9af4e0732aa0a69",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
@@ -67,7 +67,7 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "2c8a12239f325d0642dbb4ba0fde2e703bd32b1297c613742b791afac852a28a",
+        "events.jsonl": "14fbbd5a431c2c886b3d7a5b65608ebe0c20e585af5a5e73f24dfd312157cde8",
         "snapshots.csv": "3190fa75056dd5ee84c25f967a0e8db4715060248c043143e7108ba2ed77f9ce",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
@@ -78,7 +78,7 @@ def test_sparse_hello_scenario(tmp_path):
     # blocks reach their 256-tick cap while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "b44752e24a7b488ab2ab92064e35ad2489ed1770af5205312144129c66e1608f",
+        "events.jsonl": "69388a733da6c83c79b6a8d5dff05c0d95d710a3bfd935e73d97ebf80e5d5b59",
         "snapshots.csv": "110819d39c84d8479b28d89ad0e54e1f46df48c6c289f0d4ba075130700aaac3",
         "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
     }

@@ -6,11 +6,9 @@ import pytest
 
 from uavllt.kinematics import (
     CurveTrajectory,
-    DegenerateFix,
     Direction,
     Position,
     StraightTrajectory,
-    initial_phase,
     planar_distance,
     planar_positions_at,
     position_at,
@@ -113,22 +111,6 @@ class TestTrajectoryTable:
         for j, traj in enumerate((curve, straight)):
             pos = position_at(traj, 5.0 - traj.epoch)
             assert (xs[0, j], ys[0, j]) == (pos.x, pos.y)
-
-
-class TestInitialPhase:
-    def test_east(self):
-        assert initial_phase(0, 0, Position(1, 0, 0)) == 0.0
-
-    def test_south(self):
-        assert initial_phase(0, 0, Position(0, -1, 0)) == pytest.approx(-math.pi / 2)
-
-    def test_west_is_pi_not_zero(self):
-        # The naive ratio arctangent would return 0 here.
-        assert initial_phase(0, 0, Position(-1, 0, 0)) == pytest.approx(math.pi)
-
-    def test_center_degenerate(self):
-        with pytest.raises(DegenerateFix):
-            initial_phase(2.0, 3.0, Position(2.0, 3.0, 50.0))
 
 
 class TestReAnchor:

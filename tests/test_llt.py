@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from uavllt.kinematics import (
     planar_distance,
     planar_positions_at,
     position_at,
+    re_anchor,
 )
 from scipy.optimize import brentq, minimize_scalar
 
@@ -803,3 +805,83 @@ def test_case_c_break_at_the_horizon_edge(offset):
     oracle = brute_force_llt(a, b, tx, dt=SWEEP_DT, horizon=horizon)
     report = SweepReport("C", 1, 0, SWEEP_DT, horizon, [InstanceOutcome(0, tx, result, oracle)])
     assert report.passed(), report.table_row()
+
+
+# Metamorphic relations of the solver: transformations of a pair that leave
+# its separation, and so its lifetime, unchanged. The tolerance is fixed; it
+# is about 60 times the largest deviation measured on 1,500 seeded pairs per
+# case (1.7e-12 s, under a rigid motion), while a quadrant or sign slip in
+# the model moves lifetimes by seconds.
+METAMORPHIC_PAIRS = 200
+METAMORPHIC_TOL = 1e-10  # seconds
+TIME_SHIFT = 10.0
+
+
+@pytest.fixture(scope="module", params=["A", "B"])
+def metamorphic(request):
+    """Seeded in-range pairs of one case, and their lifetimes."""
+    case = request.param
+    rng = np.random.default_rng([7, ord(case)])
+    instances = [sample_instance(case, rng) for _ in range(METAMORPHIC_PAIRS)]
+    return case, instances, [compute_llt(a, b, tx, SWEEP_HORIZON) for a, b, tx in instances]
+
+
+def moved(traj, rotation, dx, dy):
+    """``traj`` rotated about the origin by ``rotation``, then shifted by (dx, dy)."""
+    c, s = math.cos(rotation), math.sin(rotation)
+    if isinstance(traj, CurveTrajectory):
+        x, y = traj.center_x, traj.center_y
+        return replace(traj, center_x=c * x - s * y + dx, center_y=s * x + c * y + dy,
+                       initial_phase=traj.initial_phase + rotation)
+    x, y = traj.origin_x, traj.origin_y
+    return replace(traj, origin_x=c * x - s * y + dx, origin_y=s * x + c * y + dy,
+                   heading=traj.heading + rotation)
+
+
+def mirrored(traj):
+    """``traj`` reflected across the x-axis: a turn changes its sense."""
+    if isinstance(traj, CurveTrajectory):
+        return replace(traj, center_y=-traj.center_y, initial_phase=-traj.initial_phase,
+                       direction=-traj.direction)
+    return replace(traj, origin_y=-traj.origin_y, heading=-traj.heading)
+
+
+def assert_same_lifetimes(expected, got, shift=0.0):
+    assert [r.horizon_capped for r in got] == [r.horizon_capped for r in expected]
+    worst = max(abs(g.llt + shift - e.llt) for e, g in zip(expected, got))
+    assert worst <= METAMORPHIC_TOL
+
+
+class TestMetamorphicRelations:
+    def test_rigid_motion(self, metamorphic):
+        case, instances, expected = metamorphic
+        rng = np.random.default_rng([8, ord(case)])
+        got = []
+        for a, b, tx in instances:
+            rotation = float(rng.uniform(-math.pi, math.pi))
+            dx, dy = rng.uniform(-5000.0, 5000.0, size=2).tolist()
+            got.append(compute_llt(moved(a, rotation, dx, dy), moved(b, rotation, dx, dy),
+                                   tx, SWEEP_HORIZON))
+        assert_same_lifetimes(expected, got)
+
+    def test_reflection(self, metamorphic):
+        _, instances, expected = metamorphic
+        got = [compute_llt(mirrored(a), mirrored(b), tx, SWEEP_HORIZON)
+               for a, b, tx in instances]
+        assert_same_lifetimes(expected, got)
+
+    def test_swapped_pair(self, metamorphic):
+        _, instances, expected = metamorphic
+        got = [compute_llt(b, a, tx, SWEEP_HORIZON) for a, b, tx in instances]
+        assert_same_lifetimes(expected, got)
+
+    def test_time_shift(self, metamorphic):
+        # Re-anchored TIME_SHIFT s later, with the horizon still ending at the
+        # same instant, a pair still up then breaks TIME_SHIFT s sooner.
+        _, instances, results = metamorphic
+        kept = [(instance, result) for instance, result in zip(instances, results)
+                if result.llt > TIME_SHIFT]
+        assert len(kept) > METAMORPHIC_PAIRS // 2
+        got = [compute_llt(re_anchor(a, TIME_SHIFT), re_anchor(b, TIME_SHIFT), tx,
+                           SWEEP_HORIZON - TIME_SHIFT) for (a, b, tx), _ in kept]
+        assert_same_lifetimes([result for _, result in kept], got, shift=TIME_SHIFT)
