@@ -14,9 +14,10 @@ quadratic that is solved exactly.
 
 For cases A and B the sinusoids are Taylor-expanded to degree
 :data:`TAYLOR_DEGREE` to obtain a polynomial that stands for the separation.
-Polynomials are plain float64 numpy arrays of coefficients in ascending
-degree, as :mod:`numpy.polynomial.polynomial` takes them:
-:meth:`SquaredDistance.taylor` returns one. A fixed-degree expansion of a
+Polynomials are plain lists of float coefficients in ascending degree,
+which :func:`numpy.polynomial.polynomial.polyval` accepts:
+:meth:`SquaredDistance.taylor` returns one. The exact model takes one time
+value and returns a float. A fixed-degree expansion of a
 cosine is only trustworthy while its argument stays small, so the expansion
 is applied piecewise over certified trust windows: each window starts at a
 quarter period of the fastest sinusoid and is halved until a remainder bound
@@ -199,15 +200,9 @@ class TrigTerm:
     rate: float
     t_power: int = 0
 
-    def __call__(self, t):
-        value = self.amplitude * np.cos(self.phase + self.rate * np.asarray(t, dtype=float))
-        if self.t_power:
-            value = value * np.asarray(t, dtype=float) ** self.t_power
-        return value
-
-    def taylor_coefficients(self) -> np.ndarray:
+    def taylor_coefficients(self) -> list[float]:
         """Ascending coefficients of the expansion about t=0."""
-        out = np.zeros(TAYLOR_DEGREE + 1)
+        out = [0.0] * (TAYLOR_DEGREE + 1)
         order = TAYLOR_DEGREE - self.t_power
         # d^k/dt^k cos(phase + rate*t) at 0 cycles through +-cos/sin(phase)
         cycle = (
@@ -226,16 +221,19 @@ class TrigTerm:
         return out
 
     def remainder_bound(self, window: float) -> float:
-        """Upper bound on the truncation error over ``[0, window]``."""
+        """Upper bound on the truncation error over ``[0, window]``.
+
+        Requires ``abs(rate) * window < TAYLOR_DEGREE - t_power + 2``, where
+        the tail of the series is bounded by a geometric one. Every trust
+        window meets it: it starts at a quarter period of the fastest
+        sinusoid, so each argument stays at or below pi/2.
+        """
         order = TAYLOR_DEGREE - self.t_power
         x = abs(self.rate) * window
         if x == 0.0:
             return 0.0
         tail = x ** (order + 1) / math.factorial(order + 1)
-        if x < order + 2:
-            tail /= 1.0 - x / (order + 2)
-        else:  # far outside any window this module produces; keep it safe
-            tail = abs(self.amplitude) * math.exp(x)
+        tail /= 1.0 - x / (order + 2)
         return abs(self.amplitude) * (window ** self.t_power) * tail
 
 
@@ -244,33 +242,30 @@ class SquaredDistance:
     """Exact squared planar separation of a UAV pair as a function of time.
 
     ``quadratic`` holds (q0, q1, q2); ``terms`` the sinusoids. Calling the
-    model evaluates the exact (non-expanded) function; no Taylor error here.
+    model at one time value evaluates the exact (non-expanded) function; no
+    Taylor error here.
     """
 
     quadratic: tuple[float, float, float]
     terms: tuple[TrigTerm, ...]
     case_label: str
 
-    def __call__(self, t):
-        tt = np.asarray(t, dtype=float)
+    def __call__(self, t: float) -> float:
         q0, q1, q2 = self.quadratic
-        value = q0 + tt * (q1 + tt * q2)
+        value = q0 + t * (q1 + t * q2)
         for term in self.terms:
-            value = value + term(tt)
-        if np.ndim(t) == 0:
-            return float(value)
+            value += term.amplitude * math.cos(term.phase + term.rate * t) * t ** term.t_power
         return value
 
-    def taylor(self) -> np.ndarray:
+    def taylor(self) -> list[float]:
         """Ascending coefficients of the Taylor polynomial about t=0.
 
-        The array always has ``TAYLOR_DEGREE + 1`` entries. The quadratic
+        The list always has ``TAYLOR_DEGREE + 1`` entries. The quadratic
         part is carried exactly, so for case C the polynomial is exact.
         """
-        coeffs = np.zeros(TAYLOR_DEGREE + 1)
-        coeffs[:3] = self.quadratic
+        coeffs = [*self.quadratic] + [0.0] * (TAYLOR_DEGREE - 2)
         for term in self.terms:
-            coeffs += term.taylor_coefficients()
+            coeffs = [c + d for c, d in zip(coeffs, term.taylor_coefficients())]
         return coeffs
 
     def max_rate(self) -> float:
@@ -281,7 +276,7 @@ class SquaredDistance:
     def remainder_bound(self, window: float) -> float:
         return sum(term.remainder_bound(window) for term in self.terms)
 
-    def bernstein(self, coeffs: np.ndarray, window: float) -> tuple[list[float], float]:
+    def bernstein(self, coeffs: list[float], window: float) -> tuple[list[float], float]:
         """Bernstein coefficients of ``coeffs`` on ``[0, window]``, and their
         rounding allowance.
 
@@ -295,7 +290,7 @@ class SquaredDistance:
         # coefficient stays zero even where the window's power overflows.
         scaled = []
         power = 1.0
-        for c in coeffs.tolist():
+        for c in coeffs:
             scaled.append(c * power if c else 0.0)
             power *= window
         size = sum(map(abs, scaled))
@@ -598,21 +593,22 @@ def compute_llt(
             return _unbounded(case, horizon)
 
     t_base = 0.0
-    win_a, win_b = traj_a, traj_b
-    while t_base < horizon * (1.0 - 1e-12):
-        window_model = squared_link_distance(win_a, win_b)
-        window, bernstein, margin = trust_window(window_model, cap=horizon - t_base)
+    while True:
+        window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]
         if not any(shifted):
             break  # separation identically equal to the range: never exceeds
         pieces = find_real_roots(shifted, margin + _ROUNDING * r2, window)
-        pick = select_root(pieces, window_model, tx_range)
+        pick = select_root(pieces, model, tx_range)
         if pick is not None:
             total = t_base + pick
             if total > horizon:
                 return _unbounded(case, horizon)
-            return _bounded(case, total, window_model, pick, tx_range)
+            return _bounded(case, total, model, pick, tx_range)
         t_base += window
-        win_a = re_anchor(win_a, win_a.epoch + window)
-        win_b = re_anchor(win_b, win_b.epoch + window)
+        if t_base >= horizon * (1.0 - 1e-12):
+            break
+        traj_a = re_anchor(traj_a, traj_a.epoch + window)
+        traj_b = re_anchor(traj_b, traj_b.epoch + window)
+        model = squared_link_distance(traj_a, traj_b)
     return _unbounded(case, horizon)

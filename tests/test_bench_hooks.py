@@ -50,5 +50,7 @@ def test_searched_window_calls_the_wrapped_stages(bench, monkeypatch, case):
     result = llt.compute_llt(traj_a, traj_b, tx, 600.0)
     assert result.case_used == case and not result.horizon_capped
     assert calls["llt.trust_window"] >= 1
+    # One model per trust window: the first window reuses compute_llt's own.
+    assert calls["llt.squared_link_distance"] == calls["llt.trust_window"]
     assert calls["llt.find_real_roots"] >= 1
     assert calls["llt.select_root"] >= 1

@@ -39,6 +39,8 @@ from uavllt.validate import (
     sample_instance,
 )
 
+from model_sampler import sample
+
 CCW = Direction.COUNTER_CLOCKWISE
 CW = Direction.CLOCKWISE
 
@@ -86,7 +88,7 @@ class TestSquaredLinkDistance:
         b = curve(0, 0, 100, 20, CCW, 1.0)
         model = squared_link_distance(a, b)
         ts = np.linspace(0, 500, 200)
-        values = model(ts)
+        values = sample(model, ts)
         assert np.allclose(values, values[0], rtol=1e-12)
 
     def test_case_c_receding_pair(self):
@@ -104,8 +106,20 @@ class TestSquaredLinkDistance:
         model = squared_link_distance(traj_a, traj_b)
         ts = rng.uniform(0, 100, 100)
         direct = direct_squared_separation(traj_a, traj_b, ts)
-        rel = np.abs(model(ts) - direct) / np.maximum(direct, 1e-30)
+        rel = np.abs(sample(model, ts) - direct) / np.maximum(direct, 1e-30)
         assert rel.max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_sampler(self, seed):
+        rng = np.random.default_rng([43, seed])
+        for case in ("A", "B", "C"):
+            for _ in range(10):
+                traj_a, traj_b, _ = sample_instance(case, rng)
+                model = squared_link_distance(traj_a, traj_b)
+                times = rng.uniform(0, SWEEP_HORIZON, 50)
+                values = sample(model, times)
+                for k, t in enumerate(times):
+                    assert values[k] == model(float(t))
 
     def test_value_at_zero_is_anchor_separation(self):
         rng = np.random.default_rng(37)
@@ -128,7 +142,7 @@ class TestSignAlphaEquivalence:
         model = squared_link_distance(a, b)
         ts = np.linspace(0, 120, 100)
         direct = direct_squared_separation(a, b, ts)
-        rel = np.abs(model(ts) - direct) / np.maximum(direct, 1e-30)
+        rel = np.abs(sample(model, ts) - direct) / np.maximum(direct, 1e-30)
         assert rel.max() <= 1e-9
 
 
@@ -138,7 +152,7 @@ class TestTaylorPolynomial:
         b = straight(50, 0, 0.0, 20.0)
         coeffs = squared_link_distance(a, b).taylor()
         assert coeffs[:3] == pytest.approx((2500.0, 1000.0, 100.0))
-        assert not coeffs[3:].any()
+        assert not any(coeffs[3:])
 
     def test_equal_rate_concentric_collapses_to_constant(self):
         # Same center, same angular velocity: relative phase is frozen.
@@ -146,13 +160,13 @@ class TestTaylorPolynomial:
         b = curve(0, 0, 150, 30, CCW, 1.0)
         coeffs = squared_link_distance(a, b).taylor()
         assert coeffs[0] == pytest.approx(100**2 + 150**2 - 2 * 100 * 150 * math.cos(1.0))
-        assert not coeffs[1:].any()
+        assert not any(coeffs[1:])
 
     @staticmethod
     def worst_relative_error(model, samples):
         window, _, _ = trust_window(model)
         ts = np.linspace(0, window, samples)
-        exact = model(ts)
+        exact = sample(model, ts)
         rel = np.abs(npoly.polyval(ts, model.taylor()) - exact) / np.maximum(np.abs(exact), 1e-30)
         return rel.max()
 
@@ -167,7 +181,7 @@ class TestTaylorPolynomial:
         # pass they cancel to a separation many orders below them.
         size = npoly.polyval(window, np.abs(coeffs))
         assert abs(bernstein[-1] - npoly.polyval(window, coeffs)) <= 1e-12 * size
-        exact = model(np.linspace(0.0, window, 2001))
+        exact = sample(model, np.linspace(0.0, window, 2001))
         assert min(bernstein) - margin <= exact.min()
         assert exact.max() <= max(bernstein) + margin
 
@@ -486,7 +500,7 @@ def assert_no_break(model, window, form, tx):
     found no break in it either."""
     r2 = tx * tx
     ts = np.append(np.arange(0.0, window, 1e-3), window)
-    assert np.max(model(ts)) < r2
+    assert np.max(sample(model, ts)) < r2
     bernstein, margin = form
     shifted = [b - r2 for b in bernstein]
     pieces = find_real_roots(shifted, margin + llt._ROUNDING * r2, window)
@@ -536,7 +550,7 @@ class TestWindowSkip:
         s = straight(1e-3, 0.0, 0.0, 60.0)                      # heading +x
         model = squared_link_distance(c, s)
         t_break = 1.01 * trust_window(model, cap=SWEEP_HORIZON)[0]
-        assert np.all(np.diff(model(np.linspace(0.0, t_break, 10_001))) > 0.0)
+        assert np.all(np.diff(sample(model, np.linspace(0.0, t_break, 10_001))) > 0.0)
         tx = math.sqrt(model(t_break))
         result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
         assert windows[0][2] == "excluded", "the first window was not skipped"
@@ -641,7 +655,7 @@ class TestBernsteinExclusion:
             traj_a, traj_b, _ = sample_instance(case, rng)
             model = squared_link_distance(traj_a, traj_b)
             window = trust_window(model, cap=horizon)[0]
-            if np.all(np.diff(model(np.linspace(0.0, window, 2001))) > 0.0):
+            if np.all(np.diff(sample(model, np.linspace(0.0, window, 2001))) > 0.0):
                 yield traj_a, traj_b, model, window
 
     @pytest.mark.parametrize("case", ["A", "B"])
