@@ -3,7 +3,9 @@
 A UAV moves either on a circular arc around a fixed center or along a
 straight ray, always at a fixed altitude. Both motions are parameterized
 so that the position at any time offset from the trajectory's anchor
-instant (its *epoch*) is available in closed form.
+instant (its *epoch*) is available in closed form. :func:`planar_xy` is
+the one definition of that arithmetic, in plain floats: :func:`position_at`
+and the simulator's geometry both take their coordinates from it.
 
 Angles are handled quadrant-aware throughout (two-argument arctangent),
 so vertical headings and points in any quadrant are unambiguous.
@@ -134,28 +136,28 @@ class StraightTrajectory:
 Trajectory = CurveTrajectory | StraightTrajectory
 
 
-def position_at(traj: Trajectory, t: float) -> Position:
-    """Exact position ``t`` seconds after the trajectory's epoch.
+def planar_xy(traj: Trajectory, t: float) -> tuple[float, float]:
+    """Planar ``(x, y)`` ``t`` seconds after the trajectory's epoch.
 
-    Curve:    (cx + R*cos(phase + omega*t), cy + R*sin(phase + omega*t), z)
-    Straight: (x0 + v*t*cos(heading),       y0 + v*t*sin(heading),       z)
+    Curve:    (cx + R*cos(phase + omega*t), cy + R*sin(phase + omega*t))
+    Straight: (x0 + v*t*cos(heading),       y0 + v*t*sin(heading))
     """
     if isinstance(traj, CurveTrajectory):
         phi = traj.initial_phase + traj.omega * t
-        return Position(
-            traj.center_x + traj.radius * math.cos(phi),
-            traj.center_y + traj.radius * math.sin(phi),
-            traj.altitude,
-        )
-    return Position(
-        traj.origin_x + traj.speed * t * math.cos(traj.heading),
-        traj.origin_y + traj.speed * t * math.sin(traj.heading),
-        traj.altitude,
-    )
+        return (traj.center_x + traj.radius * math.cos(phi),
+                traj.center_y + traj.radius * math.sin(phi))
+    return (traj.origin_x + traj.speed * t * math.cos(traj.heading),
+            traj.origin_y + traj.speed * t * math.sin(traj.heading))
+
+
+def position_at(traj: Trajectory, t: float) -> Position:
+    """Exact position ``t`` seconds after the trajectory's epoch, at its altitude."""
+    return Position(*planar_xy(traj, t), traj.altitude)
 
 
 def planar_positions_at(traj: Trajectory, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized planar twin of :func:`position_at` for an array of offsets."""
+    """Vectorized planar twin of :func:`planar_xy`; it multiplies in another
+    order, so its coordinates may differ from the scalar ones in the last bits."""
     ts = np.asarray(ts, dtype=float)
     if isinstance(traj, CurveTrajectory):
         phi = traj.initial_phase + traj.omega * ts
@@ -163,45 +165,6 @@ def planar_positions_at(traj: Trajectory, ts: np.ndarray) -> tuple[np.ndarray, n
                 traj.center_y + traj.radius * np.sin(phi))
     return (traj.origin_x + traj.speed * np.cos(traj.heading) * ts,
             traj.origin_y + traj.speed * np.sin(traj.heading) * ts)
-
-
-class TrajectoryTable:
-    """A fleet's current trajectories as float64 rows, evaluated all at once.
-
-    Row ``i`` holds ``(epoch, cx, cy, R, phase, omega)`` for a curve and
-    ``(epoch, x0, y0, v, cos(heading), sin(heading))`` for a straight
-    flight. :meth:`positions_at` repeats :func:`position_at`'s operations
-    in its order, so wherever numpy's ``cos``/``sin`` round as ``math``'s
-    do, the coordinates are bit-identical to the scalar path.
-    (:func:`planar_positions_at` multiplies in another order and is not.)
-    """
-
-    def __init__(self, trajectories):
-        self.params = np.empty((len(trajectories), 6))
-        self.curve = np.zeros(len(trajectories), dtype=bool)
-        for i, traj in enumerate(trajectories):
-            self.set(i, traj)
-
-    def set(self, i: int, traj: Trajectory) -> None:
-        """Make ``traj`` row ``i``'s trajectory."""
-        if isinstance(traj, CurveTrajectory):
-            self.params[i] = (traj.epoch, traj.center_x, traj.center_y, traj.radius,
-                              traj.initial_phase, traj.omega)
-            self.curve[i] = True
-        else:
-            self.params[i] = (traj.epoch, traj.origin_x, traj.origin_y, traj.speed,
-                              math.cos(traj.heading), math.sin(traj.heading))
-            self.curve[i] = False
-
-    def positions_at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Planar coordinates at absolute ``times``: two (times, rows) arrays."""
-        epoch, ax, ay, scale, p, q = self.params.T
-        tau = np.asarray(times, dtype=float)[:, None] - epoch
-        phi = p + q * tau
-        travelled = scale * tau
-        x = np.where(self.curve, ax + scale * np.cos(phi), ax + travelled * p)
-        y = np.where(self.curve, ay + scale * np.sin(phi), ay + travelled * q)
-        return x, y
 
 
 def velocity_heading(traj: Trajectory, t: float = 0.0) -> float:

@@ -15,15 +15,15 @@ predictions.
 
 Nothing moves a trajectory or brings a link up between two queued events,
 so the ground-truth check scans every grid tick up to the next event as
-one block: the fleet's positions at all those ticks come from one
-:class:`~uavllt.kinematics.TrajectoryTable` evaluation, and the live-link
-separations form one (ticks x links) array. A Hello finds its neighbours
-from one row of distances the same way. The table repeats
-:func:`~uavllt.kinematics.position_at`'s arithmetic in its order and the
-distances are taken with :func:`math.hypot`, so every separation, and with
-it every output, is bit-identical to checking one tick and one pair at a
-time. Termination bisection and the change handler's range test stay on
-the scalar path.
+one block. It walks each link it evaluates through the block's ticks up to
+the first one beyond range, and computes each UAV's coordinates at those
+ticks once per block. A Hello finds its neighbours from every UAV's
+coordinates at its instant. Both take coordinates from
+:func:`~uavllt.kinematics.planar_xy`, the arithmetic of
+:func:`~uavllt.kinematics.position_at`, and distances from
+:func:`math.hypot`, so every separation, and with it every output, is
+bit-identical to checking one tick and one pair at a time. Termination
+bisection and the change handler's range test call :func:`position_at`.
 
 Many blocks need no geometry at all. Planar separation grows by at most
 the sum of both UAVs' speeds per second, so a link evaluated at tick t
@@ -33,12 +33,12 @@ v_b)``, or forever when both UAVs are parked: a kinetic certificate
 of the coordinates, the travel and the range, covers the rounding of the
 coordinates and of :func:`math.hypot`, so the bound holds for the
 separations the check computes. A block evaluates only the links whose
-certificate falls at or before its last tick, and each of them over all
-its ticks; a block with none makes no geometry call. Certificates are set
-from the block's last tick, expire when a link comes up or either endpoint
-changes trajectory (a scripted change may even teleport a UAV) and are
-dropped at termination. The links skipped could not have left range on any
-tick of the block, so every output stays bit-identical.
+certificate falls at or before its last tick; a block with none makes no
+geometry call. Certificates are set from the block's last tick, expire
+when a link comes up or either endpoint changes trajectory (a scripted
+change may even teleport a UAV) and are dropped at termination. The links
+skipped could not have left range on any tick of the block, so every
+output stays bit-identical.
 
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state together with the instant of the next
@@ -58,14 +58,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
-import numpy as np
-
 from .config import ScenarioConfig
 from .kinematics import (
     CurveTrajectory,
     Position,
     Trajectory,
-    TrajectoryTable,
+    planar_xy,
     position_at,
     re_anchor,
 )
@@ -76,7 +74,7 @@ DT_CHECK = 0.01          # ground-truth sampling resolution, seconds
 BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
 # A half-completed Hello handshake goes stale after this many intervals.
 HANDSHAKE_FRESHNESS = 2.0
-# Most check ticks one block scan covers; bounds its (ticks x links) arrays.
+# Most check ticks one block scan covers; bounds the coordinates it holds.
 _CHECK_BLOCK = 256
 # A link certificate's allowance for rounding, relative to the size of the
 # coordinates, the travel and the range that make up a computed separation.
@@ -132,21 +130,27 @@ class LinkGraph:
         seen = {node for a, b, _ in edge_list for node in (a, b)}
         if nodes is not None:
             seen.update(nodes)
-        kinds = sorted({type(node).__name__ for node in seen})
-        if len(kinds) > 1:
-            raise TypeError(f"node ids must all share one type, got {', '.join(kinds)}")
+        _check_one_id_type(seen)
         edges = {}
         for a, b, weight in edge_list:
             edges[(a, b) if a <= b else (b, a)] = float(weight)
         return cls(snapshot_time, frozenset(seen), edges)
 
 
+def _check_one_id_type(ids) -> None:
+    """Raise :class:`TypeError` unless all ``ids`` share one type, so any two
+    of them can be ordered into a pair."""
+    kinds = sorted({type(uid).__name__ for uid in ids})
+    if len(kinds) > 1:
+        raise TypeError(f"node ids must all share one type, got {', '.join(kinds)}")
+
+
 def _speed_and_size(traj: Trajectory, until: float) -> tuple[float, float]:
     """Planar speed of ``traj``, and the size of the terms
-    :class:`~uavllt.kinematics.TrajectoryTable` computes its coordinates from
-    at any time in ``[0, until]``: the scale of their rounding."""
+    :func:`~uavllt.kinematics.planar_xy` computes its coordinates from at any
+    time in ``[0, until]``: the scale of their rounding."""
     if isinstance(traj, CurveTrajectory):
-        speed = traj.radius * abs(traj.omega)  # the table's R * |omega|
+        speed = traj.radius * abs(traj.omega)  # the rate planar_xy moves at
         base = abs(traj.center_x) + abs(traj.center_y) + 6.0 * traj.radius
     else:
         speed = traj.speed
@@ -233,8 +237,12 @@ class Simulator:
                             ("horizon", horizon)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        self.states: dict = {s.id: s for s in states}
         self.order = [s.id for s in states]
+        _check_one_id_type(self.order)
+        self.states: dict = {s.id: s for s in states}
+        repeated = [uid for uid in self.states if self.order.count(uid) > 1]
+        if repeated:
+            raise ValueError(f"UAV ids must be unique, repeated: {repeated}")
         self.driver = change_driver
         self.tx_range = tx_range
         self.duration = duration
@@ -252,11 +260,9 @@ class Simulator:
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
         self._segment_epochs = {uid: [self.states[uid].trajectory.epoch] for uid in self.order}
-        self._index = {uid: i for i, uid in enumerate(self.order)}
-        self._table = TrajectoryTable([self.states[uid].trajectory for uid in self.order])
-        terms = [_speed_and_size(self.states[uid].trajectory, duration) for uid in self.order]
-        self._speed = [speed for speed, _ in terms]
-        self._size = [size for _, size in terms]
+        # uid -> (speed, size) of its current trajectory, for certificates
+        self._motion = {uid: _speed_and_size(self.states[uid].trajectory, duration)
+                        for uid in self.order}
         self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
         self._last_check = 0.0
@@ -292,11 +298,14 @@ class Simulator:
         self._hello_seq[uid] = seq + 1
         self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
         fresh = HANDSHAKE_FRESHNESS * self.hello_interval
-        x, y = self._table.positions_at([t])
-        i = self._index[uid]
-        distances = map(math.hypot, (x[0, i] - x[0]).tolist(), (y[0, i] - y[0]).tolist())
-        for vid, distance in zip(self.order, distances):
-            if vid == uid or distance > self.tx_range:
+        here = self.states[uid].trajectory
+        x, y = planar_xy(here, t - here.epoch)
+        for vid in self.order:
+            if vid == uid:
+                continue
+            there = self.states[vid].trajectory
+            vx, vy = planar_xy(there, t - there.epoch)
+            if math.hypot(x - vx, y - vy) > self.tx_range:
                 continue
             self._heard[(vid, uid)] = t
             pair = (uid, vid) if uid <= vid else (vid, uid)
@@ -328,9 +337,7 @@ class Simulator:
         traj = new_state.trajectory
         self._segments[uid].append(traj)
         self._segment_epochs[uid].append(traj.epoch)
-        i = self._index[uid]
-        self._table.set(i, traj)
-        self._speed[i], self._size[i] = _speed_and_size(traj, self.duration)
+        self._motion[uid] = _speed_and_size(traj, self.duration)
         event = {"t": t, "event": "traj_change", "uav": uid, "state": traj.movement_state,
                  "speed": traj.speed}
         if isinstance(traj, CurveTrajectory):
@@ -367,43 +374,46 @@ class Simulator:
         # left range on a tick of this block.
         last = ticks[-1]
         pairs = [pair for pair, due in self._due.items() if due <= last]
-        if pairs:
-            x, y = self._table.positions_at(ticks)
-            a = [self._index[pair[0]] for pair in pairs]
-            b = [self._index[pair[1]] for pair in pairs]
-            dx = (x[:, a] - x[:, b]).ravel().tolist()
-            dy = (y[:, a] - y[:, b]).ravel().tolist()
-            distances = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
-            distances = distances.reshape(len(ticks), len(pairs))
-            self._certify(pairs, a, b, last, distances[-1].tolist())
-            out = distances > self.tx_range
-            # Terminate in tick order, then in live order, as tick-by-tick checks would.
-            for k in np.flatnonzero(out.any(axis=1)).tolist():
-                lo = ticks[k - 1] if k else self._last_check
-                for j in np.flatnonzero(out[k]).tolist():
-                    link = self.live.get(pairs[j])
-                    if link is not None:
-                        self._terminate(pairs[j], max(lo, link.established_at), ticks[k])
-                if self._stop:
+        r = self.tx_range
+        tracks = {}  # uid -> its coordinates at every tick of the block
+        broken = []  # (tick index, live index, pair) of each link's first tick out of range
+        for j, pair in enumerate(pairs):
+            for uid in pair:
+                if uid not in tracks:
+                    traj = self.states[uid].trajectory
+                    tracks[uid] = [planar_xy(traj, tick - traj.epoch) for tick in ticks]
+            for k, ((xa, ya), (xb, yb)) in enumerate(zip(tracks[pair[0]], tracks[pair[1]])):
+                distance = math.hypot(xa - xb, ya - yb)
+                if distance > r:
+                    broken.append((k, j, pair))
                     break
-        self._last_check = ticks[-1]
+            else:
+                self._certify(pair, last, distance)
+        # Terminate in tick order, then in live order, as tick-by-tick checks
+        # would; a run that stops at its first termination ends with that tick.
+        broken.sort()
+        if broken and self.stop_after_first_termination:
+            broken = [item for item in broken if item[0] == broken[0][0]]
+        for k, _, pair in broken:
+            lo = ticks[k - 1] if k else self._last_check
+            self._terminate(pair, max(lo, self.live[pair].established_at), ticks[k])
+        self._last_check = last
         if nxt <= self.duration and not self._stop:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
 
-    def _certify(self, pairs, a, b, t: float, separations) -> None:
-        """Certify each pair in range until its separation at ``t`` could have
+    def _certify(self, pair, t: float, separation: float) -> None:
+        """Certify ``pair`` in range until its separation at ``t`` could have
         grown past ``tx_range`` at the sum of its UAVs' speeds."""
         r = self.tx_range
-        speed, size = self._speed, self._size
-        for pair, i, j, d in zip(pairs, a, b, separations):
-            closing = speed[i] + speed[j]
-            if closing > 0.0:
-                # The range term covers the separation, the travel the
-                # certificate spans and the rounding of the speeds.
-                slack = _CERT_ROUNDING * (size[i] + size[j] + 8.0 * r)
-                self._due[pair] = t + (r - d - slack) / closing
-            else:
-                self._due[pair] = math.inf  # both parked: positions never change
+        (speed_a, size_a), (speed_b, size_b) = self._motion[pair[0]], self._motion[pair[1]]
+        closing = speed_a + speed_b
+        if closing > 0.0:
+            # The range term covers the separation, the travel the
+            # certificate spans and the rounding of the speeds.
+            slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * r)
+            self._due[pair] = t + (r - separation - slack) / closing
+        else:
+            self._due[pair] = math.inf  # both parked: positions never change
 
     def _terminate(self, pair, lo: float, hi: float) -> None:
         link = self.live.pop(pair)

@@ -11,8 +11,8 @@ from uavllt.kinematics import (
     StraightTrajectory,
     planar_distance,
     planar_positions_at,
+    planar_xy,
     position_at,
-    TrajectoryTable,
     re_anchor,
     velocity_heading,
 )
@@ -87,30 +87,30 @@ class TestPositionAt:
                 assert pos.y == pytest.approx(y, abs=1e-9)
 
 
-class TestTrajectoryTable:
+class TestPlanarXy:
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_position_at(self, seed):
         rng = np.random.default_rng(seed)
         trajs = [replace(random_trajectory(rng), epoch=rng.uniform(0, 50)) for _ in range(40)]
         trajs.append(StraightTrajectory(10.0, -20.0, 2.5, 0.0, 100.0, epoch=7.0))
-        table = TrajectoryTable(trajs)
         # Times before each epoch (tau < 0) are included on purpose.
         times = rng.uniform(-20, 400, 200)
-        xs, ys = table.positions_at(times)
-        for j, traj in enumerate(trajs):
-            for k, t in enumerate(times):
-                pos = position_at(traj, t - traj.epoch)
-                assert (xs[k, j], ys[k, j]) == (pos.x, pos.y)
+        for traj in trajs:
+            for t in times:
+                tau = t - traj.epoch
+                pos = position_at(traj, tau)
+                assert planar_xy(traj, tau) == (pos.x, pos.y) == closed_form(traj, tau)
 
-    def test_set_replaces_one_row(self):
-        curve = CurveTrajectory(0, 0, 100, 20, Direction.CLOCKWISE, 0.5, 50.0, epoch=1.0)
-        straight = StraightTrajectory(3, 4, 1.0, 30, 50.0, epoch=2.0)
-        table = TrajectoryTable([curve, curve])
-        table.set(1, straight)
-        xs, ys = table.positions_at([5.0])
-        for j, traj in enumerate((curve, straight)):
-            pos = position_at(traj, 5.0 - traj.epoch)
-            assert (xs[0, j], ys[0, j]) == (pos.x, pos.y)
+
+def closed_form(traj, tau):
+    """The position formulas, written out in the operation order the golden
+    digests were recorded with."""
+    if isinstance(traj, CurveTrajectory):
+        phi = traj.initial_phase + traj.omega * tau
+        return (traj.center_x + traj.radius * math.cos(phi),
+                traj.center_y + traj.radius * math.sin(phi))
+    return (traj.origin_x + traj.speed * tau * math.cos(traj.heading),
+            traj.origin_y + traj.speed * tau * math.sin(traj.heading))
 
 
 class TestReAnchor:

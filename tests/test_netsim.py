@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from uavllt import netsim
 from uavllt.config import ScenarioConfig, load_config
 from uavllt.kinematics import (
     CurveTrajectory,
@@ -15,6 +16,8 @@ from uavllt.llt import LinkNotUp
 from uavllt.mobility import SmoothTurnFleet, UavState, tangent_trajectory
 from uavllt.netsim import (
     _PRIORITY_CHECK,
+    _PRIORITY_HELLO,
+    HANDSHAKE_FRESHNESS,
     LinkGraph,
     LinkRecord,
     ScriptedChanges,
@@ -211,7 +214,24 @@ def reference_runs():
 
 
 class TickByTickSimulator(Simulator):
-    """Reference ground-truth check: one tick, one scalar separation at a time."""
+    """Reference geometry: every Hello and every check tick takes its
+    separations one pair at a time from the scalar ``_separation``."""
+
+    def _handle_hello(self, t, uid):
+        seq = self._hello_seq[uid]
+        self._hello_seq[uid] = seq + 1
+        self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
+        for vid in self.order:
+            if vid == uid or self._separation(uid, vid, t) > self.tx_range:
+                continue
+            self._heard[(vid, uid)] = t
+            pair = (uid, vid) if uid <= vid else (vid, uid)
+            heard_at = self._heard.get((uid, vid))
+            if (pair not in self.live and heard_at is not None
+                    and t - heard_at <= HANDSHAKE_FRESHNESS * self.hello_interval):
+                self._establish(pair, t)
+        if t + self.hello_interval <= self.duration:
+            self._push(t + self.hello_interval, _PRIORITY_HELLO, "hello", uid)
 
     def _handle_check(self, t):
         for pair in list(self.live):
@@ -252,6 +272,18 @@ class TestCheckBlockScan:
         if stop:
             assert result.events[-2:] == downs
             assert result.snapshots[-1].snapshot_time < downs[0]["t"]
+
+    def test_stop_ends_with_the_first_breaking_tick_of_a_block(self):
+        # (a, c) breaks at the 5.64 s tick and (a, b) one tick later, both in
+        # the block between the Hellos at 16/3 s and 17/3 s. A run that stops
+        # at its first termination logs only (a, c).
+        states = [parked("a"), flying("c", -60.55, math.pi, 7.0), flying("b", 60.5, 0.0, 7.0)]
+        reference = assert_matches_reference(
+            lambda cls: cls(states, ScriptedChanges({}), tx_range=100.0, duration=20.0,
+                            stop_after_first_termination=True))
+        (down,) = link_downs(reference)
+        assert (down["a"], down["b"]) == ("a", "c")
+        assert down["t"] == pytest.approx(39.45 / 7.0, abs=1e-5)
 
     @pytest.mark.parametrize("tx_range, in_snapshot", [(29.5, False), (30.5, True)])
     def test_break_on_a_sample_tick_precedes_the_snapshot(self, tx_range, in_snapshot):
@@ -376,26 +408,50 @@ class TestCheckBlockScan:
             tx_range = math.nextafter(tx_range, math.inf)
         assert breaks == {True, False}
 
-    def test_parked_pair_needs_no_geometry(self):
+    def test_parked_pair_needs_no_geometry(self, monkeypatch):
         # An in-range parked pair is certified for good at its first check,
-        # so over 60 s (6,000 ticks) the check evaluates positions only a
-        # few times; every Hello takes one row of its own.
+        # so over 60 s (6,000 ticks) the check evaluates positions in only a
+        # few blocks; every Hello takes one point per UAV.
         sim = Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}),
                         tx_range=100.0, duration=60.0)
         calls = 0
-        positions_at = sim._table.positions_at
+        planar_xy = netsim.planar_xy
 
-        def counting_positions_at(times):
+        def counting_planar_xy(traj, t):
             nonlocal calls
             calls += 1
-            return positions_at(times)
+            return planar_xy(traj, t)
 
-        sim._table.positions_at = counting_positions_at
+        monkeypatch.setattr(netsim, "planar_xy", counting_planar_xy)
+        blocks = check_calls = 0
+        handle_check = sim._handle_check
+
+        def counting_handle_check(t):
+            nonlocal blocks, check_calls
+            before = calls
+            handle_check(t)
+            blocks += calls > before
+            check_calls += calls - before
+
+        sim._handle_check = counting_handle_check
         result = sim.run()
         kinds = [e["event"] for e in result.events]
         assert kinds.count("link_up") == 1
         assert ("a", "b") in result.snapshots[-1].edges
-        assert 1 <= calls - kinds.count("hello") <= 3
+        assert 1 <= blocks <= 3
+        assert calls - check_calls == 2 * kinds.count("hello")
+
+    @pytest.mark.parametrize("ids, xs, error, match", [
+        (["a", "a", "b"], [0.0, 5000.0, 50.0], ValueError, r"unique, repeated: \['a'\]"),
+        ([1, "b"], [0.0, 50.0], TypeError, "node ids must all share one type, got int, str"),
+    ])
+    def test_rejects_repeated_or_mixed_ids(self, ids, xs, error, match):
+        # A repeated id would merge two UAVs into one, and ids that cannot
+        # be ordered fail at the first in-range Hello, so both are refused
+        # before any run.
+        states = [parked(uid, x) for uid, x in zip(ids, xs)]
+        with pytest.raises(error, match=match):
+            Simulator(states, ScriptedChanges({}), tx_range=100.0, duration=10.0)
 
     @pytest.mark.parametrize("name", ["tx_range", "duration", "hello_interval", "dt_check",
                                       "horizon"])
