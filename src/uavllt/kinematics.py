@@ -77,8 +77,10 @@ class CurveTrajectory:
     """Circular motion: center, radius, tangential speed, turning sense.
 
     ``initial_phase`` is the polar angle of the UAV about the center at the
-    epoch, wrapped to (-pi, pi]. The signed angular velocity is
-    ``speed * direction / radius``.
+    epoch, wrapped to (-pi, pi]. ``omega``, the signed angular velocity in
+    rad/s, is ``speed * direction / radius``; it is computed once at
+    construction and is not a field, so it takes no part in equality,
+    hashing or the repr.
     """
 
     center_x: float
@@ -97,11 +99,8 @@ class CurveTrajectory:
             raise ValueError(f"curve speed must be positive and finite, got {self.speed}")
         object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(self, "initial_phase", wrap_angle(self.initial_phase))
-
-    @property
-    def omega(self) -> float:
-        """Signed angular velocity in rad/s."""
-        return self.speed * float(self.direction) / self.radius
+        # planar_xy reads it at every point.
+        object.__setattr__(self, "omega", self.speed * float(self.direction) / self.radius)
 
     @property
     def movement_state(self) -> str:

@@ -17,28 +17,33 @@ Nothing moves a trajectory or brings a link up between two queued events,
 so the ground-truth check scans every grid tick up to the next event as
 one block. It walks each link it evaluates through the block's ticks up to
 the first one beyond range, and computes each UAV's coordinates at those
-ticks once per block. A Hello finds its neighbours from every UAV's
-coordinates at its instant. Both take coordinates from
+ticks once per block. The check and the Hello take coordinates from
 :func:`~uavllt.kinematics.planar_xy`, the arithmetic of
 :func:`~uavllt.kinematics.position_at`, and distances from
 :func:`math.hypot`, so every separation, and with it every output, is
 bit-identical to checking one tick and one pair at a time. Termination
 bisection and the change handler's range test call :func:`position_at`.
 
-Many blocks need no geometry at all. Planar separation grows by at most
-the sum of both UAVs' speeds per second, so a link evaluated at tick t
-with separation d stays in range until ``t + (r - d - allowance) / (v_a +
-v_b)``, or forever when both UAVs are parked: a kinetic certificate
-(Basch, Guibas & Hershberger 1999). The allowance, 64 eps times the size
-of the coordinates, the travel and the range, covers the rounding of the
-coordinates and of :func:`math.hypot`, so the bound holds for the
-separations the check computes. A block evaluates only the links whose
-certificate falls at or before its last tick; a block with none makes no
-geometry call. Certificates are set from the block's last tick, expire
-when a link comes up or either endpoint changes trajectory (a scripted
-change may even teleport a UAV) and are dropped at termination. The links
-skipped could not have left range on any tick of the block, so every
-output stays bit-identical.
+Most of that geometry is skipped. Planar separation changes by at most
+the sum of both UAVs' speeds per second, so a pair with separation d at
+instant t stays on its side of the range r (d <= r or d > r) until ``t +
+(|d - r| - allowance) / (v_a + v_b)``, or for good when both UAVs are
+parked: a kinetic certificate (Basch, Guibas & Hershberger 1999). The
+allowance, 64 eps times the size of the coordinates, the travel, the
+range and the separation, covers the rounding of the coordinates and of
+:func:`math.hypot`, so the bound holds for the separations the scans
+compute. Each live link carries one for the check: a block evaluates only
+the links whose certificate falls at or before its last tick, and a block
+with none makes no geometry call. Link certificates are set from a block's
+last tick, expire when the link comes up and are dropped at termination.
+Each UAV pair carries one for the Hello, its contact certificate, with the
+pair's in-range flag: a Hello reuses the flag of every pair whose
+certificate holds at its instant, and computes and certifies the
+separations of the others, taking its own UAV's coordinates once and only
+if some pair needs them. Both kinds expire when either UAV changes
+trajectory (a scripted change may even teleport a UAV). A skipped link or
+pair could not have crossed the range at any instant it was skipped, so
+every output stays bit-identical.
 
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state together with the instant of the next
@@ -76,8 +81,8 @@ BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
 HANDSHAKE_FRESHNESS = 2.0
 # Most check ticks one block scan covers; bounds the coordinates it holds.
 _CHECK_BLOCK = 256
-# A link certificate's allowance for rounding, relative to the size of the
-# coordinates, the travel and the range that make up a computed separation.
+# A certificate's allowance for rounding, relative to the size of the
+# coordinates, the travel, the range and the separation it is set from.
 _CERT_ROUNDING = 64.0 * sys.float_info.epsilon
 
 _PRIORITY_CHANGE = 0
@@ -197,7 +202,9 @@ class ScriptedChanges:
     """Pre-planned trajectory changes: uav id -> sorted [(time, builder)].
 
     Each builder is called as ``builder(state, now)`` and returns the new
-    :class:`~uavllt.kinematics.Trajectory` anchored at ``now``.
+    :class:`~uavllt.kinematics.Trajectory` anchored at ``now``. A state's
+    ``next_change_at`` must be the time of its UAV's next scheduled item;
+    a change at any other instant raises :class:`ValueError`.
     """
 
     def __init__(self, schedule: dict):
@@ -206,8 +213,12 @@ class ScriptedChanges:
         self._cursor = {uid: 0 for uid in self._schedule}
 
     def __call__(self, state: UavState, now: float) -> UavState:
-        items = self._schedule[state.id]
-        cursor = self._cursor[state.id]
+        items = self._schedule.get(state.id, [])
+        cursor = self._cursor.get(state.id, 0)
+        if cursor == len(items) or items[cursor][0] != now:
+            raise ValueError(
+                f"UAV {state.id!r} changes at t={now!r}, which is not the next item of its "
+                f"schedule {[at for at, _ in items]!r} ({cursor} applied)")
         _, builder = items[cursor]
         cursor += 1
         self._cursor[state.id] = cursor
@@ -263,6 +274,9 @@ class Simulator:
         # uid -> (speed, size) of its current trajectory, for certificates
         self._motion = {uid: _speed_and_size(self.states[uid].trajectory, duration)
                         for uid in self.order}
+        # uid -> {other uid -> (instant the pair's in-range flag could first
+        # change, in range at Hellos)}, held under both uids
+        self._contact = {uid: {} for uid in self.order}
         self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
         self._last_check = 0.0
@@ -298,14 +312,22 @@ class Simulator:
         self._hello_seq[uid] = seq + 1
         self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
         fresh = HANDSHAKE_FRESHNESS * self.hello_interval
-        here = self.states[uid].trajectory
-        x, y = planar_xy(here, t - here.epoch)
+        contacts = self._contact[uid]
+        x = None  # this UAV's coordinates, computed only if some pair needs them
         for vid in self.order:
             if vid == uid:
                 continue
-            there = self.states[vid].trajectory
-            vx, vy = planar_xy(there, t - there.epoch)
-            if math.hypot(x - vx, y - vy) > self.tx_range:
+            contact = contacts.get(vid)
+            if contact is None or t >= contact[0]:
+                if x is None:
+                    here = self.states[uid].trajectory
+                    x, y = planar_xy(here, t - here.epoch)
+                there = self.states[vid].trajectory
+                vx, vy = planar_xy(there, t - there.epoch)
+                distance = math.hypot(x - vx, y - vy)
+                contact = contacts[vid] = self._contact[vid][uid] = (
+                    self._contact_until(uid, vid, t, distance), distance <= self.tx_range)
+            if not contact[1]:
                 continue
             self._heard[(vid, uid)] = t
             pair = (uid, vid) if uid <= vid else (vid, uid)
@@ -338,6 +360,11 @@ class Simulator:
         self._segments[uid].append(traj)
         self._segment_epochs[uid].append(traj.epoch)
         self._motion[uid] = _speed_and_size(traj, self.duration)
+        # A scripted change may even teleport the UAV.
+        contacts = self._contact[uid]
+        for vid in contacts:
+            del self._contact[vid][uid]
+        contacts.clear()
         event = {"t": t, "event": "traj_change", "uav": uid, "state": traj.movement_state,
                  "speed": traj.speed}
         if isinstance(traj, CurveTrajectory):
@@ -388,7 +415,7 @@ class Simulator:
                     broken.append((k, j, pair))
                     break
             else:
-                self._certify(pair, last, distance)
+                self._due[pair] = self._contact_until(*pair, last, distance)
         # Terminate in tick order, then in live order, as tick-by-tick checks
         # would; a run that stops at its first termination ends with that tick.
         broken.sort()
@@ -401,19 +428,35 @@ class Simulator:
         if nxt <= self.duration and not self._stop:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
 
-    def _certify(self, pair, t: float, separation: float) -> None:
-        """Certify ``pair`` in range until its separation at ``t`` could have
-        grown past ``tx_range`` at the sum of its UAVs' speeds."""
+    def _contact_until(self, a, b, t: float, separation: float) -> float:
+        """Instant before which the computed separation of UAVs ``a`` and
+        ``b`` stays on the side of ``tx_range`` that ``separation``, computed
+        at ``t``, is on: at most ``tx_range`` (in range) or beyond it.
+        ``inf`` when both UAVs are parked, as their positions never change.
+
+        The true separation changes by at most ``v_a + v_b`` per second, so
+        it cannot cross ``r`` before ``t + |separation - r| / (v_a + v_b)``.
+        The slack subtracted from ``|separation - r|`` covers the rounding
+        between true and computed values, at ``t`` and at a later instant
+        whose computed separation is near ``r``:
+        - the coordinates, by a few eps of the size of their terms
+          (``size_a``, ``size_b``, which include all travel up to the end of
+          the run, and so also ``v_a + v_b`` times the rounding of ``t``);
+        - their difference and :func:`math.hypot`, by a few eps of
+          ``separation`` at ``t`` and of ``r`` later;
+        - the speeds and the quotient, by a few eps of the travel the bound
+          spans, at most ``separation + r``.
+        64 eps times ``size_a + size_b + 8r + 2 separation`` covers each of
+        these many times over, so every separation computed before the
+        bound is on the same side of ``tx_range`` as ``separation``.
+        """
         r = self.tx_range
-        (speed_a, size_a), (speed_b, size_b) = self._motion[pair[0]], self._motion[pair[1]]
+        (speed_a, size_a), (speed_b, size_b) = self._motion[a], self._motion[b]
         closing = speed_a + speed_b
         if closing > 0.0:
-            # The range term covers the separation, the travel the
-            # certificate spans and the rounding of the speeds.
-            slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * r)
-            self._due[pair] = t + (r - separation - slack) / closing
-        else:
-            self._due[pair] = math.inf  # both parked: positions never change
+            slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * r + 2.0 * separation)
+            return t + (abs(separation - r) - slack) / closing
+        return math.inf
 
     def _terminate(self, pair, lo: float, hi: float) -> None:
         link = self.live.pop(pair)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -156,3 +156,25 @@ class TestValidation:
     def test_phase_wrapped(self):
         traj = CurveTrajectory(0, 0, 10, 10, Direction.CLOCKWISE, 3 * math.pi, 0)
         assert traj.initial_phase == pytest.approx(math.pi)
+
+
+class TestOmega:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stored_omega_is_the_quotient(self, seed):
+        # Stored once at construction, it must equal the quotient a property
+        # would compute, bit for bit, on every way a curve is built.
+        rng = np.random.default_rng(seed)
+        traj = CurveTrajectory(0.0, 0.0, rng.uniform(1, 1000), rng.uniform(0.1, 60),
+                               Direction(int(rng.choice([-1, 1]))), rng.uniform(-4, 4), 100.0)
+        for curve in (traj, re_anchor(traj, rng.uniform(-50, 50)),
+                      replace(traj, radius=rng.uniform(1, 1000), speed=rng.uniform(0.1, 60))):
+            assert curve.omega == curve.speed * float(curve.direction) / curve.radius
+
+    def test_not_a_field(self):
+        a = CurveTrajectory(0, 0, 100, 10, Direction.CLOCKWISE, 0.5, 100)
+        b = CurveTrajectory(0, 0, 100, 10, Direction.CLOCKWISE, 0.5, 100)
+        assert [f.name for f in fields(a)] == ["center_x", "center_y", "radius", "speed",
+                                               "direction", "initial_phase", "altitude",
+                                               "epoch"]
+        assert "omega" not in repr(a)
+        assert a == b and hash(a) == hash(b)

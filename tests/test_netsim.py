@@ -255,6 +255,21 @@ def assert_matches_reference(build):
     return reference
 
 
+class TestScriptedChanges:
+    @pytest.mark.parametrize("schedule, match", [
+        # Used to apply the 5 s change silently at 3 s.
+        ({"b": [(5.0, jump_back)]}, r"'b' changes at t=3\.0, .* schedule \[5\.0\] \(0 applied\)"),
+        # Used to raise a bare KeyError mid-run.
+        ({}, r"'b' changes at t=3\.0, .* schedule \[\] \(0 applied\)"),
+    ], ids=["other_instant", "unscheduled"])
+    def test_scripted_change_off_schedule_rejected(self, schedule, match):
+        b = flying("b", 0.0, 0.0, 10.0)
+        sim = Simulator([parked("a"), replace(b, next_change_at=3.0)], ScriptedChanges(schedule),
+                        tx_range=100.0, duration=10.0)
+        with pytest.raises(ValueError, match=match):
+            sim.run()
+
+
 class TestCheckBlockScan:
     @pytest.mark.parametrize("stop", [False, True])
     def test_simultaneous_breaks_logged_in_live_order(self, stop):
@@ -378,6 +393,24 @@ class TestCheckBlockScan:
         (down,) = link_downs(reference)
         assert down["t"] == pytest.approx(4.5 + 24.5 / 40.0, abs=1e-5)
 
+    @pytest.mark.parametrize("b, schedule, up_at", [
+        # Far and parked beside a parked "a": out of range for good, until
+        # the 3 s change teleports it 5 m from "a". Both Hellos after it
+        # must hear each other.
+        (make_state("b", StraightTrajectory(5000.0, 0.0, 0.0, 0.0, 100.0), 3.0),
+         {"b": [(3.0, jump_back)]}, 3.5),
+        # Flying west at 10 m/s, "b" is exactly 100 m from "a" at a's 1 s
+        # Hello, which counts as in range, so b's 1.5 s Hello brings the
+        # link up.
+        (flying("b", 110.0, math.pi, 10.0), {}, 1.5),
+    ], ids=["teleport", "on_the_circle"])
+    def test_contact_certificates_match_reference(self, b, schedule, up_at):
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a"), b], ScriptedChanges(schedule), tx_range=100.0,
+                            duration=6.0))
+        (up,) = [e for e in reference.events if e["event"] == "link_up"]
+        assert up["t"] == up_at
+
     def test_range_within_rounding_of_the_separation(self):
         # Two UAVs 10 km from the origin fly straight apart at 120 m/s. The
         # link comes up with b's Hello at 0.5 s, is first evaluated on the
@@ -408,10 +441,35 @@ class TestCheckBlockScan:
             tx_range = math.nextafter(tx_range, math.inf)
         assert breaks == {True, False}
 
+    @pytest.mark.parametrize("heading", [0.3, 1.1, 2.0])
+    def test_range_within_rounding_of_a_hello_separation(self, heading):
+        # Two UAVs 10 km from the origin fly straight apart at 120 m/s. a's
+        # Hello at 0 s hears b 500 m away and certifies the pair in range;
+        # b's Hello at 0.5 s must hear a exactly when its own computed
+        # separation is within range, which a contact certificate without
+        # its rounding allowance can get wrong for ranges within rounding of
+        # that separation.
+        a = StraightTrajectory(1e4, 1e4, heading + math.pi, 60.0, 100.0)
+        b = StraightTrajectory(1e4 + 500.0 * math.cos(heading), 1e4 + 500.0 * math.sin(heading),
+                               heading, 60.0, 100.0)
+        pa, pb = position_at(a, 0.5), position_at(b, 0.5)
+        tx_range = math.hypot(pa.x - pb.x, pa.y - pb.y)
+        for _ in range(32):
+            tx_range = math.nextafter(tx_range, 0.0)
+        ups = set()
+        for _ in range(64):
+            reference = assert_matches_reference(
+                lambda cls: cls([make_state("a", a), make_state("b", b)], ScriptedChanges({}),
+                                tx_range=tx_range, duration=1.0))
+            ups.add(any(e["event"] == "link_up" for e in reference.events))
+            tx_range = math.nextafter(tx_range, math.inf)
+        assert ups == {True, False}
+
     def test_parked_pair_needs_no_geometry(self, monkeypatch):
         # An in-range parked pair is certified for good at its first check,
         # so over 60 s (6,000 ticks) the check evaluates positions in only a
-        # few blocks; every Hello takes one point per UAV.
+        # few blocks. Its contact certificate is set at the first Hello and
+        # never expires, so the 121 Hellos take one point per UAV in all.
         sim = Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}),
                         tx_range=100.0, duration=60.0)
         calls = 0
@@ -439,7 +497,7 @@ class TestCheckBlockScan:
         assert kinds.count("link_up") == 1
         assert ("a", "b") in result.snapshots[-1].edges
         assert 1 <= blocks <= 3
-        assert calls - check_calls == 2 * kinds.count("hello")
+        assert calls - check_calls == 2
 
     @pytest.mark.parametrize("ids, xs, error, match", [
         (["a", "a", "b"], [0.0, 5000.0, 50.0], ValueError, r"unique, repeated: \['a'\]"),
