@@ -347,10 +347,10 @@ def _straight_pair_model(s1: StraightTrajectory, s2: StraightTrajectory) -> Squa
     return SquaredDistance((q0, q1, q2), (), "C")
 
 
-def _to_shared_epoch(traj_a: Trajectory, traj_b: Trajectory) -> tuple[Trajectory, Trajectory, float]:
+def _to_shared_epoch(traj_a: Trajectory, traj_b: Trajectory) -> tuple[Trajectory, Trajectory]:
     """Re-anchor both trajectories at the later of their epochs."""
     epoch = max(traj_a.epoch, traj_b.epoch)
-    return re_anchor(traj_a, epoch), re_anchor(traj_b, epoch), epoch
+    return re_anchor(traj_a, epoch), re_anchor(traj_b, epoch)
 
 
 def squared_link_distance(traj_a: Trajectory, traj_b: Trajectory) -> SquaredDistance:
@@ -361,7 +361,7 @@ def squared_link_distance(traj_a: Trajectory, traj_b: Trajectory) -> SquaredDist
     ignored: each UAV holds a fixed unique altitude and the vertical gap is
     treated as negligible against the planar separation.
     """
-    a, b, _ = _to_shared_epoch(traj_a, traj_b)
+    a, b = _to_shared_epoch(traj_a, traj_b)
     a_curve = isinstance(a, CurveTrajectory)
     b_curve = isinstance(b, CurveTrajectory)
     if a_curve and b_curve:
@@ -554,7 +554,7 @@ def compute_llt(
     for name, value in (("transmission range", tx_range), ("horizon", horizon)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    traj_a, traj_b, _ = _to_shared_epoch(traj_a, traj_b)
+    traj_a, traj_b = _to_shared_epoch(traj_a, traj_b)
     # Canonical argument order makes the result exactly symmetric in the pair.
     if _canonical_key(traj_b) < _canonical_key(traj_a):
         traj_a, traj_b = traj_b, traj_a

@@ -121,11 +121,6 @@ def sample_wait_time(rng: np.random.Generator, config: SmoothTurnConfig = DEFAUL
 # ---------------------------------------------------------------------------
 
 
-def make_straight(x: float, y: float, heading: float, speed: float, altitude: float,
-                  epoch: float) -> StraightTrajectory:
-    return StraightTrajectory(x, y, heading, speed, altitude, epoch=epoch)
-
-
 def make_turn(x: float, y: float, heading: float, radius: float, speed: float,
               direction: Direction, altitude: float, epoch: float) -> CurveTrajectory:
     """Turn whose circle is tangent to the current velocity at (x, y).
@@ -152,7 +147,7 @@ def tangent_trajectory(traj: Trajectory, at: float, kind: str, *, radius: float 
     heading = velocity_heading(traj, t)
     v = traj.speed if speed is None else speed
     if kind == "STRAIGHT":
-        return make_straight(pos.x, pos.y, heading, v, traj.altitude, epoch=at)
+        return StraightTrajectory(pos.x, pos.y, heading, v, traj.altitude, epoch=at)
     direction = Direction.CLOCKWISE if kind == "CW" else Direction.COUNTER_CLOCKWISE
     if radius is None:
         raise ValueError("turn segments need a radius")
@@ -278,8 +273,8 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
         kind = kinds[int(rng.integers(0, len(kinds)))]
         wait = sample_wait_time(rng, config)
         if kind == "STRAIGHT":
-            candidate: Trajectory = make_straight(pos.x, pos.y, heading, traj.speed,
-                                                  traj.altitude, epoch=now)
+            candidate: Trajectory = StraightTrajectory(pos.x, pos.y, heading, traj.speed,
+                                                       traj.altitude, epoch=now)
         else:
             radius = float(rng.uniform(config.radius_min, config.radius_max))
             direction = Direction.CLOCKWISE if kind == "CW" else Direction.COUNTER_CLOCKWISE
@@ -314,7 +309,7 @@ def initial_state(uid, arena: Arena, rng: np.random.Generator,
     y = float(rng.uniform(arena.y_min + margin, arena.y_max - margin))
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
     speed = float(rng.uniform(config.speed_min, config.speed_max))
-    seed_traj = make_straight(x, y, wrap_heading(heading), speed, altitude, epoch=0.0)
+    seed_traj = StraightTrajectory(x, y, wrap_heading(heading), speed, altitude, epoch=0.0)
     return next_trajectory(UavState(uid, seed_traj, next_change_at=0.0), arena, rng, 0.0, config)
 
 

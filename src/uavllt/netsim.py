@@ -29,8 +29,8 @@ the sum of both UAVs' speeds per second, so a pair with separation d at
 instant t stays on its side of the range r (d <= r or d > r) until ``t +
 (|d - r| - allowance) / (v_a + v_b)``, or for good when both UAVs are
 parked: a kinetic certificate (Basch, Guibas & Hershberger 1999). The
-allowance, 64 eps times the size of the coordinates, the travel, the
-range and the separation, covers the rounding of the coordinates and of
+allowance, 64 eps times the size of the coordinates, their travel and the
+range, covers the rounding of the coordinates and of
 :func:`math.hypot`, so the bound holds for the separations the scans
 compute. Each live link carries one for the check: a block evaluates only
 the links whose certificate falls at or before its last tick, and a block
@@ -62,6 +62,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from .config import ScenarioConfig
 from .kinematics import (
@@ -82,7 +83,7 @@ HANDSHAKE_FRESHNESS = 2.0
 # Most check ticks one block scan covers; bounds the coordinates it holds.
 _CHECK_BLOCK = 256
 # A certificate's allowance for rounding, relative to the size of the
-# coordinates, the travel, the range and the separation it is set from.
+# coordinates, their travel and the range.
 _CERT_ROUNDING = 64.0 * sys.float_info.epsilon
 
 _PRIORITY_CHANGE = 0
@@ -242,7 +243,7 @@ class Simulator:
 
     def __init__(self, states, change_driver, *, tx_range: float, duration: float,
                  hello_interval: float = 1.0, dt_check: float = DT_CHECK,
-                 horizon: float = DEFAULT_HORIZON, stop_after_first_termination: bool = False):
+                 horizon: float = DEFAULT_HORIZON):
         for name, value in (("tx_range", tx_range), ("duration", duration),
                             ("hello_interval", hello_interval), ("dt_check", dt_check),
                             ("horizon", horizon)):
@@ -260,7 +261,6 @@ class Simulator:
         self.hello_interval = hello_interval
         self.dt_check = dt_check
         self.horizon = horizon
-        self.stop_after_first_termination = stop_after_first_termination
 
         self.events: list = []
         self.snapshots: list = []
@@ -270,7 +270,6 @@ class Simulator:
         self._due: dict = {}
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
-        self._segment_epochs = {uid: [self.states[uid].trajectory.epoch] for uid in self.order}
         # uid -> (speed, size) of its current trajectory, for certificates
         self._motion = {uid: _speed_and_size(self.states[uid].trajectory, duration)
                         for uid in self.order}
@@ -282,7 +281,6 @@ class Simulator:
         self._last_check = 0.0
         self._heap: list = []
         self._seq = 0
-        self._stop = False
 
     # -- scheduling --------------------------------------------------------
 
@@ -293,11 +291,8 @@ class Simulator:
     # -- geometry ----------------------------------------------------------
 
     def _position(self, uid, t: float) -> Position:
-        epochs = self._segment_epochs[uid]
-        idx = bisect_right(epochs, t) - 1
-        if idx < 0:
-            idx = 0
-        seg = self._segments[uid][idx]
+        segments = self._segments[uid]
+        seg = segments[max(bisect_right(segments, t, key=attrgetter("epoch")) - 1, 0)]
         return position_at(seg, t - seg.epoch)
 
     def _separation(self, a, b, t: float) -> float:
@@ -358,7 +353,6 @@ class Simulator:
         self.states[uid] = new_state
         traj = new_state.trajectory
         self._segments[uid].append(traj)
-        self._segment_epochs[uid].append(traj.epoch)
         self._motion[uid] = _speed_and_size(traj, self.duration)
         # A scripted change may even teleport the UAV.
         contacts = self._contact[uid]
@@ -416,16 +410,13 @@ class Simulator:
                     break
             else:
                 self._due[pair] = self._contact_until(*pair, last, distance)
-        # Terminate in tick order, then in live order, as tick-by-tick checks
-        # would; a run that stops at its first termination ends with that tick.
+        # Terminate in tick order, then in live order, as tick-by-tick checks would.
         broken.sort()
-        if broken and self.stop_after_first_termination:
-            broken = [item for item in broken if item[0] == broken[0][0]]
         for k, _, pair in broken:
             lo = ticks[k - 1] if k else self._last_check
             self._terminate(pair, max(lo, self.live[pair].established_at), ticks[k])
         self._last_check = last
-        if nxt <= self.duration and not self._stop:
+        if nxt <= self.duration:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
 
     def _contact_until(self, a, b, t: float, separation: float) -> float:
@@ -446,15 +437,17 @@ class Simulator:
           ``separation`` at ``t`` and of ``r`` later;
         - the speeds and the quotient, by a few eps of the travel the bound
           spans, at most ``separation + r``.
-        64 eps times ``size_a + size_b + 8r + 2 separation`` covers each of
-        these many times over, so every separation computed before the
-        bound is on the same side of ``tx_range`` as ``separation``.
+        Every coordinate has ``|x| + |y|`` at most its trajectory's size, so
+        ``separation`` is at most ``size_a + size_b`` and needs no term of
+        its own: 64 eps times ``size_a + size_b + 8r`` covers each of these
+        many times over, so every separation computed before the bound is on
+        the same side of ``tx_range`` as ``separation``.
         """
         r = self.tx_range
         (speed_a, size_a), (speed_b, size_b) = self._motion[a], self._motion[b]
         closing = speed_a + speed_b
         if closing > 0.0:
-            slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * r + 2.0 * separation)
+            slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * r)
             return t + (abs(separation - r) - slack) / closing
         return math.inf
 
@@ -482,8 +475,6 @@ class Simulator:
             "predicted_termination": None if math.isinf(predicted) else predicted,
             "prediction_abs_error": None if math.isinf(predicted) else abs(predicted - t_break),
         })
-        if self.stop_after_first_termination:
-            self._stop = True
 
     def _handle_sample(self, t: float) -> None:
         for uid in self.order:
@@ -491,7 +482,7 @@ class Simulator:
         edges = {pair: link.remaining_at(t) for pair, link in self.live.items()}
         self.snapshots.append(LinkGraph(t, frozenset(self.order), edges))
         nxt = t + self.hello_interval
-        if nxt <= self.duration and not self._stop:
+        if nxt <= self.duration:
             self._push(nxt, _PRIORITY_SAMPLE, "sample", None)
 
     # -- main loop ----------------------------------------------------------
@@ -506,7 +497,7 @@ class Simulator:
         self._push(self.dt_check, _PRIORITY_CHECK, "check", None)
         self._push(0.0, _PRIORITY_SAMPLE, "sample", None)
 
-        while self._heap and not self._stop:
+        while self._heap:
             t, _, _, kind, payload = heappop(self._heap)
             if t > self.duration:
                 break
@@ -560,7 +551,9 @@ def read_snapshot_csv(path, at: float | None = None) -> LinkGraph:
     """Load one topology snapshot from an edge-list CSV.
 
     Files may hold many snapshot times; ``at`` picks one (default: the
-    latest). Node ids are kept as strings.
+    latest). Node ids are kept as strings. Raises :class:`ValueError` for a
+    row whose ``t_s`` is not finite or whose ``llt_s`` is neither ``inf``
+    nor at least 0.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -575,6 +568,10 @@ def read_snapshot_csv(path, at: float | None = None) -> LinkGraph:
                 weight = math.inf if llt_text.strip().lower() == "inf" else float(llt_text)
             except ValueError as exc:
                 raise ValueError(f"bad snapshot row {row!r}") from exc
+            # A nan or negative lifetime would corrupt max-min routing.
+            if not (math.isfinite(t) and weight >= 0.0):
+                raise ValueError(f"bad snapshot row {row!r}: t_s must be finite and "
+                                 "llt_s at least 0 or inf")
             rows.append((t, a.strip(), b.strip(), weight))
     if not rows:
         raise ValueError(f"no snapshot rows in {path}")

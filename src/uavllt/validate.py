@@ -142,7 +142,7 @@ class SweepReport:
         failures = self.failures()
         if self.case == "C":
             return not failures
-        return len(failures) <= max(0.001 * len(self.bounded), 0)
+        return len(failures) <= 0.001 * len(self.bounded)
 
     def table_row(self) -> str:
         return (f"case {self.case}: trials={self.trials} bounded={len(self.bounded)} "

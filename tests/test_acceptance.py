@@ -155,7 +155,7 @@ def _scripted_scenario(seed, attempt):
     a = UavState("a", ta, schedule_a[0][0] if schedule_a else math.inf)
     b = UavState("b", tb, schedule_b[0][0] if schedule_b else math.inf)
     sim = Simulator([a, b], ScriptedChanges({"a": schedule_a, "b": schedule_b}),
-                    tx_range=tx, duration=240.0, stop_after_first_termination=True)
+                    tx_range=tx, duration=240.0)
     return sim, sim.run()
 
 

@@ -244,10 +244,21 @@ class TestRouteCommand:
         assert code == 0
         assert "bottleneck_llt: inf" in out
 
-    def test_malformed_csv_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows, bad_row", [
+        ("not,enough\n", "not"),
+        # A nan lifetime used to leave 0-3-2 (bottleneck 2.0) unreachable.
+        ("5.0,0,1,nan\n5.0,1,2,3.0\n5.0,0,3,4.0\n5.0,3,2,2.0\n", "nan"),
+        # Negative lifetimes used to route, bottleneck included.
+        ("5.0,0,1,-7.5\n5.0,1,2,3.0\n", "-7.5"),
+        ("5.0,0,1,-inf\n5.0,1,2,3.0\n", "-inf"),
+        ("nan,0,1,3.0\n5.0,1,2,3.0\n", "nan"),
+        ("inf,0,1,3.0\n5.0,1,2,3.0\n", "inf"),
+    ], ids=["short_row", "nan_llt", "negative_llt", "minus_inf_llt", "nan_t", "inf_t"])
+    def test_malformed_csv_exit_2(self, tmp_path, capsys, rows, bad_row):
         path = tmp_path / "snap.csv"
-        path.write_text("t_s,node_a,node_b,llt_s\nnot,enough\n")
-        assert main(["route", str(path), "a", "b"]) == 2
+        path.write_text("t_s,node_a,node_b,llt_s\n" + rows)
+        assert main(["route", str(path), "0", "2"]) == 2
+        assert f"'{bad_row}'" in capsys.readouterr().err
 
     def test_picks_latest_snapshot_by_default(self, tmp_path, capsys):
         path = tmp_path / "snap.csv"

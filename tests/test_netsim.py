@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavllt import netsim
@@ -10,6 +11,7 @@ from uavllt.kinematics import (
     CurveTrajectory,
     Direction,
     StraightTrajectory,
+    planar_xy,
     position_at,
 )
 from uavllt.llt import LinkNotUp
@@ -23,9 +25,12 @@ from uavllt.netsim import (
     ScriptedChanges,
     SmoothTurnChanges,
     Simulator,
+    _speed_and_size,
     recompute_llt,
     run_simulation,
 )
+
+from test_kinematics import random_trajectory
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 CCW = Direction.COUNTER_CLOCKWISE
@@ -207,10 +212,9 @@ REFERENCE_CONFIGS = {
 
 def reference_runs():
     for name, config in REFERENCE_CONFIGS.items():
-        for stop in (False, True):
-            for seed in (3, 4, 5):
-                run_id = "-".join(filter(None, (name, str(stop), str(seed))))
-                yield pytest.param(replace(config, seed=seed), stop, id=run_id)
+        for seed in (3, 4, 5):
+            run_id = "-".join(filter(None, (name, str(seed))))
+            yield pytest.param(replace(config, seed=seed), id=run_id)
 
 
 class TickByTickSimulator(Simulator):
@@ -240,7 +244,7 @@ class TickByTickSimulator(Simulator):
                 self._terminate(pair, max(self._last_check, link.established_at), t)
         self._last_check = t
         nxt = t + self.dt_check
-        if nxt <= self.duration and not self._stop:
+        if nxt <= self.duration:
             self._push(nxt, _PRIORITY_CHECK, "check", None)
 
 
@@ -271,34 +275,17 @@ class TestScriptedChanges:
 
 
 class TestCheckBlockScan:
-    @pytest.mark.parametrize("stop", [False, True])
-    def test_simultaneous_breaks_logged_in_live_order(self, stop):
+    def test_simultaneous_breaks_logged_in_live_order(self):
         # "a" is parked between "c" and "b", which fly off in opposite
         # directions at equal speed: both links break on the same tick.
         # Hello order a, c, b brings (a, c) up before (a, b).
         states = [parked("a"), flying("c", -60.5, math.pi, 7.0), flying("b", 60.5, 0.0, 7.0)]
-        sim = Simulator(states, ScriptedChanges({}), tx_range=100.0, duration=20.0,
-                        stop_after_first_termination=stop)
+        sim = Simulator(states, ScriptedChanges({}), tx_range=100.0, duration=20.0)
         result = sim.run()
         assert list(sim.live) == []
         downs = link_downs(result)
         assert [(e["a"], e["b"]) for e in downs] == [("a", "c"), ("a", "b")]
         assert downs[0]["t"] == downs[1]["t"] == pytest.approx(39.5 / 7.0, abs=1e-5)
-        if stop:
-            assert result.events[-2:] == downs
-            assert result.snapshots[-1].snapshot_time < downs[0]["t"]
-
-    def test_stop_ends_with_the_first_breaking_tick_of_a_block(self):
-        # (a, c) breaks at the 5.64 s tick and (a, b) one tick later, both in
-        # the block between the Hellos at 16/3 s and 17/3 s. A run that stops
-        # at its first termination logs only (a, c).
-        states = [parked("a"), flying("c", -60.55, math.pi, 7.0), flying("b", 60.5, 0.0, 7.0)]
-        reference = assert_matches_reference(
-            lambda cls: cls(states, ScriptedChanges({}), tx_range=100.0, duration=20.0,
-                            stop_after_first_termination=True))
-        (down,) = link_downs(reference)
-        assert (down["a"], down["b"]) == ("a", "c")
-        assert down["t"] == pytest.approx(39.45 / 7.0, abs=1e-5)
 
     @pytest.mark.parametrize("tx_range, in_snapshot", [(29.5, False), (30.5, True)])
     def test_break_on_a_sample_tick_precedes_the_snapshot(self, tx_range, in_snapshot):
@@ -342,27 +329,24 @@ class TestCheckBlockScan:
         assert ticks[-2] < down["t"] <= ticks[-1]
         assert down["t"] == pytest.approx(crossing, abs=1e-5)
 
-    @pytest.mark.parametrize("config, stop", list(reference_runs()))
-    def test_matches_tick_by_tick_reference(self, config, stop):
+    @pytest.mark.parametrize("config", list(reference_runs()))
+    def test_matches_tick_by_tick_reference(self, config):
         def build(cls):
             fleet = SmoothTurnFleet(config.uav_count, config.arena(), config.smooth_turn(),
                                     config.seed)
             return cls(fleet.states, SmoothTurnChanges(fleet),
                        tx_range=config.transmission_range, duration=config.duration,
-                       hello_interval=config.hello_interval, horizon=config.horizon,
-                       stop_after_first_termination=stop)
+                       hello_interval=config.hello_interval, horizon=config.horizon)
 
         reference = assert_matches_reference(build)
         assert link_downs(reference), "scenario produced no terminations to compare"
 
-    @pytest.mark.parametrize("stop", [False, True])
-    def test_head_on_pair_at_top_speed(self, stop):
+    def test_head_on_pair_at_top_speed(self):
         # They start 1 m inside range and close at 120 m/s; after they pass,
         # the separation grows at exactly the speed sum the certificates use.
         states = [flying("a", 0.0, 0.0, 60.0), flying("b", 599.0, math.pi, 60.0)]
         reference = assert_matches_reference(
-            lambda cls: cls(states, ScriptedChanges({}), tx_range=600.0, duration=12.0,
-                            stop_after_first_termination=stop))
+            lambda cls: cls(states, ScriptedChanges({}), tx_range=600.0, duration=12.0))
         (down,) = link_downs(reference)
         assert down["t"] == pytest.approx((599.0 + 600.0) / 120.0, abs=1e-5)
 
@@ -518,6 +502,23 @@ class TestCheckBlockScan:
         kwargs = {"tx_range": 100.0, "duration": 10.0, name: value}
         with pytest.raises(ValueError, match=name):
             Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}), **kwargs)
+
+
+class TestSpeedAndSize:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coordinates_within_size(self, seed):
+        # _contact_until's slack has no separation term: every coordinate
+        # has |x| + |y| at most its trajectory's size up to the end of the
+        # run, so a separation is at most the two sizes' sum.
+        rng = np.random.default_rng([71, seed])
+        until = 600.0
+        times = np.linspace(0.0, until, 601).tolist()
+        for _ in range(40):
+            traj = replace(random_trajectory(rng), epoch=float(rng.uniform(1.0, 100.0)))
+            _, size = _speed_and_size(traj, until)
+            for t in times:
+                x, y = planar_xy(traj, t - traj.epoch)
+                assert abs(x) + abs(y) <= size, (traj, t)
 
 
 class TestPredictionValidity:
