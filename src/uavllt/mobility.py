@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -61,9 +62,6 @@ class Arena:
     def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
         return (self.x_min + margin <= x <= self.x_max - margin
                 and self.y_min + margin <= y <= self.y_max - margin)
-
-    def in_buffer(self, x: float, y: float) -> bool:
-        return self.contains(x, y) and not self.contains(x, y, self.buffer_width)
 
     def circle_fits(self, cx: float, cy: float, radius: float) -> bool:
         return self.contains(cx, cy, radius)
@@ -348,9 +346,16 @@ TRACE_HEADER = ["time_s", "uav_id", "x_m", "y_m", "z_m", "state",
                 "cx_m", "cy_m", "r_m", "heading_rad", "speed_mps"]
 
 
-def trace_row(t: float, state: UavState) -> list[str]:
+def segment_at(segments: list[Trajectory], t: float) -> Trajectory:
+    """The segment of a UAV's history (in order of change) in force at
+    instant ``t``: the last whose ``epoch``, the instant of the change that
+    made it, is at or before ``t``, or the first when ``t`` precedes every
+    change. A segment that starts at ``t`` is in force at ``t``."""
+    return segments[bisect_right(segments, t, 1, key=attrgetter("epoch")) - 1]
+
+
+def trace_row(t: float, uid, traj: Trajectory) -> list[str]:
     """One CSV row of the trajectory trace; inapplicable fields stay empty."""
-    traj = state.trajectory
     pos = position_at(traj, t - traj.epoch)
     if isinstance(traj, CurveTrajectory):
         cx, cy, r = repr(traj.center_x), repr(traj.center_y), repr(traj.radius)
@@ -358,8 +363,16 @@ def trace_row(t: float, state: UavState) -> list[str]:
     else:
         cx = cy = r = ""
         heading = repr(traj.heading)
-    return [repr(float(t)), str(state.id), repr(pos.x), repr(pos.y), repr(pos.z),
+    return [repr(float(t)), str(uid), repr(pos.x), repr(pos.y), repr(pos.z),
             traj.movement_state, cx, cy, r, heading, repr(traj.speed)]
+
+
+def trace_rows(segments_by_uid: dict, times) -> list[list[str]]:
+    """Trace rows of a fleet at each of ``times``, one per UAV in the order
+    of ``segments_by_uid`` (uid -> segment history), each from the segment
+    in force at that instant (:func:`segment_at`)."""
+    return [trace_row(t, uid, segment_at(segments, t))
+            for t in times for uid, segments in segments_by_uid.items()]
 
 
 def write_trace_csv(path, rows) -> None:
@@ -375,22 +388,17 @@ def generate_trace(count: int, arena: Arena, config: SmoothTurnConfig, duration:
 
     Each UAV draws from its own random stream, so each is flown to
     ``duration`` on its own, then the fleet is sampled every ``sample_dt``
-    seconds from those histories. A sample on a change instant reports the
-    segment that ends there.
+    seconds from those histories by :func:`trace_rows`, the rule the
+    network simulator's trace uses: a sample on a change instant reports
+    the segment that starts there.
     """
     fleet = SmoothTurnFleet(count, arena, config, seed)
-    histories = []
+    segments = []
     for i, state in enumerate(fleet.states):
-        history = [state]
+        history = [state.trajectory]
         while state.next_change_at <= duration:
             state = fleet.advance(i, state.next_change_at)
-            history.append(state)
-        histories.append(history)
-    epochs = [[state.trajectory.epoch for state in history] for history in histories]
-    rows = []
-    for k in range(int(math.floor(duration / sample_dt)) + 1):
-        t = k * sample_dt
-        rows.extend(trace_row(t, history[bisect_left(starts, t, 1) - 1])
-                    for history, starts in zip(histories, epochs))
-    segments = [[state.trajectory for state in history] for history in histories]
-    return rows, segments
+            history.append(state.trajectory)
+        segments.append(history)
+    times = [k * sample_dt for k in range(int(math.floor(duration / sample_dt)) + 1)]
+    return trace_rows(dict(enumerate(segments)), times), segments

@@ -46,11 +46,15 @@ pair could not have crossed the range at any instant it was skipped, so
 every output stays bit-identical.
 
 Each UAV has exactly one trajectory change queued at a time: the change
-driver returns the new state together with the instant of the next
-change. Every Hello interval, starting at t = 0, the simulator appends one
-trace row per UAV and a topology snapshot. Event log entries are plain
-dicts (serialized as JSON lines); topology snapshots are edge lists whose
-weights are the remaining predicted lifetimes at the snapshot instant.
+driver returns the new state, anchored at the change instant, together
+with the instant of the next change. Every Hello interval, starting at
+t = 0, the simulator takes a topology snapshot. The trace is built after
+the run from each UAV's segment history, one row per UAV at every
+snapshot instant, by :func:`~uavllt.mobility.generate_trace`'s rule: a
+sample on a change instant reports the segment that starts there. Event
+log entries are plain dicts (serialized as JSON lines); topology
+snapshots are edge lists whose weights are the remaining predicted
+lifetimes at the snapshot instant.
 """
 
 from __future__ import annotations
@@ -59,10 +63,8 @@ import csv
 import json
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from operator import attrgetter
 
 from .config import ScenarioConfig
 from .kinematics import (
@@ -74,7 +76,8 @@ from .kinematics import (
     re_anchor,
 )
 from .llt import DEFAULT_HORIZON, LltResult, compute_llt
-from .mobility import SmoothTurnFleet, UavState, trace_row
+from . import mobility
+from .mobility import SmoothTurnFleet, UavState, segment_at, trace_row  # noqa: F401 (re-export)
 
 DT_CHECK = 0.01          # ground-truth sampling resolution, seconds
 BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
@@ -130,7 +133,10 @@ class LinkGraph:
 
         Node ids must all share one type, ints as the simulator numbers its
         UAVs or strs as a snapshot CSV is read, since pairs are ordered by
-        comparing ids. Raises :class:`TypeError` for a mix.
+        comparing ids. Raises :class:`TypeError` for a mix. A weight is a
+        remaining lifetime: raises :class:`ValueError` for one that is
+        ``nan`` or negative, which would corrupt max-min routing; ``inf``
+        is an unbounded lifetime.
         """
         edge_list = list(edge_list)
         seen = {node for a, b, _ in edge_list for node in (a, b)}
@@ -139,7 +145,11 @@ class LinkGraph:
         _check_one_id_type(seen)
         edges = {}
         for a, b, weight in edge_list:
-            edges[(a, b) if a <= b else (b, a)] = float(weight)
+            llt = float(weight)
+            if not llt >= 0.0:
+                raise ValueError(f"edge ({a!r}, {b!r}) has weight {weight!r}; "
+                                 "a lifetime must be at least 0 or inf")
+            edges[(a, b) if a <= b else (b, a)] = llt
         return cls(snapshot_time, frozenset(seen), edges)
 
 
@@ -184,8 +194,13 @@ class SimulationResult:
     events: list
     links: list
     snapshots: list
-    trace_rows: list
+    segments: dict  # uid -> its trajectories in order of change, in fleet order
     duration: float
+
+    @property
+    def trace_rows(self) -> list:
+        """One trace row per UAV at every snapshot instant."""
+        return mobility.trace_rows(self.segments, [s.snapshot_time for s in self.snapshots])
 
     def summary(self) -> dict:
         terminated = [l for l in self.links if l.terminated_at is not None]
@@ -202,10 +217,12 @@ class SimulationResult:
 class ScriptedChanges:
     """Pre-planned trajectory changes: uav id -> sorted [(time, builder)].
 
-    Each builder is called as ``builder(state, now)`` and returns the new
-    :class:`~uavllt.kinematics.Trajectory` anchored at ``now``. A state's
-    ``next_change_at`` must be the time of its UAV's next scheduled item;
-    a change at any other instant raises :class:`ValueError`.
+    Each builder is called as ``builder(state, now)`` and must return the
+    new :class:`~uavllt.kinematics.Trajectory` anchored at ``now`` (its
+    ``epoch`` is ``now``); the simulator raises :class:`ValueError` for any
+    other epoch. A state's ``next_change_at`` must be the time of its UAV's
+    next scheduled item; a change at any other instant raises
+    :class:`ValueError`.
     """
 
     def __init__(self, schedule: dict):
@@ -264,7 +281,6 @@ class Simulator:
 
         self.events: list = []
         self.snapshots: list = []
-        self.trace_rows: list = []
         self.live: dict = {}
         # pair -> earliest instant its separation could exceed tx_range, in live order
         self._due: dict = {}
@@ -291,8 +307,7 @@ class Simulator:
     # -- geometry ----------------------------------------------------------
 
     def _position(self, uid, t: float) -> Position:
-        segments = self._segments[uid]
-        seg = segments[max(bisect_right(segments, t, key=attrgetter("epoch")) - 1, 0)]
+        seg = segment_at(self._segments[uid], t)
         return position_at(seg, t - seg.epoch)
 
     def _separation(self, a, b, t: float) -> float:
@@ -350,8 +365,11 @@ class Simulator:
 
     def _handle_change(self, t: float, uid) -> None:
         new_state = self.driver(self.states[uid], t)
-        self.states[uid] = new_state
         traj = new_state.trajectory
+        if traj.epoch != t:
+            raise ValueError(f"UAV {uid!r} changes at t={t!r} to a trajectory with epoch "
+                             f"{traj.epoch!r}; a change must be anchored at its instant")
+        self.states[uid] = new_state
         self._segments[uid].append(traj)
         self._motion[uid] = _speed_and_size(traj, self.duration)
         # A scripted change may even teleport the UAV.
@@ -477,8 +495,6 @@ class Simulator:
         })
 
     def _handle_sample(self, t: float) -> None:
-        for uid in self.order:
-            self.trace_rows.append(trace_row(t, self.states[uid]))
         edges = {pair: link.remaining_at(t) for pair, link in self.live.items()}
         self.snapshots.append(LinkGraph(t, frozenset(self.order), edges))
         nxt = t + self.hello_interval
@@ -510,7 +526,7 @@ class Simulator:
             else:
                 self._handle_sample(t)
         return SimulationResult(self.events, self.records, self.snapshots,
-                                self.trace_rows, self.duration)
+                                self._segments, self.duration)
 
 
 def run_simulation(config: ScenarioConfig) -> SimulationResult:
@@ -552,8 +568,9 @@ def read_snapshot_csv(path, at: float | None = None) -> LinkGraph:
 
     Files may hold many snapshot times; ``at`` picks one (default: the
     latest). Node ids are kept as strings. Raises :class:`ValueError` for a
-    row whose ``t_s`` is not finite or whose ``llt_s`` is neither ``inf``
-    nor at least 0.
+    row that is not four fields, whose ``t_s`` is not finite or whose
+    ``llt_s`` is not a number, and, through :meth:`LinkGraph.from_edges`,
+    for a picked row whose ``llt_s`` is neither ``inf`` nor at least 0.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -565,14 +582,12 @@ def read_snapshot_csv(path, at: float | None = None) -> LinkGraph:
             t_text, a, b, llt_text = row
             try:
                 t = float(t_text)
-                weight = math.inf if llt_text.strip().lower() == "inf" else float(llt_text)
+                float(llt_text)  # a number; LinkGraph.from_edges checks its range
             except ValueError as exc:
                 raise ValueError(f"bad snapshot row {row!r}") from exc
-            # A nan or negative lifetime would corrupt max-min routing.
-            if not (math.isfinite(t) and weight >= 0.0):
-                raise ValueError(f"bad snapshot row {row!r}: t_s must be finite and "
-                                 "llt_s at least 0 or inf")
-            rows.append((t, a.strip(), b.strip(), weight))
+            if not math.isfinite(t):
+                raise ValueError(f"bad snapshot row {row!r}: t_s must be finite")
+            rows.append((t, a.strip(), b.strip(), llt_text.strip()))
     if not rows:
         raise ValueError(f"no snapshot rows in {path}")
     pick = max(r[0] for r in rows) if at is None else at

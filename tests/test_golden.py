@@ -129,8 +129,9 @@ TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)
 @pytest.mark.parametrize("count, duration, wait, digest", [
     # demos/03_smooth_turn_traces.py
     (8, 300.0, (5, 20), "3ec27f55a5d4285e888a111804e936050f3463b84a9263703e66d5c47e8b63d3"),
-    # Every wait is 10 s, so all 72 change instants fall on sample instants.
-    (6, 120.0, (10, 10), "a6600936e49c67a1f8f5d04b56074676e1c12e54e55a7de0d3e0e70318fdcddb"),
+    # Every wait is 10 s, so all 72 change instants fall on sample instants,
+    # each of which reports the segment that starts there.
+    (6, 120.0, (10, 10), "736b3757dfad4915a88bda73fbad99723c99a7513a94de011af389c91b7126a2"),
 ])
 def test_generate_trace(count, duration, wait, digest):
     config = SmoothTurnConfig(radius_min=100, radius_max=800, speed_min=25, speed_max=55,
@@ -139,15 +140,18 @@ def test_generate_trace(count, duration, wait, digest):
     assert hashlib.sha256(repr((rows, segments)).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("config", [load_config(DEMOS / "scenario_small.cfg"), CHURN],
-                         ids=["small", "churn"])
+@pytest.mark.parametrize("config", [
+    load_config(DEMOS / "scenario_small.cfg"),
+    CHURN,
+    # Every change falls on a sample: both report the segment that starts there.
+    ScenarioConfig(uav_count=3, wait_min=10, wait_max=10, duration=30, seed=5),
+], ids=["small", "churn", "changes_on_samples"])
 def test_generate_trace_matches_simulator(config):
     # Standalone mobility and the network run fly the same fleet: same
     # trace rows at the Hello interval, same per-UAV segment history.
-    sim = fleet_simulator(config)
-    result = sim.run()
+    result = fleet_simulator(config).run()
     rows, segments = generate_trace(config.uav_count, config.arena(), config.smooth_turn(),
                                     config.duration, config.seed,
                                     sample_dt=config.hello_interval)
     assert rows == result.trace_rows
-    assert segments == [sim._segments[uid] for uid in sim.order]
+    assert segments == list(result.segments.values())

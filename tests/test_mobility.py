@@ -70,10 +70,6 @@ class TestArena:
         with pytest.raises(ValueError, match="finite"):
             Arena(*bounds)
 
-    def test_in_buffer(self):
-        assert ARENA.in_buffer(100.0, 2500.0)
-        assert not ARENA.in_buffer(2500.0, 2500.0)
-
 
 class TestTransitions:
     @pytest.mark.parametrize("seed", range(5))
@@ -162,7 +158,7 @@ class TestBufferEncounters:
         while encounters < 10_000:
             x = float(rng.uniform(0.0, 3000.0))
             y = float(rng.uniform(0.0, 3000.0))
-            if not arena.in_buffer(x, y):
+            if not (arena.contains(x, y) and not arena.contains(x, y, arena.buffer_width)):
                 continue
             heading = float(rng.uniform(0, 2 * math.pi))
             traj = StraightTrajectory(x, y, heading, 40.0, 120.0, epoch=0.0)

@@ -273,6 +273,18 @@ class TestScriptedChanges:
         with pytest.raises(ValueError, match=match):
             sim.run()
 
+    def test_unanchored_change_rejected(self):
+        # Positions and trace rows take each change's segment from its epoch.
+        def unanchored(state, now):
+            return StraightTrajectory(5.0, 0.0, 0.0, 0.0, 100.0, epoch=0.0)
+
+        b = replace(flying("b", 0.0, 0.0, 10.0), next_change_at=3.0)
+        sim = Simulator([parked("a"), b], ScriptedChanges({"b": [(3.0, unanchored)]}),
+                        tx_range=100.0, duration=10.0)
+        with pytest.raises(ValueError, match=r"UAV 'b' changes at t=3\.0 to a trajectory "
+                                             r"with epoch 0\.0"):
+            sim.run()
+
 
 class TestCheckBlockScan:
     def test_simultaneous_breaks_logged_in_live_order(self):
@@ -553,3 +565,11 @@ class TestLinkGraphSnapshot:
     def test_mixed_id_types_rejected(self, edges, nodes):
         with pytest.raises(TypeError, match="node ids must all share one type, got int, str"):
             LinkGraph.from_edges(edges, nodes=nodes)
+
+    @pytest.mark.parametrize("weight", [math.nan, -7.5])
+    def test_nan_or_negative_weight_rejected(self, weight):
+        # A nan edge used to leave 0-3-2 (bottleneck 2.0) unreachable, and a
+        # -7.5 edge used to become the route's bottleneck.
+        edges = [("0", "1", weight), ("1", "2", 3.0), ("0", "3", 4.0), ("3", "2", 2.0)]
+        with pytest.raises(ValueError, match=rf"edge \('0', '1'\) has weight {weight!r}"):
+            LinkGraph.from_edges(edges)
