@@ -49,6 +49,16 @@ that the exact separation enters in range and leaves beyond it, and refines
 it against the exact transcendental separation, so the reported break time
 does not inherit the expansion error. "No break here" therefore rests on
 the remainder bound too, and no sampled safety net is needed.
+
+A case-B walk starts later. The curve flyer stays on its circle, so by the
+triangle inequality the separation is at most ``rho(t) + R``, where
+``rho(t)`` is the straight flyer's distance from the turn centre and
+``rho^2`` is a quadratic in time. No break comes before ``rho`` first
+exceeds ``r - R``, at a closed-form instant ``t1``, and both UAVs are
+re-anchored there before the first window is sized. A rounding allowance
+on the reach and on ``t1`` keeps the skip certified in floating point
+(:func:`_case_b_bracket`), and a ``t1`` at or beyond the horizon answers
+the pair at once.
 """
 
 from __future__ import annotations
@@ -78,6 +88,9 @@ _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 # evaluation, the scaling, the basis change, the subtraction of r^2 and the
 # splits each round by a few units in the last place.
 _ROUNDING = 64.0 * sys.float_info.epsilon
+# Relative shrink of the case-B bracket's reach r - R and of its start t1,
+# far above the few ulps of rounding it covers (see _case_b_bracket).
+_BRACKET_SHRINK = 1e-9
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
 _BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k)
@@ -529,6 +542,45 @@ def _equal_rate_peak(c1: CurveTrajectory, c2: CurveTrajectory) -> float:
     return base + 2.0 * gap * math.hypot(px, py)
 
 
+def _case_b_bracket(curve: CurveTrajectory, straight: StraightTrajectory,
+                    tx_range: float) -> float:
+    """Offset before which a curve/straight pair cannot break: 0, a time,
+    or ``inf``.
+
+    The curve flyer stays on its circle, so ``D(t) <= rho(t) + R``, where
+    ``rho(t) = |d + v*t*u|`` is the straight flyer's distance from the
+    centre (``d`` its origin less the centre, ``u`` its heading). No break
+    comes before ``t1``, the larger root of
+    ``v^2 t^2 + 2 v t (d.u) + |d|^2 = (r - R)^2``: 0 when ``R >= r`` or
+    ``rho(0) > r - R``, ``inf`` for a parked flyer inside ``r - R``.
+
+    ``rho`` is the norm of an affine function of ``t``, so it is convex and
+    at most ``max(rho(0), rho(t1))`` on ``[0, t1]``. The computed root is
+    the exact one for inputs perturbed by a few ulps, all of size at most
+    ``2 (r - R)``, so the true ``rho`` there exceeds the reach it was solved
+    for by a few ulps of ``r - R`` at most; shrinking ``r - R`` by
+    :data:`_BRACKET_SHRINK` covers them, and shrinking ``t1`` by as much
+    covers the rounding of the root formula.
+    """
+    reach = (tx_range - curve.radius) * (1.0 - _BRACKET_SHRINK)
+    dx = straight.origin_x - curve.center_x
+    dy = straight.origin_y - curve.center_y
+    rho = math.hypot(dx, dy)
+    if reach <= 0.0 or rho > reach:
+        return 0.0
+    if straight.speed == 0.0:
+        return math.inf
+    along = dx * math.cos(straight.heading) + dy * math.sin(straight.heading)
+    inside = (rho - reach) * (rho + reach)  # |d|^2 - reach^2 <= 0
+    root = math.sqrt(along * along - inside)
+    # The larger root, in the form without cancellation.
+    if along <= 0.0:
+        t1 = (root - along) / straight.speed
+    else:
+        t1 = -inside / (straight.speed * (root + along))
+    return t1 * (1.0 - _BRACKET_SHRINK)
+
+
 def compute_llt(
     traj_a: Trajectory,
     traj_b: Trajectory,
@@ -546,7 +598,11 @@ def compute_llt(
 
     Straight/straight pairs are solved exactly. Curve cases run the
     expand/subdivide/refine pipeline over successive trust windows. A
-    bounded result's ``root`` sits on the range circle to within 1% of the
+    curve/straight pair's walk starts at :func:`_case_b_bracket`'s ``t1``,
+    the first instant the straight flyer can be more than ``tx_range - R``
+    from the turn centre, before which the separation cannot reach the
+    range; a ``t1`` at or beyond ``horizon`` caps the result before any
+    window is sized. A bounded result's ``root`` sits on the range circle to within 1% of the
     range (far tighter in practice, since breaks are refined against the
     exact separation); if no break is found by ``horizon`` the result is marked
     ``horizon_capped``.
@@ -571,6 +627,7 @@ def compute_llt(
     if case == "C":
         return _solve_case_c(model, tx_range, horizon)
 
+    t_base = 0.0
     if case == "A":
         omega_a = traj_a.omega
         omega_b = traj_b.omega
@@ -584,15 +641,16 @@ def compute_llt(
                               traj_a.center_y - traj_b.center_y)
         if geom_gap + traj_a.radius + traj_b.radius <= tx_range * (1.0 - 1e-12):
             return _unbounded(case, horizon)
-    elif traj_b.speed == 0.0:
-        # Case B with the straight flyer parked (the canonical order puts the
-        # curve first): the separation never exceeds |gap| + R.
-        geom_gap = math.hypot(traj_a.center_x - traj_b.origin_x,
-                              traj_a.center_y - traj_b.origin_y)
-        if geom_gap + traj_a.radius <= tx_range * (1.0 - 1e-12):
+    else:
+        # Case B: the canonical order puts the curve first.
+        t_base = _case_b_bracket(traj_a, traj_b, tx_range)
+        if not t_base < horizon:
             return _unbounded(case, horizon)
+        if t_base > 0.0:
+            traj_a = re_anchor(traj_a, traj_a.epoch + t_base)
+            traj_b = re_anchor(traj_b, traj_b.epoch + t_base)
+            model = squared_link_distance(traj_a, traj_b)
 
-    t_base = 0.0
     while True:
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]

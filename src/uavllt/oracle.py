@@ -31,7 +31,8 @@ def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
 
     Steps t by ``dt`` from the shared epoch, then refines the bracketing
     step by bisection to 1e-6 s. Returns ``math.inf`` when no break occurs
-    before ``horizon``. Raises :class:`LinkNotUp` if the pair starts out of
+    by ``horizon``, also when the grid's last step, which may end past
+    ``horizon``, brackets a break that bisection puts beyond it. Raises :class:`LinkNotUp` if the pair starts out of
     range, and :class:`ValueError` unless ``tx_range``, ``dt`` and
     ``horizon`` are positive and finite.
     """
@@ -65,7 +66,8 @@ def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
             j = int(np.argmax(exceed))
             hi = float(ts[j])
             lo = hi - dt if j > 0 or start > 0 else 0.0
-            return _bisect_crossing(sq_sep, max(lo, 0.0), hi, r2)
+            t_break = _bisect_crossing(sq_sep, max(lo, 0.0), hi, r2)
+            return t_break if t_break <= horizon else math.inf
         start = stop
     return math.inf
 

@@ -30,8 +30,8 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "8ce82469fe73af655350230c26429a492f95c8f6efeee539cd8723dff84d131a",
-        "snapshots.csv": "f9e48f9f71a12f8c7e08b404d452b0f44701bd44a3f7dc9669798e8b6db22534",
+        "events.jsonl": "ac7f97939e2a4d7bee6a74c38d0ae6c7b34e54dd73bde636d48bf0af7416c9e6",
+        "snapshots.csv": "ccdc2fa866ed6285d68f4ddcdb4b3e4847e0535c20425ebf2516e5dbb762761b",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
 
@@ -55,8 +55,8 @@ def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     config = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "5af45aa65bb1540c55afc83ae331ba939acd809556381d1c8721449dd69c2088",
-        "snapshots.csv": "dc8e0309cbadb411b660b35870d50c0b329261912c6c48c7d9af4e0732aa0a69",
+        "events.jsonl": "1f8f40d0aff9d8fed98d1233a8d7c93c79c9606c9f184b10197542cc86407097",
+        "snapshots.csv": "afc99f710d7c0b15ff1f0ac7185e0ba846e45d886eb5690bbb03a9ad3c249d0b",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
 
@@ -67,8 +67,8 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "14fbbd5a431c2c886b3d7a5b65608ebe0c20e585af5a5e73f24dfd312157cde8",
-        "snapshots.csv": "3190fa75056dd5ee84c25f967a0e8db4715060248c043143e7108ba2ed77f9ce",
+        "events.jsonl": "61638801e25174bf88dafd91cf1ca16d2b5a864a42600f4d84168e89f0189120",
+        "snapshots.csv": "a1cd53497468755f701c8247efb4b6eb6750cfede6ad9560e385544014db52e5",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
 
@@ -78,7 +78,7 @@ def test_sparse_hello_scenario(tmp_path):
     # blocks reach their 256-tick cap while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "69388a733da6c83c79b6a8d5dff05c0d95d710a3bfd935e73d97ebf80e5d5b59",
+        "events.jsonl": "308e1abeb70f60e14d8fe1ffb3414e706d9694b004fdac52cb31cdb3dd1ec317",
         "snapshots.csv": "110819d39c84d8479b28d89ad0e54e1f46df48c6c289f0d4ba075130700aaac3",
         "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
     }
@@ -87,8 +87,8 @@ def test_sparse_hello_scenario(tmp_path):
 SOLVER_DIGESTS = {
     ("A", SWEEP_HORIZON): "4cdd75307228c0f1641fbea20538eb51bcbe41356cb788388e4f9de422057497",
     ("A", DEFAULT_HORIZON): "8c8040196be802367e28e4f526c4102e895309599cf409285643b502cdb7aa54",
-    ("B", SWEEP_HORIZON): "3f0e1f81a36b74a7447a791524b4b89f36cd895a104965e2fff2873cb497e41c",
-    ("B", DEFAULT_HORIZON): "2d611d88ce31ee9387671dce15e66efbbb7f3009b86d6f9cadfcffdc576a9cdc",
+    ("B", SWEEP_HORIZON): "98ab180f4c412c63e1aefe91e102dfca6e28c52d8fc44b8dada7a99beabb7755",
+    ("B", DEFAULT_HORIZON): "a9e5091bfea1167cce671c67323ab0857759633a7a99c20ac8a15ab318b61e53",
     ("C", SWEEP_HORIZON): "43105c1053ca5e0542f101942dc64973d26f6590e5466d078e9b4698d4a60f52",
     ("C", DEFAULT_HORIZON): "368bb863ad7ea9f9f1b843a6e28f3ce10ec7fad75e5db8b96155a585ab6d1e90",
 }
@@ -120,7 +120,7 @@ def test_solver_results_near_tangent():
             r = compute_llt(a, b, separation * scale, 200.0)
             results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
     assert (hashlib.sha256(repr(results).encode()).hexdigest()
-            == "096b8e787a93c6c207f8e3fcf31008485067c8ddb74a8479fc5914a402fec346")
+            == "f4182e2c387bd959778134353d8c67791e7e70acb23ea7b03089980de8368e86")
 
 
 TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)

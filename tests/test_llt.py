@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -526,6 +527,98 @@ def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
         assert abs(result.llt - oracle) <= max(2e-3, 1e-3 * oracle)
 
 
+def curve_first(traj_a, traj_b):
+    """A case-B pair as (curve flyer, straight flyer)."""
+    return (traj_a, traj_b) if isinstance(traj_a, CurveTrajectory) else (traj_b, traj_a)
+
+
+def bracket_skipped_windows(traj_a, traj_b, tx, horizon):
+    """(model, W, form) of the trust windows that a walk from 0 sizes and
+    re-anchors past, within the case-B bracket [0, t1]."""
+    c, s = curve_first(traj_a, traj_b)
+    t1 = min(llt._case_b_bracket(c, s, tx), horizon)
+    skipped = []
+    t_base = 0.0
+    while t_base < t1 * (1.0 - 1e-12):
+        model = squared_link_distance(c, s)
+        window, *form = trust_window(model, cap=horizon - t_base)
+        if t_base + window > t1:
+            break
+        skipped.append((model, window, form))
+        t_base += window
+        c = re_anchor(c, c.epoch + window)
+        s = re_anchor(s, s.epoch + window)
+    return skipped
+
+
+class TestCaseBBracket:
+    """A case-B walk starts at t1, the first instant the straight flyer can
+    be more than r - R from the turn centre; before it the separation is at
+    most that distance plus R, so the link cannot break."""
+
+    def test_no_break_before_the_bracket(self):
+        rng = np.random.default_rng([41, ord("B")])
+        bracketed = 0
+        for _ in range(500):
+            traj_a, traj_b, tx = sample_instance("B", rng)
+            c, s = curve_first(traj_a, traj_b)
+            t1 = llt._case_b_bracket(c, s, tx)
+            if t1 == 0.0:
+                continue
+            end = min(t1, SWEEP_HORIZON)
+            ts = np.append(np.arange(0.0, end, 1e-3), end)
+            assert np.max(direct_squared_separation(c, s, ts)) < tx * tx
+            bracketed += 1
+        assert bracketed >= 250
+
+    def test_collinear_break_exactly_at_the_bracket(self):
+        # Far from the origin, the straight flyer recedes from the centre
+        # along +x, and at t1 the curve flyer is diametrically beyond the
+        # centre: the separation, at most rho + R, reaches r exactly at t1.
+        # The exact t1 of these float parameters is thus a lower bound on the
+        # break. Solved without the rounding allowance, t1 rounds above it.
+        cx, cy, radius, speed, tx = 1234567.891, 1e6, 150.0, 50.0, 600.1
+        s = straight(cx + 123.456, cy, 0.0, speed)
+        t_break = (Fraction(tx) - Fraction(radius)
+                   - (Fraction(s.origin_x) - Fraction(cx))) / Fraction(speed)
+        c = curve(cx, cy, radius, 40.0, CCW, math.pi - 40.0 / radius * float(t_break))
+        assert 0.0 < llt._case_b_bracket(c, s, tx) <= t_break
+        result = compute_llt(c, s, tx, SWEEP_HORIZON)
+        assert not result.horizon_capped
+        assert result.llt == pytest.approx(float(t_break), abs=1e-9)
+
+    def test_radius_beyond_the_range_walks_from_zero(self, monkeypatch):
+        c = curve(0.0, 0.0, 300.0, 40.0, CCW, 0.0)  # at (300, 0)
+        s = straight(350.0, 0.0, 2.0, 30.0)
+        tx = 250.0
+        assert llt._case_b_bracket(c, s, tx) == 0.0
+        result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
+        assert windows[0][0] == squared_link_distance(c, s)
+        assert_skips_sound(windows, tx)
+        assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
+
+    def test_bracket_past_the_horizon_sizes_no_window(self, monkeypatch):
+        c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
+        s = straight(100.0, 0.0, 1.0, 1.0)  # 1 m/s, 100 m from the centre
+        tx = 1200.0
+        assert SWEEP_HORIZON <= llt._case_b_bracket(c, s, tx) < math.inf
+        result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
+        assert windows == []
+        assert result == llt.LltResult(SWEEP_HORIZON, "B", None, None, True)
+        assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
+
+    def test_windows_per_call(self, monkeypatch):
+        # A standing guard on the bracket's saving: a walk from 0 sizes 6.06
+        # windows per call on these pairs, the bracket 1.80.
+        rng = np.random.default_rng([7, ord("B")])
+        n_windows = 0
+        for _ in range(300):
+            traj_a, traj_b, tx = sample_instance("B", rng)
+            n_windows += len(solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
+                                                     SWEEP_HORIZON)[1])
+        assert n_windows / 300 <= 1.9
+
+
 class TestWindowSkip:
     """A trust window in which the link cannot leave range is skipped: the
     Bernstein test drops it whole, and only when no break can lie in it."""
@@ -595,15 +688,24 @@ class TestWindowSkip:
             s = straight(800.0, 0.0, 1.0, speed)
             return (s, c) if swap else (c, s)
 
-        # A flyer creeping at 1e-300 m/s keeps the window walk; it moves
-        # less than a femtometre by the horizon, so the answer is the same.
-        walk, walked = solve_recording_windows(monkeypatch, *pair(1e-300), 1200.0, DEFAULT_HORIZON)
-        assert len(walked) > 100
-        result, windows = solve_recording_windows(monkeypatch, *pair(0.0), 1200.0, DEFAULT_HORIZON)
-        assert windows == []
-        assert result == walk == llt.LltResult(DEFAULT_HORIZON, "B", None, None, True)
-        # Without the shortcut this horizon would walk ~10^8 windows.
+        # The straight flyer stays within r - R = 1000 m of the centre until
+        # t1: never when parked, after ~3e302 s when creeping at 1e-300 m/s.
+        capped = llt.LltResult(DEFAULT_HORIZON, "B", None, None, True)
+        for speed in (0.0, 1e-300):
+            result, windows = solve_recording_windows(monkeypatch, *pair(speed), 1200.0,
+                                                      DEFAULT_HORIZON)
+            assert windows == []
+            assert result == capped
+        # Without the bracket this horizon would walk ~10^8 windows.
         assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
+        # At 2 m/s, t1 falls mid-horizon: the walk starts there.
+        s = straight(800.0, 0.0, 1.0, 2.0)
+        t1 = llt._case_b_bracket(c, s, 1200.0)
+        assert 100.0 < t1 < 200.0
+        result, windows = solve_recording_windows(monkeypatch, *pair(2.0), 1200.0, SWEEP_HORIZON)
+        assert windows[0][0] == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
+        assert not result.horizon_capped and result.llt > t1
+        assert_matches_oracle(result, *pair(2.0), 1200.0, SWEEP_HORIZON)
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_start_on_the_range_circle(self, monkeypatch, case):
@@ -642,6 +744,13 @@ class TestBernsteinExclusion:
             _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
             n_excluded += count(windows, "excluded")
             n_searched += count(windows, "searched")
+            if case == "B":
+                # The windows a walk from 0 sizes before the bracket, where
+                # compute_llt's walk begins, are excluded too.
+                for model, window, form in bracket_skipped_windows(traj_a, traj_b, tx,
+                                                                   SWEEP_HORIZON):
+                    assert_no_break(model, window, form, tx)
+                    n_excluded += 1
         assert n_excluded >= n_searched
 
     @staticmethod

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory
-from uavllt.llt import LinkNotUp
+from uavllt.llt import LinkNotUp, compute_llt
 from uavllt.netsim import LinkGraph
 from uavllt.oracle import TooLarge, brute_force_llt, enumerate_best_route
 from uavllt.validate import sample_instance
@@ -26,6 +26,16 @@ class TestBruteForceLlt:
         b = CurveTrajectory(0, 0, 150, 15.0, Direction.CLOCKWISE, 0.0, 110)
         closed = math.acos((100**2 + 150**2 - 120**2) / (2 * 100 * 150)) / 0.2
         assert brute_force_llt(a, b, 120.0) == pytest.approx(closed, abs=1e-6)
+
+    def test_break_past_the_horizon_in_the_last_grid_step(self):
+        # The grid ends at ceil(horizon/dt)*dt = 1.001 s, past the horizon,
+        # and brackets the break at 1.0007 s: no break by the horizon.
+        a = StraightTrajectory(0, 0, 0, 10, 150)
+        b = StraightTrajectory(0, 0, 0, 0, 160)
+        assert brute_force_llt(a, b, 10.007, dt=1e-3, horizon=1.0008) == pytest.approx(
+            1.0007, abs=1e-6)
+        assert math.isinf(brute_force_llt(a, b, 10.007, dt=1e-3, horizon=1.0005))
+        assert compute_llt(a, b, 10.007, 1.0005).horizon_capped
 
     def test_link_not_up(self):
         a = StraightTrajectory(0, 0, 0, 10, 0)
