@@ -2,7 +2,7 @@
 
 Configs live in flat ``key=value`` text files (one pair per line, ``#``
 comments allowed) so they stay trivial to parse and diff. Keys match the
-:class:`ScenarioConfig` field names exactly.
+:class:`ScenarioConfig` field names exactly, and each may appear once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.uav_count < 2:
             raise ConfigError(f"uav_count must be >= 2, got {self.uav_count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # An infinite duration never ends a run, and NaN slips past the
         # "<= 0" checks below: a NaN range or Hello interval yields no links.
         for f in fields(self):
@@ -67,12 +69,13 @@ class ScenarioConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-_INT_FIELDS = {"uav_count", "seed"}
+_INT_FIELDS = {name for name, kind in _FIELD_TYPES.items() if kind == "int"}
 
 
 def load_config(path) -> ScenarioConfig:
     """Parse a flat key=value scenario file."""
     values = {}
+    first_line = {}  # key -> the line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -85,6 +88,10 @@ def load_config(path) -> ScenarioConfig:
             text = text.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeated, "
+                                  f"first set on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 values[key] = int(text) if key in _INT_FIELDS else float(text)
             except ValueError as exc:

@@ -32,15 +32,14 @@ parked: a kinetic certificate (Basch, Guibas & Hershberger 1999). The
 allowance, 64 eps times the size of the coordinates, their travel and the
 range, covers the rounding of the coordinates and of
 :func:`math.hypot`, so the bound holds for the separations the scans
-compute. Each live link carries one for the check: a block evaluates only
-the links whose certificate falls at or before its last tick, and a block
-with none makes no geometry call. Link certificates are set from a block's
-last tick, expire when the link comes up and are dropped at termination.
-Each UAV pair carries one for the Hello, its contact certificate, with the
-pair's in-range flag: a Hello reuses the flag of every pair whose
-certificate holds at its instant, and computes and certifies the
-separations of the others, taking its own UAV's coordinates once and only
-if some pair needs them. Both kinds expire when either UAV changes
+compute. Each UAV pair carries one, its contact certificate, with the
+pair's in-range flag, and both scans read and renew it. A Hello reuses the
+flag of every pair whose certificate holds at its instant, and computes and
+certifies the separations of the others, taking its own UAV's coordinates
+once and only if some pair needs them. A check block evaluates only the
+links whose certificate is missing, out of range or runs out by its last
+tick, and certifies each unbroken one from that tick; a block with none
+makes no geometry call. Certificates expire when either UAV changes
 trajectory (a scripted change may even teleport a UAV). A skipped link or
 pair could not have crossed the range at any instant it was skipped, so
 every output stays bit-identical.
@@ -282,15 +281,13 @@ class Simulator:
         self.events: list = []
         self.snapshots: list = []
         self.live: dict = {}
-        # pair -> earliest instant its separation could exceed tx_range, in live order
-        self._due: dict = {}
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
         # uid -> (speed, size) of its current trajectory, for certificates
         self._motion = {uid: _speed_and_size(self.states[uid].trajectory, duration)
                         for uid in self.order}
         # uid -> {other uid -> (instant the pair's in-range flag could first
-        # change, in range at Hellos)}, held under both uids
+        # change, in range)}, held under both uids; the Hello and the check share it
         self._contact = {uid: {} for uid in self.order}
         self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
@@ -352,7 +349,6 @@ class Simulator:
         link = LinkRecord(endpoints=pair, established_at=t)
         recompute_llt(link, self.states, t, self.tx_range, self.horizon)
         self.live[pair] = link
-        self._due[pair] = -math.inf
         self.records.append(link)
         self._log_estimate(t, "link_up", pair, link.current_result)
 
@@ -393,7 +389,6 @@ class Simulator:
                 # look; terminate instead of re-estimating.
                 self._terminate(pair, max(self._last_check, link.established_at), t)
                 continue
-            self._due[pair] = -math.inf
             recompute_llt(link, self.states, t, self.tx_range, self.horizon)
             self._log_estimate(t, "llt_recompute", pair, link.current_result)
         if math.isfinite(new_state.next_change_at) and new_state.next_change_at <= self.duration:
@@ -409,10 +404,13 @@ class Simulator:
         while nxt <= self.duration and (nxt, _PRIORITY_CHECK) < top and len(ticks) < _CHECK_BLOCK:
             ticks.append(nxt)
             nxt += self.dt_check
-        # Only links whose certificate has run out by the last tick can have
-        # left range on a tick of this block.
+        # A link can have left range on a tick of this block only if its
+        # pair's contact certificate is missing, out of range or runs out by
+        # the last tick.
         last = ticks[-1]
-        pairs = [pair for pair, due in self._due.items() if due <= last]
+        contact = self._contact
+        pairs = [(a, b) for a, b in self.live
+                 if (cert := contact[a].get(b)) is None or cert[0] <= last or not cert[1]]
         r = self.tx_range
         tracks = {}  # uid -> its coordinates at every tick of the block
         broken = []  # (tick index, live index, pair) of each link's first tick out of range
@@ -427,7 +425,8 @@ class Simulator:
                     broken.append((k, j, pair))
                     break
             else:
-                self._due[pair] = self._contact_until(*pair, last, distance)
+                a, b = pair
+                contact[a][b] = contact[b][a] = (self._contact_until(a, b, last, distance), True)
         # Terminate in tick order, then in live order, as tick-by-tick checks would.
         broken.sort()
         for k, _, pair in broken:
@@ -471,7 +470,6 @@ class Simulator:
 
     def _terminate(self, pair, lo: float, hi: float) -> None:
         link = self.live.pop(pair)
-        del self._due[pair]
         a, b = pair
 
         def out_of_range(tau: float) -> bool:

@@ -217,6 +217,20 @@ class TestSimulateCommand:
         code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        # A repeated key used to let the last line win silently.
+        ("seed = 1\nuav_count = 3\nseed = 7\n",
+         "bad.cfg:3: key 'seed' repeated, first set on line 1"),
+        # A negative seed used to reach numpy and die with a traceback, exit 1.
+        ("seed = -3\n", "seed must be >= 0, got -3"),
+    ], ids=["repeated_key", "negative_seed"])
+    def test_config_file_error_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRouteCommand:
     TRIANGLE = "t_s,node_a,node_b,llt_s\n0.0,s,t,5.0\n0.0,s,a,10.0\n0.0,a,t,8.0\n"

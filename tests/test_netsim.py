@@ -389,21 +389,26 @@ class TestCheckBlockScan:
         (down,) = link_downs(reference)
         assert down["t"] == pytest.approx(4.5 + 24.5 / 40.0, abs=1e-5)
 
-    @pytest.mark.parametrize("b, schedule, up_at", [
+    @pytest.mark.parametrize("b, schedule, settings, up_at", [
         # Far and parked beside a parked "a": out of range for good, until
         # the 3 s change teleports it 5 m from "a". Both Hellos after it
         # must hear each other.
         (make_state("b", StraightTrajectory(5000.0, 0.0, 0.0, 0.0, 100.0), 3.0),
-         {"b": [(3.0, jump_back)]}, 3.5),
+         {"b": [(3.0, jump_back)]}, {}, 3.5),
         # Flying west at 10 m/s, "b" is exactly 100 m from "a" at a's 1 s
         # Hello, which counts as in range, so b's 1.5 s Hello brings the
         # link up.
-        (flying("b", 110.0, math.pi, 10.0), {}, 1.5),
-    ], ids=["teleport", "on_the_circle"])
-    def test_contact_certificates_match_reference(self, b, schedule, up_at):
+        (flying("b", 110.0, math.pi, 10.0), {}, {}, 1.5),
+        # The link breaks at 2.95 s, between ticks of 1/8 s. a's 3 s Hello
+        # certifies the pair out of range before the 3 s tick is scanned,
+        # and that tick must still evaluate the link: an unexpired
+        # certificate skips a link only while it holds in range.
+        (flying("b", 0.0, 0.0, 10.0), {}, dict(tx_range=29.5, dt_check=0.125), 0.5),
+    ], ids=["teleport", "on_the_circle", "hello_sees_the_break_first"])
+    def test_contact_certificates_match_reference(self, b, schedule, settings, up_at):
         reference = assert_matches_reference(
-            lambda cls: cls([parked("a"), b], ScriptedChanges(schedule), tx_range=100.0,
-                            duration=6.0))
+            lambda cls: cls([parked("a"), b], ScriptedChanges(schedule),
+                            **{"tx_range": 100.0, "duration": 6.0, **settings}))
         (up,) = [e for e in reference.events if e["event"] == "link_up"]
         assert up["t"] == up_at
 
@@ -462,10 +467,10 @@ class TestCheckBlockScan:
         assert ups == {True, False}
 
     def test_parked_pair_needs_no_geometry(self, monkeypatch):
-        # An in-range parked pair is certified for good at its first check,
-        # so over 60 s (6,000 ticks) the check evaluates positions in only a
-        # few blocks. Its contact certificate is set at the first Hello and
-        # never expires, so the 121 Hellos take one point per UAV in all.
+        # An in-range parked pair's contact certificate is set for good at
+        # the first Hello, before the link comes up, so the 121 Hellos take
+        # one point per UAV in all and over 60 s (6,000 ticks) the check
+        # never evaluates a position.
         sim = Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}),
                         tx_range=100.0, duration=60.0)
         calls = 0
@@ -492,7 +497,7 @@ class TestCheckBlockScan:
         kinds = [e["event"] for e in result.events]
         assert kinds.count("link_up") == 1
         assert ("a", "b") in result.snapshots[-1].edges
-        assert 1 <= blocks <= 3
+        assert blocks == 0
         assert calls - check_calls == 2
 
     @pytest.mark.parametrize("ids, xs, error, match", [
