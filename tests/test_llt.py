@@ -30,7 +30,7 @@ from uavllt.llt import (
     squared_link_distance,
     trust_window,
 )
-from uavllt.oracle import brute_force_llt
+from uavllt.oracle import BISECTION_TOL, brute_force_llt
 from uavllt.validate import (
     SPEED_RANGE,
     SWEEP_DT,
@@ -909,25 +909,57 @@ class TestEqualOrbitalRates:
         assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
 
 
-@pytest.mark.parametrize("offset", [-2.0 * SWEEP_DT, -1e-9, 1e-9, 2.0 * SWEEP_DT])
-def test_case_c_break_at_the_horizon_edge(offset):
+HORIZON_EDGE_OFFSETS = [-2.0 * SWEEP_DT, -1e-9, 1e-9, 2.0 * SWEEP_DT]
+
+
+def crossing_near(traj_a, traj_b, tx, t_near, half_width):
+    """The instant the pair's separation, from positions alone, crosses the
+    range within ``half_width`` of ``t_near``."""
+    return brentq(lambda t: math.sqrt(direct_squared_separation(traj_a, traj_b, t)) - tx,
+                  t_near - half_width, t_near + half_width, xtol=1e-13)
+
+
+def assert_break_at_the_horizon_edge(case, traj_a, traj_b, tx, t_break, offset):
     # A break within 2*dt of the horizon, on either side of it: the solver
     # caps exactly at the horizon, and the sweep's verdict rule holds.
-    a = straight(0.0, 0.0, 0.3, 25.0)
-    b = straight(40.0, -30.0, 2.0, 35.0)
-    tx = 1500.0
-    t_break = brentq(lambda t: math.sqrt(direct_squared_separation(a, b, t)) - tx,
-                     0.0, 100.0, xtol=1e-13)
     horizon = t_break + offset
-    result = compute_llt(a, b, tx, horizon)
+    result = compute_llt(traj_a, traj_b, tx, horizon)
     if offset > 0.0:
         assert not result.horizon_capped
         assert result.llt == pytest.approx(t_break, abs=1e-10)
     else:
         assert result.horizon_capped and result.llt == horizon
-    oracle = brute_force_llt(a, b, tx, dt=SWEEP_DT, horizon=horizon)
-    report = SweepReport("C", 1, 0, SWEEP_DT, horizon, [InstanceOutcome(0, tx, result, oracle)])
+    oracle = brute_force_llt(traj_a, traj_b, tx, dt=SWEEP_DT, horizon=horizon)
+    report = SweepReport(case, 1, 0, SWEEP_DT, horizon,
+                         [InstanceOutcome(0, tx, result, oracle)])
     assert report.passed(), report.table_row()
+
+
+@pytest.mark.parametrize("offset", HORIZON_EDGE_OFFSETS)
+def test_case_c_break_at_the_horizon_edge(offset):
+    a = straight(0.0, 0.0, 0.3, 25.0)
+    b = straight(40.0, -30.0, 2.0, 35.0)
+    tx = 1500.0
+    t_break = crossing_near(a, b, tx, 50.0, 50.0)
+    assert_break_at_the_horizon_edge("C", a, b, tx, t_break, offset)
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_break_at_the_horizon_edge(case):
+    # Seeded pairs that break before the sweep horizon, each break found on
+    # the oracle's grid and refined from positions alone: a horizon just
+    # before or after it exercises the walk's exits in its last window.
+    rng = np.random.default_rng([113, ord(case)])
+    probed = 0
+    while probed < 20:
+        traj_a, traj_b, tx = sample_instance(case, rng)
+        t_grid = brute_force_llt(traj_a, traj_b, tx, dt=SWEEP_DT, horizon=SWEEP_HORIZON)
+        if not math.isfinite(t_grid):
+            continue
+        t_break = crossing_near(traj_a, traj_b, tx, t_grid, BISECTION_TOL)
+        for offset in HORIZON_EDGE_OFFSETS:
+            assert_break_at_the_horizon_edge(case, traj_a, traj_b, tx, t_break, offset)
+        probed += 1
 
 
 # Metamorphic relations of the solver: transformations of a pair that leave

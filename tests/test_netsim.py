@@ -329,6 +329,28 @@ class TestCheckBlockScan:
         speeds = [float(row[-1]) for row in result.trace_rows if row[1] == "b"]
         assert speeds == [10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 0.0]
 
+    def test_change_after_an_unseen_break_terminates_instead_of_re_estimating(self):
+        # "b" leaves range at 2.95 s, between the 2.875 s and 3 s ticks, and
+        # turns back where it is at 2.97 s. The change finds the link already
+        # out of range: it ends it, bisected since the last tick, with no
+        # re-estimate, and a's 3 s Hello brings it back up.
+        def turn_back(state, now):
+            traj = state.trajectory
+            pos = position_at(traj, now - traj.epoch)
+            return StraightTrajectory(pos.x, pos.y, traj.heading + math.pi, traj.speed, 100.0,
+                                      epoch=now)
+
+        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=2.97)
+        sim = Simulator([parked("a"), b], ScriptedChanges({"b": [(2.97, turn_back)]}),
+                        tx_range=29.5, duration=6.0, dt_check=0.125)
+        result = sim.run()
+        (down,) = link_downs(result)
+        assert 2.875 < down["t"] < 2.97
+        assert down["t"] == pytest.approx(2.95, abs=1e-6)
+        assert not [e for e in result.events if e["event"] == "llt_recompute"]
+        ups = [e["t"] for e in result.events if e["event"] == "link_up"]
+        assert ups == [0.5, 3.0]
+
     def test_break_on_the_last_tick_before_duration(self):
         duration = 20.0
         ticks = [0.01]
