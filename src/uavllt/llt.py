@@ -24,7 +24,9 @@ quarter period of the fastest sinusoid and is halved until a remainder bound
 guarantees the requested relative accuracy against a certified lower bound
 on the separation, and the search re-anchors at the window edge until a
 break is found or the horizon is reached. The windows tile the
-horizon, so each one is searched on ``[0, W]`` only.
+horizon, so each one is searched on ``[0, W]`` only. :func:`walk` is that
+search: it yields each window it searches as a :class:`Window`, then the
+result, which :func:`compute_llt` returns.
 
 Both the sizing and the search rest on one Bernstein form of the window's
 expansion. Substituting ``t = W * u`` and changing to the Bernstein basis of
@@ -65,7 +67,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -587,7 +591,7 @@ def compute_llt(
     tx_range: float,
     horizon: float = DEFAULT_HORIZON,
 ) -> LltResult:
-    """Predicted remaining link lifetime of a UAV pair.
+    """Predicted remaining link lifetime of a UAV pair: the last item of :func:`walk`.
 
     Re-anchors both trajectories at the later epoch, so ``llt`` counts
     seconds from that instant. Requires the link to be up (planar
@@ -607,6 +611,36 @@ def compute_llt(
     exact separation); if no break is found by ``horizon`` the result is marked
     ``horizon_capped``.
     """
+    return deque(walk(traj_a, traj_b, tx_range, horizon), maxlen=1).pop()
+
+
+class Window(NamedTuple):
+    """One trust window that :func:`walk` searched.
+
+    It starts ``t_base`` seconds after the pair's epoch, and ``model`` is the
+    separation re-anchored there. ``width``, ``bernstein`` and ``margin`` are
+    what :func:`trust_window` returned for it. ``pieces`` are what
+    :func:`find_real_roots` kept of it, none when the window is excluded
+    whole, and ``pick`` is :func:`select_root`'s break in it, or None.
+    """
+
+    t_base: float
+    model: SquaredDistance
+    width: float
+    bernstein: list
+    margin: float
+    pieces: list
+    pick: float | None
+
+
+def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float):
+    """:func:`compute_llt` step by step: a :class:`Window` for each trust
+    window it searches, in order, then its :class:`LltResult`.
+
+    Raises as :func:`compute_llt` does, once iterated. A case-C pair, a pair
+    answered before any window is sized and a separation identically on the
+    range circle yield the result alone.
+    """
     for name, value in (("transmission range", tx_range), ("horizon", horizon)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -625,7 +659,8 @@ def compute_llt(
         )
 
     if case == "C":
-        return _solve_case_c(model, tx_range, horizon)
+        yield _solve_case_c(model, tx_range, horizon)
+        return
 
     t_base = 0.0
     if case == "A":
@@ -635,17 +670,20 @@ def compute_llt(
         if abs(omega_a - omega_b) <= 1e-12 * max_abs:
             # Locked relative phase: the separation envelope never grows.
             if _equal_rate_peak(traj_a, traj_b) <= r2 * (1.0 - 1e-9):
-                return _unbounded(case, horizon)
+                yield _unbounded(case, horizon)
+                return
         # Unreachable range: the separation can never exceed |gap| + R1 + R2.
         geom_gap = math.hypot(traj_a.center_x - traj_b.center_x,
                               traj_a.center_y - traj_b.center_y)
         if geom_gap + traj_a.radius + traj_b.radius <= tx_range * (1.0 - 1e-12):
-            return _unbounded(case, horizon)
+            yield _unbounded(case, horizon)
+            return
     else:
         # Case B: the canonical order puts the curve first.
         t_base = _case_b_bracket(traj_a, traj_b, tx_range)
         if not t_base < horizon:
-            return _unbounded(case, horizon)
+            yield _unbounded(case, horizon)
+            return
         if t_base > 0.0:
             traj_a = re_anchor(traj_a, traj_a.epoch + t_base)
             traj_b = re_anchor(traj_b, traj_b.epoch + t_base)
@@ -658,15 +696,18 @@ def compute_llt(
             break  # separation identically equal to the range: never exceeds
         pieces = find_real_roots(shifted, margin + _ROUNDING * r2, window)
         pick = select_root(pieces, model, tx_range)
+        yield Window(t_base, model, window, bernstein, margin, pieces, pick)
         if pick is not None:
             total = t_base + pick
             if total > horizon:
-                return _unbounded(case, horizon)
-            return _bounded(case, total, model, pick, tx_range)
+                yield _unbounded(case, horizon)
+            else:
+                yield _bounded(case, total, model, pick, tx_range)
+            return
         t_base += window
         if t_base >= horizon * (1.0 - 1e-12):
             break
         traj_a = re_anchor(traj_a, traj_a.epoch + window)
         traj_b = re_anchor(traj_b, traj_b.epoch + window)
         model = squared_link_distance(traj_a, traj_b)
-    return _unbounded(case, horizon)
+    yield _unbounded(case, horizon)

@@ -468,56 +468,34 @@ class TestComputeLlt:
         assert result.llt * 50.0 > 80.0
 
 
-def solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon):
-    """compute_llt's result and its windows as (model, W, status, form)
-    tuples, status being "excluded" (find_real_roots left no piece) or
-    "searched", and form the (Bernstein coefficients, margin) that
-    trust_window returned with W."""
-    windows, excluded = [], {}
-    real_window = llt.trust_window
-    real_find_real_roots = llt.find_real_roots
-
-    def window_of(model, *args, **kwargs):
-        sized = real_window(model, *args, **kwargs)
-        windows.append((model, sized))
-        return sized
-
-    def find_roots(*args):
-        pieces = real_find_real_roots(*args)
-        excluded[len(windows) - 1] = not pieces
-        return pieces
-
-    with monkeypatch.context() as m:
-        m.setattr(llt, "trust_window", window_of)
-        m.setattr(llt, "find_real_roots", find_roots)
-        result = compute_llt(traj_a, traj_b, tx, horizon)
-    return result, [(model, window, "excluded" if excluded.get(i) else "searched", form)
-                    for i, (model, (window, *form)) in enumerate(windows)]
+def assert_in_range(model, width, tx):
+    """The window stays in range all over [0, W]: on a 1 ms grid and at W."""
+    r2 = tx * tx
+    ts = np.append(np.arange(0.0, width, 1e-3), width)
+    assert np.max(sample(model, ts)) < r2
+    assert model(width) <= r2
 
 
-def assert_no_break(model, window, form, tx):
+def assert_no_break(model, width, form, tx):
     """The window stays in range all over [0, W], and the subdivision of
     the form trust_window returned with W, and root selection, would have
     found no break in it either."""
+    assert_in_range(model, width, tx)
     r2 = tx * tx
-    ts = np.append(np.arange(0.0, window, 1e-3), window)
-    assert np.max(sample(model, ts)) < r2
     bernstein, margin = form
-    shifted = [b - r2 for b in bernstein]
-    pieces = find_real_roots(shifted, margin + llt._ROUNDING * r2, window)
+    pieces = find_real_roots([b - r2 for b in bernstein], margin + llt._ROUNDING * r2, width)
     assert select_root(pieces, model, tx) is None
-    assert model(window) <= r2
 
 
 def assert_skips_sound(windows, tx):
-    """Every excluded window holds no break."""
-    for model, window, status, form in windows:
-        if status == "excluded":
-            assert_no_break(model, window, form, tx)
+    """Every window of a walk that find_real_roots excluded whole holds no break."""
+    for w in windows:
+        if not w.pieces:
+            assert_in_range(w.model, w.width, tx)
 
 
-def count(windows, status):
-    return sum(st == status for _, _, st, _ in windows)
+def count_excluded(windows):
+    return sum(not w.pieces for w in windows)
 
 
 def assert_matches_oracle(result, traj_a, traj_b, tx, horizon):
@@ -549,6 +527,25 @@ def bracket_skipped_windows(traj_a, traj_b, tx, horizon):
         c = re_anchor(c, c.epoch + window)
         s = re_anchor(s, s.epoch + window)
     return skipped
+
+
+class TestWalk:
+    @pytest.mark.parametrize("case", ["A", "B", "C"])
+    def test_windows_tile_up_to_the_result(self, case):
+        # compute_llt answers the walk's last item. The windows meet end to
+        # end, only the last can hold a break, and a bounded result is that
+        # break; a case-C pair is solved in closed form, with no window.
+        rng = np.random.default_rng([109, ord(case)])
+        for _ in range(20):
+            traj_a, traj_b, tx = sample_instance(case, rng)
+            *windows, result = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            assert compute_llt(traj_a, traj_b, tx, SWEEP_HORIZON) == result
+            assert case != "C" or windows == []
+            for w, following in zip(windows, windows[1:]):
+                assert w.pick is None
+                assert following.t_base == w.t_base + w.width
+            if not result.horizon_capped and windows:
+                assert result.llt == windows[-1].t_base + windows[-1].pick
 
 
 class TestCaseBBracket:
@@ -587,35 +584,35 @@ class TestCaseBBracket:
         assert not result.horizon_capped
         assert result.llt == pytest.approx(float(t_break), abs=1e-9)
 
-    def test_radius_beyond_the_range_walks_from_zero(self, monkeypatch):
+    def test_radius_beyond_the_range_walks_from_zero(self):
         c = curve(0.0, 0.0, 300.0, 40.0, CCW, 0.0)  # at (300, 0)
         s = straight(350.0, 0.0, 2.0, 30.0)
         tx = 250.0
         assert llt._case_b_bracket(c, s, tx) == 0.0
-        result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
-        assert windows[0][0] == squared_link_distance(c, s)
+        *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
+        assert windows[0].model == squared_link_distance(c, s)
         assert_skips_sound(windows, tx)
         assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
 
-    def test_bracket_past_the_horizon_sizes_no_window(self, monkeypatch):
+    def test_bracket_past_the_horizon_sizes_no_window(self):
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
         s = straight(100.0, 0.0, 1.0, 1.0)  # 1 m/s, 100 m from the centre
         tx = 1200.0
         assert SWEEP_HORIZON <= llt._case_b_bracket(c, s, tx) < math.inf
-        result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
+        *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows == []
         assert result == llt.LltResult(SWEEP_HORIZON, "B", None, None, True)
         assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
 
-    def test_windows_per_call(self, monkeypatch):
+    def test_windows_per_call(self):
         # A standing guard on the bracket's saving: a walk from 0 sizes 6.06
         # windows per call on these pairs, the bracket 1.80.
         rng = np.random.default_rng([7, ord("B")])
         n_windows = 0
         for _ in range(300):
             traj_a, traj_b, tx = sample_instance("B", rng)
-            n_windows += len(solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
-                                                     SWEEP_HORIZON)[1])
+            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            n_windows += len(windows)
         assert n_windows / 300 <= 1.9
 
 
@@ -624,17 +621,17 @@ class TestWindowSkip:
     Bernstein test drops it whole, and only when no break can lie in it."""
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_skipped_windows_hold_no_break(self, monkeypatch, case):
+    def test_skipped_windows_hold_no_break(self, case):
         rng = np.random.default_rng([61, ord(case)])
         n_skipped = 0
         for _ in range(25):
             traj_a, traj_b, tx = sample_instance(case, rng)
-            _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
+            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
-            n_skipped += count(windows, "excluded")
+            n_skipped += count_excluded(windows)
         assert n_skipped >= 10
 
-    def test_break_just_past_a_skipped_window(self, monkeypatch):
+    def test_break_just_past_a_skipped_window(self):
         # Nearly co-located UAVs flying apart at full speed: the separation
         # grows as fast as it can, and the first window is tiny because the
         # separation starts near zero. The range is set so the break falls
@@ -645,15 +642,15 @@ class TestWindowSkip:
         t_break = 1.01 * trust_window(model, cap=SWEEP_HORIZON)[0]
         assert np.all(np.diff(sample(model, np.linspace(0.0, t_break, 10_001))) > 0.0)
         tx = math.sqrt(model(t_break))
-        result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
-        assert windows[0][2] == "excluded", "the first window was not skipped"
+        *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
+        assert not windows[0].pieces, "the first window was not skipped"
         assert_skips_sound(windows, tx)
         assert not result.horizon_capped
         assert result.llt == pytest.approx(t_break, abs=1e-9)
         assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
 
     @pytest.mark.parametrize("kind", ["A", "B"])
-    def test_head_on_at_maximum_speed(self, monkeypatch, kind):
+    def test_head_on_at_maximum_speed(self, kind):
         v = SPEED_RANGE[1]
         a = curve(0.0, -300.0, 300.0, v, CW, math.pi / 2)  # at (0, 0), heading +x
         if kind == "A":
@@ -662,18 +659,18 @@ class TestWindowSkip:
             b = straight(900.0, 0.0, math.pi, v)
         n_skipped = 0
         for tx in (950.0, 1400.0, 2500.0):
-            result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
+            *windows, result = llt.walk(a, b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
-            n_skipped += count(windows, "excluded")
+            n_skipped += count_excluded(windows)
         assert n_skipped >= 5
 
-    def test_straight_flyer_at_zero_speed(self, monkeypatch):
+    def test_straight_flyer_at_zero_speed(self):
         # Only the circling UAV moves: the separation stays in [600, 1000].
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
         s = straight(800.0, 0.0, 1.0, 0.0)
         for tx in (700.0, 950.0, 1000.0 * (1.0 + 1e-9), 1200.0):
-            result, windows = solve_recording_windows(monkeypatch, c, s, tx, SWEEP_HORIZON)
+            *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
             # An out-of-reach range is answered before any window is sized.
@@ -681,7 +678,7 @@ class TestWindowSkip:
         assert result.horizon_capped
 
     @pytest.mark.parametrize("swap", [False, True])
-    def test_parked_flyer_out_of_reach_visits_no_window(self, monkeypatch, swap):
+    def test_parked_flyer_out_of_reach_visits_no_window(self, swap):
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
 
         def pair(speed):
@@ -692,8 +689,7 @@ class TestWindowSkip:
         # t1: never when parked, after ~3e302 s when creeping at 1e-300 m/s.
         capped = llt.LltResult(DEFAULT_HORIZON, "B", None, None, True)
         for speed in (0.0, 1e-300):
-            result, windows = solve_recording_windows(monkeypatch, *pair(speed), 1200.0,
-                                                      DEFAULT_HORIZON)
+            *windows, result = llt.walk(*pair(speed), 1200.0, DEFAULT_HORIZON)
             assert windows == []
             assert result == capped
         # Without the bracket this horizon would walk ~10^8 windows.
@@ -702,19 +698,18 @@ class TestWindowSkip:
         s = straight(800.0, 0.0, 1.0, 2.0)
         t1 = llt._case_b_bracket(c, s, 1200.0)
         assert 100.0 < t1 < 200.0
-        result, windows = solve_recording_windows(monkeypatch, *pair(2.0), 1200.0, SWEEP_HORIZON)
-        assert windows[0][0] == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
+        *windows, result = llt.walk(*pair(2.0), 1200.0, SWEEP_HORIZON)
+        assert windows[0].model == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
         assert not result.horizon_capped and result.llt > t1
         assert_matches_oracle(result, *pair(2.0), 1200.0, SWEEP_HORIZON)
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_start_on_the_range_circle(self, monkeypatch, case):
+    def test_start_on_the_range_circle(self, case):
         rng = np.random.default_rng([67, ord(case)])
         for _ in range(10):
             traj_a, traj_b, _ = sample_instance(case, rng)
             tx = initial_separation(traj_a, traj_b) * (1.0 + 1e-9)
-            result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
-                                                      SWEEP_HORIZON)
+            *windows, result = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
 
@@ -725,25 +720,25 @@ class TestBernsteinExclusion:
     the range."""
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_excluded_windows_hold_no_break(self, monkeypatch, case):
+    def test_excluded_windows_hold_no_break(self, case):
         rng = np.random.default_rng([73, ord(case)])
         n_excluded = 0
         for _ in range(50):
             traj_a, traj_b, tx = sample_instance(case, rng)
-            _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
+            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
-            n_excluded += count(windows, "excluded")
+            n_excluded += count_excluded(windows)
         assert n_excluded >= 25
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_excludes_at_least_half_of_the_searched_windows(self, monkeypatch, case):
+    def test_excludes_at_least_half_of_the_searched_windows(self, case):
         rng = np.random.default_rng([79, ord(case)])
         n_excluded = n_searched = 0
         for _ in range(100):
             traj_a, traj_b, tx = sample_instance(case, rng)
-            _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, SWEEP_HORIZON)
-            n_excluded += count(windows, "excluded")
-            n_searched += count(windows, "searched")
+            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            n_excluded += count_excluded(windows)
+            n_searched += len(windows) - count_excluded(windows)
             if case == "B":
                 # The windows a walk from 0 sizes before the bracket, where
                 # compute_llt's walk begins, are excluded too.
@@ -768,7 +763,7 @@ class TestBernsteinExclusion:
                 yield traj_a, traj_b, model, window
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_range_between_expansion_and_separation(self, monkeypatch, case):
+    def test_range_between_expansion_and_separation(self, case):
         # The expansion falls short of the separation at W and the range
         # lies between them: only the remainder bound keeps the piece that
         # ends at W from being dropped.
@@ -778,16 +773,15 @@ class TestBernsteinExclusion:
             if expansion >= model(window):
                 continue
             tx = math.sqrt(0.5 * (expansion + model(window)))
-            result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
-                                                      SWEEP_HORIZON)
+            *windows, result = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
-            assert windows[0][2] == "searched"
+            assert windows[0].pieces
             assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
             probed += 1
         assert probed >= 10
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_range_within_rounding_of_the_separation(self, monkeypatch, case):
+    def test_range_within_rounding_of_the_separation(self, case):
         # A 1 ms horizon leaves one window whose remainder bound is far below
         # rounding, so only the rounding allowance keeps the bound honest as
         # the range steps ulp by ulp across the separation at W.
@@ -798,7 +792,7 @@ class TestBernsteinExclusion:
             for _ in range(16):
                 tx = math.nextafter(tx, 0.0)
             for _ in range(32):
-                _, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx, horizon)
+                *windows, _ = llt.walk(traj_a, traj_b, tx, horizon)
                 assert_skips_sound(windows, tx)
                 tx = math.nextafter(tx, math.inf)
             probed += 1
@@ -820,7 +814,7 @@ class TestBernsteinExclusion:
             compute_llt(a, b, 500.0, big)
 
     @pytest.mark.parametrize("case", ["A", "B"])
-    def test_break_at_the_window_edge(self, monkeypatch, case):
+    def test_break_at_the_window_edge(self, case):
         # The range is the separation at the first window's edge W, which
         # it reaches rising: the break is found at W, whichever of the two
         # windows that meet there brackets it, and also where the separation
@@ -828,9 +822,8 @@ class TestBernsteinExclusion:
         probed = 0
         for traj_a, traj_b, model, window in self.rising_first_windows(case, 101, SWEEP_HORIZON):
             tx = math.sqrt(model(window))
-            result, windows = solve_recording_windows(monkeypatch, traj_a, traj_b, tx,
-                                                      SWEEP_HORIZON)
-            assert windows[0][1] == window
+            *windows, result = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            assert windows[0].width == window
             assert_skips_sound(windows, tx)
             assert not result.horizon_capped
             assert result.llt == pytest.approx(window, abs=1e-9)
@@ -895,7 +888,7 @@ class TestEqualOrbitalRates:
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-3, 1.0 + 1e-10, 1.0 - 1e-6, 1.0 - 1e-3])
     @pytest.mark.parametrize("pair", range(len(PAIRS)))
-    def test_range_around_the_peak(self, monkeypatch, pair, scale):
+    def test_range_around_the_peak(self, pair, scale):
         a, b = self.PAIRS[pair]
         assert a.omega == b.omega
         peak = math.sqrt(llt._equal_rate_peak(a, b))
@@ -903,7 +896,7 @@ class TestEqualOrbitalRates:
         assert math.sqrt(direct_squared_separation(a, b, ts).max()) == pytest.approx(peak, rel=1e-9)
         tx = scale * peak
         assert initial_separation(a, b) < tx
-        result, windows = solve_recording_windows(monkeypatch, a, b, tx, SWEEP_HORIZON)
+        *windows, result = llt.walk(a, b, tx, SWEEP_HORIZON)
         assert_skips_sound(windows, tx)
         assert result.horizon_capped == (scale > 1.0)
         assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
