@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .mobility import Arena, SmoothTurnConfig
+from .mobility import Arena, SmoothTurnConfig, spawn_margin
 
 
 class ConfigError(ValueError):
@@ -52,8 +52,7 @@ class ScenarioConfig:
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         try:
-            self.arena()
-            self.smooth_turn()
+            spawn_margin(self.arena(), self.smooth_turn())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -296,13 +296,22 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
     return replace(state, trajectory=loiter, next_change_at=now + wait)
 
 
-def initial_state(uid, arena: Arena, rng: np.random.Generator,
-                  config: SmoothTurnConfig = DEFAULT_CONFIG, *, altitude: float) -> UavState:
-    """Spawn a UAV at a random interior pose at t = 0 and sample its first segment."""
+def spawn_margin(arena: Arena, config: SmoothTurnConfig) -> float:
+    """How far from the walls UAVs spawn: clear of the buffer strip and of
+    a minimum-radius circle. Raises :class:`ValueError` when the arena
+    leaves no room inside that margin."""
     margin = max(arena.buffer_width, 2.0 * config.radius_min)
     if (arena.x_max - arena.x_min <= 2.0 * margin
             or arena.y_max - arena.y_min <= 2.0 * margin):
-        raise ValueError("arena too small to spawn UAVs clear of the buffer")
+        raise ValueError(f"arena too small to spawn UAVs {margin:g} m clear of its walls, "
+                         "max(buffer_width, 2 * radius_min)")
+    return margin
+
+
+def initial_state(uid, arena: Arena, rng: np.random.Generator,
+                  config: SmoothTurnConfig = DEFAULT_CONFIG, *, altitude: float) -> UavState:
+    """Spawn a UAV at a random interior pose at t = 0 and sample its first segment."""
+    margin = spawn_margin(arena, config)
     x = float(rng.uniform(arena.x_min + margin, arena.x_max - margin))
     y = float(rng.uniform(arena.y_min + margin, arena.y_max - margin))
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -390,8 +399,12 @@ def generate_trace(count: int, arena: Arena, config: SmoothTurnConfig, duration:
     ``duration`` on its own, then the fleet is sampled every ``sample_dt``
     seconds from those histories by :func:`trace_rows`, the rule the
     network simulator's trace uses: a sample on a change instant reports
-    the segment that starts there.
+    the segment that starts there. ``duration`` and ``sample_dt`` must be
+    positive and finite; :class:`ValueError` otherwise.
     """
+    for name, value in (("duration", duration), ("sample_dt", sample_dt)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     fleet = SmoothTurnFleet(count, arena, config, seed)
     segments = []
     for i, state in enumerate(fleet.states):

@@ -223,7 +223,11 @@ class TestSimulateCommand:
          "bad.cfg:3: key 'seed' repeated, first set on line 1"),
         # A negative seed used to reach numpy and die with a traceback, exit 1.
         ("seed = -3\n", "seed must be >= 0, got -3"),
-    ], ids=["repeated_key", "negative_seed"])
+        # An arena too small for the spawn margin used to pass the config and
+        # then die with a traceback, exit 1, when the first UAV spawned.
+        ("x_max = 1000\ny_max = 1000\nbuffer_width = 100\nradius_min = 400\nradius_max = 450\n",
+         "arena too small to spawn UAVs 800 m clear of its walls"),
+    ], ids=["repeated_key", "negative_seed", "spawn_margin"])
     def test_config_file_error_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

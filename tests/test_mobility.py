@@ -199,3 +199,17 @@ class TestFleet:
         fleet = SmoothTurnFleet(8, ARENA, cfg, seed=6)
         for s in fleet.states:
             assert 25.0 <= s.trajectory.speed <= 55.0
+
+
+class TestGenerateTraceInputs:
+    # An infinite duration used to loop forever, a zero sample_dt to divide
+    # by zero, and a negative value of either to return an empty trace.
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, 0.0, -10.0])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            generate_trace(2, ARENA, SmoothTurnConfig(), duration, seed=1)
+
+    @pytest.mark.parametrize("sample_dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_sample_dt_rejected(self, sample_dt):
+        with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
+            generate_trace(2, ARENA, SmoothTurnConfig(), 60.0, seed=1, sample_dt=sample_dt)
