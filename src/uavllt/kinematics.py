@@ -4,8 +4,9 @@ A UAV moves either on a circular arc around a fixed center or along a
 straight ray, always at a fixed altitude. Both motions are parameterized
 so that the position at any time offset from the trajectory's anchor
 instant (its *epoch*) is available in closed form. :func:`planar_xy` is
-the one definition of that arithmetic, in plain floats: :func:`position_at`
-and the simulator's geometry both take their coordinates from it.
+the one definition of that arithmetic, in plain floats: :func:`position_at`,
+the simulator's geometry and a straight flyer's :func:`re_anchor` all take
+their coordinates from it.
 
 Angles are handled quadrant-aware throughout (two-argument arctangent),
 so vertical headings and points in any quadrant are unambiguous.
@@ -193,7 +194,6 @@ def re_anchor(traj: Trajectory, epoch: float) -> Trajectory:
         return CurveTrajectory(traj.center_x, traj.center_y, traj.radius, traj.speed,
                                traj.direction, wrap_angle(traj.initial_phase + traj.omega * dt),
                                traj.altitude, epoch)
-    return StraightTrajectory(traj.origin_x + traj.speed * dt * math.cos(traj.heading),
-                              traj.origin_y + traj.speed * dt * math.sin(traj.heading),
-                              traj.heading, traj.speed, traj.altitude, epoch)
+    x, y = planar_xy(traj, dt)
+    return StraightTrajectory(x, y, traj.heading, traj.speed, traj.altitude, epoch)
 
