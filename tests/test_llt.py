@@ -358,6 +358,16 @@ class TestComputeLlt:
         assert result.llt == pytest.approx(5.0, abs=1e-9)
         assert result.residual <= 1e-6
 
+    def test_case_c_identical_velocities_capped(self):
+        # Equal headings and speeds: the separation is constant, and the
+        # quadratic's q1 and q2 are both exactly 0.
+        a = straight(0.0, 0.0, 0.7, 30.0)
+        b = straight(40.0, -30.0, 0.7, 30.0)
+        model = squared_link_distance(a, b)
+        assert model.quadratic[1:] == (0.0, 0.0)
+        result = compute_llt(a, b, 60.0, horizon=500.0)
+        assert result == llt.LltResult(500.0, "C", None, None, True)
+
     def test_rigid_rotation_unbounded(self):
         a = curve(0, 0, 100, 20, CCW, 0.0)
         b = curve(0, 0, 100, 20, CCW, 1.0)

@@ -363,6 +363,27 @@ class TestCheckBlockScan:
         assert ticks[-2] < down["t"] <= ticks[-1]
         assert down["t"] == pytest.approx(crossing, abs=1e-5)
 
+    def test_nothing_past_the_end_of_the_run_is_handled(self):
+        # In a 1 s run, Hellos 2 s apart start at 0, 2/3 and 4/3 s, the first
+        # check is at 1.5 s and "c" is scheduled to change at 1 s and 1.5 s.
+        # The change exactly at the end is applied; the Hello at 4/3 s, the
+        # check, the change at 1.5 s and the sample at 2 s are not.
+        c = replace(parked("c", 20.0), next_change_at=1.0)
+        sim = Simulator([parked("a"), parked("b", 50.0), c],
+                        ScriptedChanges({"c": [(1.0, jump_back), (1.5, jump_back)]}),
+                        tx_range=100.0, duration=1.0, hello_interval=2.0, dt_check=1.5)
+        result = sim.run()
+        assert [(e["t"], e["event"], e.get("uav"), e.get("a"), e.get("b"))
+                for e in result.events] == [
+            (0.0, "hello", "a", None, None),
+            (2.0 / 3.0, "hello", "b", None, None),
+            (2.0 / 3.0, "link_up", None, "a", "b"),
+            (1.0, "traj_change", "c", None, None),
+        ]
+        assert [s.snapshot_time for s in result.snapshots] == [0.0]
+        assert [traj.epoch for traj in result.segments["c"]] == [0.0, 1.0]
+        assert sim.states["c"].next_change_at == 1.5
+
     @pytest.mark.parametrize("config", list(reference_runs()))
     def test_matches_tick_by_tick_reference(self, config):
         def build(cls):
