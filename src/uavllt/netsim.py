@@ -88,10 +88,9 @@ _CHECK_BLOCK = 256
 # coordinates, their travel and the range.
 _CERT_ROUNDING = 64.0 * sys.float_info.epsilon
 
-_PRIORITY_CHANGE = 0
-_PRIORITY_HELLO = 1
-_PRIORITY_CHECK = 2
-_PRIORITY_SAMPLE = 3
+# Event kinds: the order in which events at one instant are handled, and the
+# index of each kind's handler in Simulator.run.
+_CHANGE, _HELLO, _CHECK, _SAMPLE = range(4)
 
 
 @dataclass
@@ -297,9 +296,11 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _push(self, t: float, priority: int, kind: str, payload=None):
-        heappush(self._heap, (t, priority, self._seq, kind, payload))
-        self._seq += 1
+    def _push(self, t: float, kind: int, payload=None) -> None:
+        """Queue an event, unless it falls past the end of the run."""
+        if t <= self.duration:
+            heappush(self._heap, (t, kind, self._seq, payload))
+            self._seq += 1
 
     # -- geometry ----------------------------------------------------------
 
@@ -341,9 +342,7 @@ class Simulator:
             heard_at = self._heard.get((uid, vid))
             if pair not in self.live and heard_at is not None and t - heard_at <= fresh:
                 self._establish(pair, t)
-        nxt = t + self.hello_interval
-        if nxt <= self.duration:
-            self._push(nxt, _PRIORITY_HELLO, "hello", uid)
+        self._push(t + self.hello_interval, _HELLO, uid)
 
     def _establish(self, pair, t: float) -> None:
         link = LinkRecord(endpoints=pair, established_at=t)
@@ -391,17 +390,16 @@ class Simulator:
                 continue
             recompute_llt(link, self.states, t, self.tx_range, self.horizon)
             self._log_estimate(t, "llt_recompute", pair, link.current_result)
-        if math.isfinite(new_state.next_change_at) and new_state.next_change_at <= self.duration:
-            self._push(new_state.next_change_at, _PRIORITY_CHANGE, "change", uid)
+        self._push(new_state.next_change_at, _CHANGE, uid)
 
-    def _handle_check(self, t: float) -> None:
+    def _handle_check(self, t: float, _payload) -> None:
         # No trajectory changes and no link comes up before the next queued
         # event, so every check tick that would pop before it is scanned here
         # as one block, with the tick times the one-by-one chain would make.
         ticks = [t]
         nxt = t + self.dt_check
         top = self._heap[0][:2] if self._heap else (math.inf, 0)
-        while nxt <= self.duration and (nxt, _PRIORITY_CHECK) < top and len(ticks) < _CHECK_BLOCK:
+        while nxt <= self.duration and (nxt, _CHECK) < top and len(ticks) < _CHECK_BLOCK:
             ticks.append(nxt)
             nxt += self.dt_check
         # A link can have left range on a tick of this block only if its
@@ -433,8 +431,7 @@ class Simulator:
             lo = ticks[k - 1] if k else self._last_check
             self._terminate(pair, max(lo, self.live[pair].established_at), ticks[k])
         self._last_check = last
-        if nxt <= self.duration:
-            self._push(nxt, _PRIORITY_CHECK, "check", None)
+        self._push(nxt, _CHECK)
 
     def _contact_until(self, a, b, t: float, separation: float) -> float:
         """Instant before which the computed separation of UAVs ``a`` and
@@ -492,37 +489,26 @@ class Simulator:
             "prediction_abs_error": None if math.isinf(predicted) else abs(predicted - t_break),
         })
 
-    def _handle_sample(self, t: float) -> None:
+    def _handle_sample(self, t: float, _payload) -> None:
         edges = {pair: link.remaining_at(t) for pair, link in self.live.items()}
         self.snapshots.append(LinkGraph(t, frozenset(self.order), edges))
-        nxt = t + self.hello_interval
-        if nxt <= self.duration:
-            self._push(nxt, _PRIORITY_SAMPLE, "sample", None)
+        self._push(t + self.hello_interval, _SAMPLE)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
         n = len(self.order)
         for i, uid in enumerate(self.order):
-            self._push(self.hello_interval * i / n, _PRIORITY_HELLO, "hello", uid)
-            t_change = self.states[uid].next_change_at
-            if math.isfinite(t_change) and t_change <= self.duration:
-                self._push(t_change, _PRIORITY_CHANGE, "change", uid)
-        self._push(self.dt_check, _PRIORITY_CHECK, "check", None)
-        self._push(0.0, _PRIORITY_SAMPLE, "sample", None)
+            self._push(self.hello_interval * i / n, _HELLO, uid)
+            self._push(self.states[uid].next_change_at, _CHANGE, uid)
+        self._push(self.dt_check, _CHECK)
+        self._push(0.0, _SAMPLE)
 
+        handlers = (self._handle_change, self._handle_hello, self._handle_check,
+                    self._handle_sample)
         while self._heap:
-            t, _, _, kind, payload = heappop(self._heap)
-            if t > self.duration:
-                break
-            if kind == "change":
-                self._handle_change(t, payload)
-            elif kind == "hello":
-                self._handle_hello(t, payload)
-            elif kind == "check":
-                self._handle_check(t)
-            else:
-                self._handle_sample(t)
+            t, kind, _, payload = heappop(self._heap)
+            handlers[kind](t, payload)
         return SimulationResult(self.events, self.records, self.snapshots,
                                 self._segments, self.duration)
 

@@ -17,8 +17,8 @@ from uavllt.kinematics import (
 from uavllt.llt import LinkNotUp
 from uavllt.mobility import SmoothTurnFleet, UavState, tangent_trajectory
 from uavllt.netsim import (
-    _PRIORITY_CHECK,
-    _PRIORITY_HELLO,
+    _CHECK,
+    _HELLO,
     HANDSHAKE_FRESHNESS,
     LinkGraph,
     LinkRecord,
@@ -234,18 +234,15 @@ class TickByTickSimulator(Simulator):
             if (pair not in self.live and heard_at is not None
                     and t - heard_at <= HANDSHAKE_FRESHNESS * self.hello_interval):
                 self._establish(pair, t)
-        if t + self.hello_interval <= self.duration:
-            self._push(t + self.hello_interval, _PRIORITY_HELLO, "hello", uid)
+        self._push(t + self.hello_interval, _HELLO, uid)
 
-    def _handle_check(self, t):
+    def _handle_check(self, t, _payload):
         for pair in list(self.live):
             link = self.live[pair]
             if self._separation(pair[0], pair[1], t) > self.tx_range:
                 self._terminate(pair, max(self._last_check, link.established_at), t)
         self._last_check = t
-        nxt = t + self.dt_check
-        if nxt <= self.duration:
-            self._push(nxt, _PRIORITY_CHECK, "check", None)
+        self._push(t + self.dt_check, _CHECK)
 
 
 def assert_matches_reference(build):
@@ -528,10 +525,10 @@ class TestCheckBlockScan:
         blocks = check_calls = 0
         handle_check = sim._handle_check
 
-        def counting_handle_check(t):
+        def counting_handle_check(t, payload):
             nonlocal blocks, check_calls
             before = calls
-            handle_check(t)
+            handle_check(t, payload)
             blocks += calls > before
             check_calls += calls - before
 
