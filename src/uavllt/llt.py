@@ -52,15 +52,18 @@ it against the exact transcendental separation, so the reported break time
 does not inherit the expansion error. "No break here" therefore rests on
 the remainder bound too, and no sampled safety net is needed.
 
-A case-B walk starts later. The curve flyer stays on its circle, so by the
-triangle inequality the separation is at most ``rho(t) + R``, where
-``rho(t)`` is the straight flyer's distance from the turn centre and
-``rho^2`` is a quadratic in time. No break comes before ``rho`` first
-exceeds ``r - R``, at a closed-form instant ``t1``, and both UAVs are
-re-anchored there before the first window is sized. A rounding allowance
-on the reach and on ``t1`` keeps the skip certified in floating point
-(:func:`_case_b_bracket`), and a ``t1`` at or beyond the horizon answers
-the pair at once.
+A walk starts where a break first becomes possible (:func:`_walk_start`).
+A curve flyer stays on its circle. Two curve flyers are never farther apart
+than their centres' gap plus both radii, so a range beyond that answers the
+pair at once, and any other case-A walk starts at 0. For a curve/straight
+pair (case B), by the triangle inequality the separation is at most
+``rho(t) + R``, where ``rho(t)`` is the straight flyer's distance from the
+turn centre and ``rho^2`` is a quadratic in time. No break comes before
+``rho`` first exceeds ``r - R``, at a closed-form instant ``t1``, and both
+UAVs are re-anchored there before the first window is sized. A rounding
+allowance on the reach and on ``t1`` keeps the skip certified in floating
+point, and a ``t1`` at or beyond the horizon answers the pair at once.
+Curves with equal orbital rates need no shortcut: the walk answers them.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 # splits each round by a few units in the last place.
 _ROUNDING = 64.0 * sys.float_info.epsilon
 # Relative shrink of the case-B bracket's reach r - R and of its start t1,
-# far above the few ulps of rounding it covers (see _case_b_bracket).
+# far above the few ulps of rounding it covers (see _walk_start).
 _BRACKET_SHRINK = 1e-9
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
@@ -531,27 +534,16 @@ def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> Ll
     return _bounded("C", root, model, root, tx_range)
 
 
-def _equal_rate_peak(c1: CurveTrajectory, c2: CurveTrajectory) -> float:
-    """Largest squared separation when both UAVs share one angular velocity.
+def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float) -> float:
+    """Offset before which a pair led by a curve flyer cannot break: 0, a
+    time, or ``inf``.
 
-    The two gap sinusoids then combine into a single sinusoid via a phasor
-    sum, so the exact envelope maximum is available in closed form.
-    """
-    geom = case_geometry(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
-    gap = geom.gap
-    base = (gap * gap + c1.radius**2 + c2.radius**2
-            - 2.0 * c1.radius * c2.radius * math.cos(c1.initial_phase - c2.initial_phase))
-    px = c1.radius * math.cos(c1.initial_phase) - c2.radius * math.cos(c2.initial_phase)
-    py = c1.radius * math.sin(c1.initial_phase) - c2.radius * math.sin(c2.initial_phase)
-    return base + 2.0 * gap * math.hypot(px, py)
+    The curve flyer stays on its circle. When ``other`` flies a curve too,
+    the separation is at most ``|gap| + R1 + R2``, the gap between the
+    centres plus both radii: ``inf`` when that is within the range (less a
+    relative 1e-12), 0 otherwise.
 
-
-def _case_b_bracket(curve: CurveTrajectory, straight: StraightTrajectory,
-                    tx_range: float) -> float:
-    """Offset before which a curve/straight pair cannot break: 0, a time,
-    or ``inf``.
-
-    The curve flyer stays on its circle, so ``D(t) <= rho(t) + R``, where
+    For a straight flyer ``D(t) <= rho(t) + R``, where
     ``rho(t) = |d + v*t*u|`` is the straight flyer's distance from the
     centre (``d`` its origin less the centre, ``u`` its heading). No break
     comes before ``t1``, the larger root of
@@ -566,22 +558,26 @@ def _case_b_bracket(curve: CurveTrajectory, straight: StraightTrajectory,
     :data:`_BRACKET_SHRINK` covers them, and shrinking ``t1`` by as much
     covers the rounding of the root formula.
     """
+    if isinstance(other, CurveTrajectory):
+        gap = math.hypot(curve.center_x - other.center_x, curve.center_y - other.center_y)
+        unreachable = gap + curve.radius + other.radius <= tx_range * (1.0 - 1e-12)
+        return math.inf if unreachable else 0.0
     reach = (tx_range - curve.radius) * (1.0 - _BRACKET_SHRINK)
-    dx = straight.origin_x - curve.center_x
-    dy = straight.origin_y - curve.center_y
+    dx = other.origin_x - curve.center_x
+    dy = other.origin_y - curve.center_y
     rho = math.hypot(dx, dy)
     if reach <= 0.0 or rho > reach:
         return 0.0
-    if straight.speed == 0.0:
+    if other.speed == 0.0:
         return math.inf
-    along = dx * math.cos(straight.heading) + dy * math.sin(straight.heading)
+    along = dx * math.cos(other.heading) + dy * math.sin(other.heading)
     inside = (rho - reach) * (rho + reach)  # |d|^2 - reach^2 <= 0
     root = math.sqrt(along * along - inside)
     # The larger root, in the form without cancellation.
     if along <= 0.0:
-        t1 = (root - along) / straight.speed
+        t1 = (root - along) / other.speed
     else:
-        t1 = -inside / (straight.speed * (root + along))
+        t1 = -inside / (other.speed * (root + along))
     return t1 * (1.0 - _BRACKET_SHRINK)
 
 
@@ -601,12 +597,13 @@ def compute_llt(
     whose separation model is too large to resolve the range.
 
     Straight/straight pairs are solved exactly. Curve cases run the
-    expand/subdivide/refine pipeline over successive trust windows. A
-    curve/straight pair's walk starts at :func:`_case_b_bracket`'s ``t1``,
-    the first instant the straight flyer can be more than ``tx_range - R``
-    from the turn centre, before which the separation cannot reach the
-    range; a ``t1`` at or beyond ``horizon`` caps the result before any
-    window is sized. A bounded result's ``root`` sits on the range circle to within 1% of the
+    expand/subdivide/refine pipeline over successive trust windows, from
+    :func:`_walk_start`'s offset, before which the separation cannot reach
+    the range: for a curve/straight pair, the first instant the straight
+    flyer can be more than ``tx_range - R`` from the turn centre; for two
+    curves, 0, or ``inf`` when the range is beyond their reach. An offset at
+    or beyond ``horizon`` caps the result before any window is sized. A
+    bounded result's ``root`` sits on the range circle to within 1% of the
     range (far tighter in practice, since breaks are refined against the
     exact separation); if no break is found by ``horizon`` the result is marked
     ``horizon_capped``.
@@ -662,32 +659,15 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
         yield _solve_case_c(model, tx_range, horizon)
         return
 
-    t_base = 0.0
-    if case == "A":
-        omega_a = traj_a.omega
-        omega_b = traj_b.omega
-        max_abs = max(abs(omega_a), abs(omega_b))
-        if abs(omega_a - omega_b) <= 1e-12 * max_abs:
-            # Locked relative phase: the separation envelope never grows.
-            if _equal_rate_peak(traj_a, traj_b) <= r2 * (1.0 - 1e-9):
-                yield _unbounded(case, horizon)
-                return
-        # Unreachable range: the separation can never exceed |gap| + R1 + R2.
-        geom_gap = math.hypot(traj_a.center_x - traj_b.center_x,
-                              traj_a.center_y - traj_b.center_y)
-        if geom_gap + traj_a.radius + traj_b.radius <= tx_range * (1.0 - 1e-12):
-            yield _unbounded(case, horizon)
-            return
-    else:
-        # Case B: the canonical order puts the curve first.
-        t_base = _case_b_bracket(traj_a, traj_b, tx_range)
-        if not t_base < horizon:
-            yield _unbounded(case, horizon)
-            return
-        if t_base > 0.0:
-            traj_a = re_anchor(traj_a, traj_a.epoch + t_base)
-            traj_b = re_anchor(traj_b, traj_b.epoch + t_base)
-            model = squared_link_distance(traj_a, traj_b)
+    # The canonical order puts a curve first.
+    t_base = _walk_start(traj_a, traj_b, tx_range)
+    if not t_base < horizon:
+        yield _unbounded(case, horizon)
+        return
+    if t_base > 0.0:
+        traj_a = re_anchor(traj_a, traj_a.epoch + t_base)
+        traj_b = re_anchor(traj_b, traj_b.epoch + t_base)
+        model = squared_link_distance(traj_a, traj_b)
 
     while True:
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)

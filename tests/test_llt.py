@@ -524,7 +524,7 @@ def bracket_skipped_windows(traj_a, traj_b, tx, horizon):
     """(model, W, form) of the trust windows that a walk from 0 sizes and
     re-anchors past, within the case-B bracket [0, t1]."""
     c, s = curve_first(traj_a, traj_b)
-    t1 = min(llt._case_b_bracket(c, s, tx), horizon)
+    t1 = min(llt._walk_start(c, s, tx), horizon)
     skipped = []
     t_base = 0.0
     while t_base < t1 * (1.0 - 1e-12):
@@ -569,7 +569,7 @@ class TestCaseBBracket:
         for _ in range(500):
             traj_a, traj_b, tx = sample_instance("B", rng)
             c, s = curve_first(traj_a, traj_b)
-            t1 = llt._case_b_bracket(c, s, tx)
+            t1 = llt._walk_start(c, s, tx)
             if t1 == 0.0:
                 continue
             end = min(t1, SWEEP_HORIZON)
@@ -589,7 +589,7 @@ class TestCaseBBracket:
         t_break = (Fraction(tx) - Fraction(radius)
                    - (Fraction(s.origin_x) - Fraction(cx))) / Fraction(speed)
         c = curve(cx, cy, radius, 40.0, CCW, math.pi - 40.0 / radius * float(t_break))
-        assert 0.0 < llt._case_b_bracket(c, s, tx) <= t_break
+        assert 0.0 < llt._walk_start(c, s, tx) <= t_break
         result = compute_llt(c, s, tx, SWEEP_HORIZON)
         assert not result.horizon_capped
         assert result.llt == pytest.approx(float(t_break), abs=1e-9)
@@ -598,7 +598,7 @@ class TestCaseBBracket:
         c = curve(0.0, 0.0, 300.0, 40.0, CCW, 0.0)  # at (300, 0)
         s = straight(350.0, 0.0, 2.0, 30.0)
         tx = 250.0
-        assert llt._case_b_bracket(c, s, tx) == 0.0
+        assert llt._walk_start(c, s, tx) == 0.0
         *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows[0].model == squared_link_distance(c, s)
         assert_skips_sound(windows, tx)
@@ -608,7 +608,7 @@ class TestCaseBBracket:
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
         s = straight(100.0, 0.0, 1.0, 1.0)  # 1 m/s, 100 m from the centre
         tx = 1200.0
-        assert SWEEP_HORIZON <= llt._case_b_bracket(c, s, tx) < math.inf
+        assert SWEEP_HORIZON <= llt._walk_start(c, s, tx) < math.inf
         *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows == []
         assert result == llt.LltResult(SWEEP_HORIZON, "B", None, None, True)
@@ -706,7 +706,7 @@ class TestWindowSkip:
         assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
         # At 2 m/s, t1 falls mid-horizon: the walk starts there.
         s = straight(800.0, 0.0, 1.0, 2.0)
-        t1 = llt._case_b_bracket(c, s, 1200.0)
+        t1 = llt._walk_start(c, s, 1200.0)
         assert 100.0 < t1 < 200.0
         *windows, result = llt.walk(*pair(2.0), 1200.0, SWEEP_HORIZON)
         assert windows[0].model == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
@@ -888,8 +888,19 @@ class TestGrazingCrossing:
 
 class TestEqualOrbitalRates:
     """Distinct centres, one angular velocity: the separation is periodic and
-    its peak is known in closed form, so ranges around it probe both the
-    solver's shortcut and the window search."""
+    its peak is known in closed form, so ranges around it probe the window
+    search."""
+
+    @staticmethod
+    def squared_peak(c1, c2):
+        """Largest squared separation: the two gap sinusoids share one rate,
+        so their phasor sum gives the envelope's maximum in closed form."""
+        gap = case_geometry(c1.center_x - c2.center_x, c1.center_y - c2.center_y).gap
+        base = (gap * gap + c1.radius**2 + c2.radius**2
+                - 2.0 * c1.radius * c2.radius * math.cos(c1.initial_phase - c2.initial_phase))
+        px = c1.radius * math.cos(c1.initial_phase) - c2.radius * math.cos(c2.initial_phase)
+        py = c1.radius * math.sin(c1.initial_phase) - c2.radius * math.sin(c2.initial_phase)
+        return base + 2.0 * gap * math.hypot(px, py)
 
     PAIRS = [
         (curve(0.0, 0.0, 200.0, 40.0, CCW, 0.3), curve(300.0, 100.0, 150.0, 30.0, CCW, -1.1)),
@@ -901,7 +912,7 @@ class TestEqualOrbitalRates:
     def test_range_around_the_peak(self, pair, scale):
         a, b = self.PAIRS[pair]
         assert a.omega == b.omega
-        peak = math.sqrt(llt._equal_rate_peak(a, b))
+        peak = math.sqrt(self.squared_peak(a, b))
         ts = np.linspace(0.0, 2.0 * math.pi / abs(a.omega), 100_001)
         assert math.sqrt(direct_squared_separation(a, b, ts).max()) == pytest.approx(peak, rel=1e-9)
         tx = scale * peak
