@@ -270,14 +270,9 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
     for _ in range(MAX_ATTEMPTS):
         kind = kinds[int(rng.integers(0, len(kinds)))]
         wait = sample_wait_time(rng, config)
-        if kind == "STRAIGHT":
-            candidate: Trajectory = StraightTrajectory(pos.x, pos.y, heading, traj.speed,
-                                                       traj.altitude, epoch=now)
-        else:
-            radius = float(rng.uniform(config.radius_min, config.radius_max))
-            direction = Direction.CLOCKWISE if kind == "CW" else Direction.COUNTER_CLOCKWISE
-            candidate = make_turn(pos.x, pos.y, heading, radius, traj.speed,
-                                  direction, traj.altitude, epoch=now)
+        radius = (None if kind == "STRAIGHT"
+                  else float(rng.uniform(config.radius_min, config.radius_max)))
+        candidate = tangent_trajectory(traj, now, kind, radius=radius)
         if (path_stays_inside(arena, candidate, wait)
                 and _end_pose_recoverable(arena, candidate, wait, config.radius_min)):
             return replace(state, trajectory=candidate, next_change_at=now + wait)
@@ -291,8 +286,7 @@ def next_trajectory(state: UavState, arena: Arena, rng: np.random.Generator,
             f"uav {state.id} cannot fit a radius-{config.radius_min:.0f} loiter "
             f"circle at ({pos.x:.1f}, {pos.y:.1f}); arena too tight for the config"
         )
-    loiter = make_turn(pos.x, pos.y, heading, config.radius_min, traj.speed,
-                       direction, traj.altitude, epoch=now)
+    loiter = tangent_trajectory(traj, now, direction.label, radius=config.radius_min)
     return replace(state, trajectory=loiter, next_change_at=now + wait)
 
 
