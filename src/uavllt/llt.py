@@ -63,7 +63,6 @@ turn centre and ``rho^2`` is a quadratic in time. No break comes before
 UAVs are re-anchored there before the first window is sized. A rounding
 allowance on the reach and on ``t1`` keeps the skip certified in floating
 point, and a ``t1`` at or beyond the horizon answers the pair at once.
-Curves with equal orbital rates need no shortcut: the walk answers them.
 """
 
 from __future__ import annotations
