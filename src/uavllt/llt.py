@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kinematics import CurveTrajectory, StraightTrajectory, Trajectory, re_anchor
 
@@ -431,6 +430,59 @@ def trust_window(model: SquaredDistance,
 # ---------------------------------------------------------------------------
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in ``[xa, xb]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of scipy's ``brentq.c``, so every iterate, and the
+    root, equals ``scipy.optimize.brentq``'s bit for bit. It stops when
+    ``f`` is 0 or the bracket is narrower than ``xtol + rtol * |x|``. Raises
+    ValueError when the ends have the same sign or ``f`` returns NaN, and
+    RuntimeError after ``maxiter`` iterations without convergence.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError(f"f is NaN at an end of [{xa}, {xb}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        # For non-zero values "< 0" is scipy's signbit test.
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"f is NaN at x={xcur}")
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations; last x={xcur}")
+
+
 def select_root(pieces, exact_dist, tx_range: float):
     """The break time in a window searched into ``pieces``, or None.
 
@@ -458,7 +510,7 @@ def select_root(pieces, exact_dist, tx_range: float):
             return 0.0
         end, f_end = hi, f(hi)
         if f_lo < 0.0 <= f_end:
-            t = float(brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL))
+            t = float(_brentq(f, lo, hi, _ROOT_XTOL, _ROOT_RTOL))
             if not _on_range_circle(exact_dist, t, tx_range):
                 raise RangeLostInRounding(
                     f"the separation model crosses the {tx_range:g} m range at {t:.6g} s, but no"

@@ -348,6 +348,75 @@ class TestSelectRoot:
             select_root([(0.0, 2.0)], exact, 10.0)
 
 
+def traced(f, seen):
+    """``f``, appending every point it is evaluated at to ``seen``."""
+    def g(t):
+        seen.append(t)
+        return f(t)
+    return g
+
+
+class TestBrentq:
+    """``llt._brentq`` against ``scipy.optimize.brentq``, whose iterates it
+    must repeat bit for bit: the golden digests rest on them."""
+
+    @staticmethod
+    def solver_brackets():
+        """Every bracket ``(f, lo, hi)`` select_root hands to _brentq on
+        seeded case A/B/C pairs at horizons 300 and 3600 s."""
+        brackets = []
+        port = llt._brentq
+
+        def record(f, lo, hi, xtol, rtol, maxiter=100):
+            brackets.append((f, lo, hi))
+            return port(f, lo, hi, xtol, rtol, maxiter)
+
+        rng = np.random.default_rng(41)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(llt, "_brentq", record)
+            for _ in range(400):
+                for case in ("A", "B", "C"):
+                    traj_a, traj_b, tx = sample_instance(case, rng)
+                    for horizon in (300.0, 3600.0):
+                        compute_llt(traj_a, traj_b, tx, horizon)
+        return brackets
+
+    def test_iterates_bit_identical_to_scipy_on_solver_brackets(self):
+        brackets = self.solver_brackets()
+        assert len(brackets) >= 1000
+        for f, lo, hi in brackets:
+            ours, theirs = [], []
+            root = llt._brentq(traced(f, ours), lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL)
+            reference = brentq(traced(f, theirs), lo, hi, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL)
+            assert (root, ours) == (reference, theirs), f"bracket [{lo!r}, {hi!r}]"
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_end_on_the_root_is_returned(self, lo, hi):
+        assert llt._brentq(lambda t: t - 1.0, lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL) == 1.0
+
+    def test_ends_of_the_same_sign_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            llt._brentq(lambda t: t * t + 1.0, -1.0, 1.0, llt._ROOT_XTOL, llt._ROOT_RTOL)
+
+    @pytest.mark.parametrize("f", [
+        lambda t: math.nan if t == 1.0 else t - 0.5,  # at an end
+        lambda t: t - 0.5 if t in (0.0, 1.0) else math.nan,  # at the first iterate
+    ])
+    def test_nan_value_raises(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL)
+        with pytest.raises(ValueError, match="NaN"):
+            llt._brentq(f, 0.0, 1.0, llt._ROOT_XTOL, llt._ROOT_RTOL)
+
+    def test_iteration_cap_raises(self):
+        f = lambda t: math.tanh(t - 1.234)
+        assert llt._brentq(f, -100.0, 100.0, llt._ROOT_XTOL, llt._ROOT_RTOL) == pytest.approx(1.234)
+        with pytest.raises(RuntimeError):
+            brentq(f, -100.0, 100.0, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL, maxiter=2)
+        with pytest.raises(RuntimeError):
+            llt._brentq(f, -100.0, 100.0, llt._ROOT_XTOL, llt._ROOT_RTOL, maxiter=2)
+
+
 class TestComputeLlt:
     def test_case_c_example(self):
         a = straight(0, 0, 0.0, 10.0)
