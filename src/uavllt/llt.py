@@ -50,7 +50,10 @@ split. :func:`select_root` brackets the break in the first remaining piece
 that the exact separation enters in range and leaves beyond it, and refines
 it against the exact transcendental separation, so the reported break time
 does not inherit the expansion error. "No break here" therefore rests on
-the remainder bound too, and no sampled safety net is needed.
+the remainder bound too, and no sampled safety net is needed. The refinement
+is Brent's method, ported into this module from scipy's ``brentq`` so that
+the package needs no scipy (:func:`_brentq`). Its iterates must stay bit for
+bit scipy's: the golden output digests depend on every break time.
 
 A walk starts where a break first becomes possible (:func:`_walk_start`).
 A curve flyer stays on its circle. Two curve flyers are never farther apart
@@ -84,8 +87,9 @@ DEFAULT_HORIZON = 3600.0
 TRUST_REL_ERROR = 1e-6
 # A bounded result must sit on the range circle to within this fraction.
 RANGE_RESIDUAL_RTOL = 0.01
-# brentq's tolerances on the break time; find_real_roots splits no piece
-# narrower than they resolve.
+# Tolerances of the Brent refinement of a break time (_brentq, scipy's
+# brentq ported bit for bit); find_real_roots splits no piece narrower than
+# they resolve.
 _ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 # Allowance for rounding in a window's Bernstein form, relative to the size
@@ -185,8 +189,8 @@ def find_real_roots(bernstein, margin: float, window: float) -> list[tuple[float
     piece whose largest coefficient plus ``margin`` is negative: the
     function is below zero there. A piece whose coefficients change sign at
     most once holds at most one root of the polynomial and is kept whole, as
-    is a piece that brentq's tolerances no longer resolve. Touching pieces
-    share their common end exactly.
+    is a piece that the Brent refinement's tolerances no longer resolve.
+    Touching pieces share their common end exactly.
     """
     pieces = []
     stack = [(list(bernstein), 0.0, window)]
@@ -491,10 +495,12 @@ def select_root(pieces, exact_dist, tx_range: float):
     window that starts on or beyond the range circle breaks at 0. Otherwise
     the first piece where the separation is inside the range at its start
     and not inside at its end brackets the break (a link break, not a link
-    formation), which brentq refines against the exact separation. An end
-    exactly on the circle counts as not inside, so a break at a piece's or
-    a window's edge is not lost between two pieces. Raises
-    :class:`RangeLostInRounding` when that crossing is off the range circle.
+    formation), which :func:`_brentq` refines against the exact separation.
+    Its iterates must equal ``scipy.optimize.brentq``'s bit for bit, since
+    the golden digests record every break time. An end exactly on the
+    circle counts as not inside, so a break at a piece's or a window's edge
+    is not lost between two pieces. Raises :class:`RangeLostInRounding`
+    when that crossing is off the range circle.
     """
     if tx_range <= 0.0:
         raise ValueError(f"transmission range must be positive, got {tx_range}")
