@@ -390,6 +390,25 @@ class TestBrentq:
             reference = brentq(traced(f, theirs), lo, hi, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL)
             assert (root, ours) == (reference, theirs), f"bracket [{lo!r}, {hi!r}]"
 
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda t: -1.0 if t < 0.3 else 1.0, 0.0, 1.0),  # ties |f(a)| = |f(b)|, bisects
+        (lambda t: math.tanh(t - 1.234), -100.0, 100.0),  # flat ends
+        (lambda t: math.cos(t) - t, 0.0, 1.0),
+        (lambda t: (t - 0.7) ** 5, 0.0, 1.0),  # hits the iteration cap
+    ])
+    def test_iterates_bit_identical_to_scipy_on_hand_made_brackets(self, f, lo, hi):
+        def outcome(solve, seen):
+            try:
+                return solve(traced(f, seen))
+            except RuntimeError:
+                return RuntimeError
+
+        ours, theirs = [], []
+        root = outcome(lambda g: llt._brentq(g, lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL), ours)
+        reference = outcome(lambda g: brentq(g, lo, hi, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL),
+                            theirs)
+        assert (root, ours) == (reference, theirs)
+
     @pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-1.0, 1.0)])
     def test_end_on_the_root_is_returned(self, lo, hi):
         assert llt._brentq(lambda t: t - 1.0, lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL) == 1.0
