@@ -434,17 +434,20 @@ def trust_window(model: SquaredDistance,
 # ---------------------------------------------------------------------------
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
     """A root of ``f`` in ``[xa, xb]`` by Brent's method (Brent 1973, ch. 4).
 
-    A line-by-line port of scipy's ``brentq.c``, so every iterate, and the
-    root, equals ``scipy.optimize.brentq``'s bit for bit. It stops when
-    ``f`` is 0 or the bracket is narrower than ``xtol + rtol * |x|``. Raises
-    ValueError when the ends have the same sign or ``f`` returns NaN, and
-    RuntimeError after ``maxiter`` iterations without convergence.
+    ``fa`` and ``fb`` are ``f(xa)`` and ``f(xb)``, which the caller has
+    already evaluated. A line-by-line port of scipy's ``brentq.c``, so every
+    iterate, and the root, equals ``scipy.optimize.brentq``'s bit for bit;
+    scipy evaluates the two ends itself. It stops when ``f`` is 0 or the
+    bracket is narrower than ``xtol + rtol * |x|``. Raises ValueError when
+    the ends have the same sign or ``f`` returns NaN, and RuntimeError after
+    ``maxiter`` iterations without convergence.
     """
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if math.isnan(fpre) or math.isnan(fcur):
         raise ValueError(f"f is NaN at an end of [{xa}, {xb}]")
     if fpre == 0.0:
@@ -516,7 +519,7 @@ def select_root(pieces, exact_dist, tx_range: float):
             return 0.0
         end, f_end = hi, f(hi)
         if f_lo < 0.0 <= f_end:
-            t = float(_brentq(f, lo, hi, _ROOT_XTOL, _ROOT_RTOL))
+            t = float(_brentq(f, lo, hi, f_lo, f_end, _ROOT_XTOL, _ROOT_RTOL))
             if not _on_range_circle(exact_dist, t, tx_range):
                 raise RangeLostInRounding(
                     f"the separation model crosses the {tx_range:g} m range at {t:.6g} s, but no"

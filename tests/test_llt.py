@@ -356,20 +356,26 @@ def traced(f, seen):
     return g
 
 
+def port(f, lo, hi, maxiter=100):
+    """``llt._brentq`` on ``[lo, hi]`` with the end values it takes from its
+    caller evaluated here, first, as scipy evaluates them."""
+    return llt._brentq(f, lo, hi, f(lo), f(hi), llt._ROOT_XTOL, llt._ROOT_RTOL, maxiter)
+
+
 class TestBrentq:
     """``llt._brentq`` against ``scipy.optimize.brentq``, whose iterates it
     must repeat bit for bit: the golden digests rest on them."""
 
     @staticmethod
     def solver_brackets():
-        """Every bracket ``(f, lo, hi)`` select_root hands to _brentq on
-        seeded case A/B/C pairs at horizons 300 and 3600 s."""
+        """Every bracket ``(f, lo, hi, f(lo), f(hi))`` select_root hands to
+        _brentq on seeded case A/B/C pairs at horizons 300 and 3600 s."""
         brackets = []
         port = llt._brentq
 
-        def record(f, lo, hi, xtol, rtol, maxiter=100):
-            brackets.append((f, lo, hi))
-            return port(f, lo, hi, xtol, rtol, maxiter)
+        def record(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter=100):
+            brackets.append((f, lo, hi, f_lo, f_hi))
+            return port(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter)
 
         rng = np.random.default_rng(41)
         with pytest.MonkeyPatch.context() as patch:
@@ -384,9 +390,11 @@ class TestBrentq:
     def test_iterates_bit_identical_to_scipy_on_solver_brackets(self):
         brackets = self.solver_brackets()
         assert len(brackets) >= 1000
-        for f, lo, hi in brackets:
+        for f, lo, hi, f_lo, f_hi in brackets:
+            # The end values select_root passes in are f's own, bit for bit.
+            assert (f_lo, f_hi) == (f(lo), f(hi))
             ours, theirs = [], []
-            root = llt._brentq(traced(f, ours), lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL)
+            root = port(traced(f, ours), lo, hi)
             reference = brentq(traced(f, theirs), lo, hi, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL)
             assert (root, ours) == (reference, theirs), f"bracket [{lo!r}, {hi!r}]"
 
@@ -404,18 +412,18 @@ class TestBrentq:
                 return RuntimeError
 
         ours, theirs = [], []
-        root = outcome(lambda g: llt._brentq(g, lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL), ours)
+        root = outcome(lambda g: port(g, lo, hi), ours)
         reference = outcome(lambda g: brentq(g, lo, hi, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL),
                             theirs)
         assert (root, ours) == (reference, theirs)
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (-1.0, 1.0)])
     def test_end_on_the_root_is_returned(self, lo, hi):
-        assert llt._brentq(lambda t: t - 1.0, lo, hi, llt._ROOT_XTOL, llt._ROOT_RTOL) == 1.0
+        assert port(lambda t: t - 1.0, lo, hi) == 1.0
 
     def test_ends_of_the_same_sign_raise(self):
         with pytest.raises(ValueError, match="different signs"):
-            llt._brentq(lambda t: t * t + 1.0, -1.0, 1.0, llt._ROOT_XTOL, llt._ROOT_RTOL)
+            port(lambda t: t * t + 1.0, -1.0, 1.0)
 
     @pytest.mark.parametrize("f", [
         lambda t: math.nan if t == 1.0 else t - 0.5,  # at an end
@@ -425,15 +433,15 @@ class TestBrentq:
         with pytest.raises(ValueError, match="NaN"):
             brentq(f, 0.0, 1.0, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL)
         with pytest.raises(ValueError, match="NaN"):
-            llt._brentq(f, 0.0, 1.0, llt._ROOT_XTOL, llt._ROOT_RTOL)
+            port(f, 0.0, 1.0)
 
     def test_iteration_cap_raises(self):
         f = lambda t: math.tanh(t - 1.234)
-        assert llt._brentq(f, -100.0, 100.0, llt._ROOT_XTOL, llt._ROOT_RTOL) == pytest.approx(1.234)
+        assert port(f, -100.0, 100.0) == pytest.approx(1.234)
         with pytest.raises(RuntimeError):
             brentq(f, -100.0, 100.0, xtol=llt._ROOT_XTOL, rtol=llt._ROOT_RTOL, maxiter=2)
         with pytest.raises(RuntimeError):
-            llt._brentq(f, -100.0, 100.0, llt._ROOT_XTOL, llt._ROOT_RTOL, maxiter=2)
+            port(f, -100.0, 100.0, maxiter=2)
 
 
 class TestComputeLlt:
