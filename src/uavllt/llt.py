@@ -405,7 +405,10 @@ def trust_window(model: SquaredDistance,
     and halves, down to 1/4096 of that start, until an analytic remainder
     bound is small against a lower bound on the separation over the window:
     the smallest Bernstein coefficient of the expansion minus the margin,
-    which is the remainder bound plus the rounding allowance. A window whose
+    which is the remainder bound plus the rounding allowance. That lower
+    bound is at most the first coefficient, the expansion's value at 0, so
+    above the smallest window a remainder bound that fails the test against
+    that value halves the window without building its form. A window whose
     scaling overflows bounds nothing and is halved; if the smallest window
     still overflows, :class:`RangeLostInRounding` is raised. A model with no
     sinusoid, or only constant ones, trusts the whole ``cap``.
@@ -414,8 +417,13 @@ def trust_window(model: SquaredDistance,
     window = min(cap, (math.pi / 2.0) / rate) if rate else cap
     floor = window / 4096.0 if rate else window
     coeffs = model.taylor()
+    # The form's smallest coefficient less the margin is at most b_0 = coeffs[0].
+    hopeless = 0.25 * TRUST_REL_ERROR * max(coeffs[0], 1e-12)
     while True:
         bound = model.remainder_bound(window)
+        if bound > hopeless and window > floor:
+            window *= 0.5
+            continue
         try:
             bernstein, rounding = model.bernstein(coeffs, window)
         except RangeLostInRounding:
