@@ -23,10 +23,11 @@ is applied piecewise over certified trust windows: each window starts at a
 quarter period of the fastest sinusoid and is halved until a remainder bound
 guarantees the requested relative accuracy against a certified lower bound
 on the separation, and the search re-anchors at the window edge until a
-break is found or the horizon is reached. The windows tile the
-horizon, so each one is searched on ``[0, W]`` only. :func:`walk` is that
-search: it yields each window it searches as a :class:`Window`, then the
-result, which :func:`compute_llt` returns.
+break is found or the horizon is reached. The windows and the spans that
+the walk skips, where no break is possible, tile the horizon, so each window
+is searched on ``[0, W]`` only. :func:`walk` is that search: it yields each
+window it searches as a :class:`Window`, then the result, which
+:func:`compute_llt` returns.
 
 Both the sizing and the search rest on one Bernstein form of the window's
 expansion. Substituting ``t = W * u`` and changing to the Bernstein basis of
@@ -55,17 +56,21 @@ is Brent's method, ported into this module from scipy's ``brentq`` so that
 the package needs no scipy (:func:`_brentq`). Its iterates must stay bit for
 bit scipy's: the golden output digests depend on every break time.
 
-A walk starts where a break first becomes possible (:func:`_walk_start`).
-A curve flyer stays on its circle. Two curve flyers are never farther apart
-than their centres' gap plus both radii, so a range beyond that answers the
-pair at once, and any other case-A walk starts at 0. For a curve/straight
-pair (case B), by the triangle inequality the separation is at most
-``rho(t) + R``, where ``rho(t)`` is the straight flyer's distance from the
-turn centre and ``rho^2`` is a quadratic in time. No break comes before
-``rho`` first exceeds ``r - R``, at a closed-form instant ``t1``, and both
-UAVs are re-anchored there before the first window is sized. A rounding
-allowance on the reach and on ``t1`` keeps the skip certified in floating
-point, and a ``t1`` at or beyond the horizon answers the pair at once.
+A walk skips ahead to where a break first becomes possible
+(:func:`_walk_start`). A curve flyer stays on its circle, so by the
+triangle inequality the separation is at most the other flyer's distance
+from the turn centre plus the radius. For two curve flyers (case A) that
+rules out a break while either flyer is on a closed-form arc of its phase,
+which comes round once per turn; at the start of every window the walk
+re-anchors at the first instant at which neither flyer is on its arc. A
+range beyond the centres' gap plus both radii makes the arc the whole
+circle and answers the pair at once. For a curve/straight pair (case B)
+the straight flyer's distance ``rho(t)`` from the turn centre has a
+quadratic square. No break comes before ``rho`` first exceeds ``r - R``, at
+a closed-form instant ``t1``, and both UAVs are re-anchored there before the
+first window is sized. Rounding allowances on the arcs, the reach and
+``t1`` keep the skips certified in floating point, and a skip to the
+horizon answers the pair capped.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import CurveTrajectory, StraightTrajectory, Trajectory, re_anchor
+from .kinematics import TWO_PI, CurveTrajectory, StraightTrajectory, Trajectory, re_anchor
 
 # Degree of the Taylor expansion of every sinusoid.
 TAYLOR_DEGREE = 12
@@ -98,7 +103,8 @@ _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 # splits each round by a few units in the last place.
 _ROUNDING = 64.0 * sys.float_info.epsilon
 # Relative shrink of the case-B bracket's reach r - R and of its start t1,
-# far above the few ulps of rounding it covers (see _walk_start).
+# and of the ends of the case-A no-break arcs, far above the few ulps of
+# rounding it covers (see _walk_start).
 _BRACKET_SHRINK = 1e-9
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
@@ -602,21 +608,73 @@ def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> Ll
     return _bounded("C", root, model, root, tx_range)
 
 
-def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float) -> float:
-    """Offset before which a pair led by a curve flyer cannot break: 0, a
-    time, or ``inf``.
+def _no_break_arc(flyer: CurveTrajectory, other: CurveTrajectory,
+                  tx_range: float) -> tuple[float, float]:
+    """``(half, toward)``: the pair cannot break while ``flyer``'s phase is
+    within ``half`` of ``toward``, the direction of the other centre from its
+    own. ``half`` is ``inf`` for the whole circle and negative for no arc;
+    it is shrunk for the rounding of ``kappa`` only (see :func:`_walk_start`)."""
+    reach = tx_range - other.radius
+    if reach <= 0.0:
+        return -1.0, 0.0
+    dx = other.center_x - flyer.center_x
+    dy = other.center_y - flyer.center_y
+    gap = math.hypot(dx, dy)
+    squares = (reach * reach, gap * gap, flyer.radius * flyer.radius)
+    excess = squares[0] - squares[1] - squares[2] - _BRACKET_SHRINK * sum(squares)
+    width = 2.0 * gap * flyer.radius
+    if excess >= width:
+        return math.inf, 0.0
+    if excess < -width:
+        return -1.0, 0.0
+    return math.acos(-excess / width), math.atan2(dy, dx)
 
-    The curve flyer stays on its circle. When ``other`` flies a curve too,
-    the separation is at most ``|gap| + R1 + R2``, the gap between the
-    centres plus both radii: ``inf`` when that is within the range (less a
-    relative 1e-12), 0 otherwise.
+
+def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float,
+                span: float) -> float:
+    """Offset from the pair's anchor before which a pair led by a curve
+    flyer cannot break: 0, a time, or ``inf``. ``span`` is the time the walk
+    has left; an offset at or beyond it caps the pair.
+
+    A curve flyer stays on its circle. For two curve flyers
+    ``D(t) <= rho1(t) + R2``, where ``rho1`` is flyer 1's distance from
+    centre 2. With ``g`` the centres' gap and ``u1`` flyer 1's phase less
+    the direction of centre 2 from centre 1,
+    ``rho1^2 = g^2 + R1^2 - 2 g R1 cos(u1)``, so no break comes while
+    ``cos(u1) >= -kappa``, ``kappa = ((r - R2)^2 - g^2 - R1^2) / (2 g R1)``:
+    on an arc ``|u1| <= acos(-kappa)`` of flyer 1's phase, which comes round
+    every ``2 pi / |omega1|``. It is the whole circle when
+    ``g + R1 + R2 <= r`` (``inf``: the pair never breaks) and empty when
+    ``R2 >= r``; concentric circles (``g = 0``) have one or the other.
+    Flyer 2 has the mirror arc. The offset is the first instant at which
+    neither flyer is on its arc. A flyer on its arc at ``t`` leaves it at
+    ``t + (acos(-kappa) - sign(omega) u) / |omega|``, so the search steps
+    from exit to exit of the two flyers in turn, each step moving forward,
+    and stops at ``span``.
+
+    Each arc is shrunk at both ends, twice. The numerator of ``kappa`` is
+    formed from ``r - R2``, ``g`` (a ``hypot`` of two rounded differences)
+    and ``R1``, each within a few ulps, so it is off by a few ulps of
+    ``S = (r - R2)^2 + g^2 + R1^2`` at most. Taking :data:`_BRACKET_SHRINK`
+    ``* S`` off it covers that, and since ``S >= 2 g R1`` it also covers the
+    few ulps that the division adds: the computed ``kappa`` is below the
+    true one. A step from ``t`` then cuts ``acos(-kappa)`` by
+    :data:`_BRACKET_SHRINK` ``* (4 pi + |omega| t)``, which covers a few
+    ulps of every angle the step rests on: the results of ``acos`` and
+    ``atan2`` (the rounded differences turn the gap's direction by an ulp
+    at most), the phase ``phi + omega t`` with ``|phi| <= pi``, its
+    reduction by ``2 pi``, and the division and sum that turn the angle left
+    on the arc (at most ``2 pi``) into an exit at most a turn after ``t``.
+    The true phase is thus still on the true arc at a computed exit, and it
+    crosses the arc monotonically up to there.
 
     For a straight flyer ``D(t) <= rho(t) + R``, where
     ``rho(t) = |d + v*t*u|`` is the straight flyer's distance from the
     centre (``d`` its origin less the centre, ``u`` its heading). No break
     comes before ``t1``, the larger root of
     ``v^2 t^2 + 2 v t (d.u) + |d|^2 = (r - R)^2``: 0 when ``R >= r`` or
-    ``rho(0) > r - R``, ``inf`` for a parked flyer inside ``r - R``.
+    ``rho(0) > r - R``, ``inf`` for a parked flyer inside ``r - R``. ``rho``
+    grows past ``t1``, so a walk asks once.
 
     ``rho`` is the norm of an affine function of ``t``, so it is convex and
     at most ``max(rho(0), rho(t1))`` on ``[0, t1]``. The computed root is
@@ -627,9 +685,24 @@ def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float) -> f
     covers the rounding of the root formula.
     """
     if isinstance(other, CurveTrajectory):
-        gap = math.hypot(curve.center_x - other.center_x, curve.center_y - other.center_y)
-        unreachable = gap + curve.radius + other.radius <= tx_range * (1.0 - 1e-12)
-        return math.inf if unreachable else 0.0
+        arcs = ((curve, *_no_break_arc(curve, other, tx_range)),
+                (other, *_no_break_arc(other, curve, tx_range)))
+        if math.inf in (arcs[0][1], arcs[1][1]):
+            return math.inf
+        t = 0.0
+        settled = k = 0  # flyers in a row found off their arcs at t
+        while settled < 2 and t < span:
+            flyer, half, toward = arcs[k]
+            rate = abs(flyer.omega)
+            half -= _BRACKET_SHRINK * (2.0 * TWO_PI + rate * t)
+            u = math.remainder(flyer.initial_phase + flyer.omega * t - toward, TWO_PI)
+            end = t
+            if abs(u) <= half:
+                end += (half - u if flyer.omega > 0.0 else half + u) / rate
+            settled = 1 if end > t else settled + 1
+            t = end
+            k = 1 - k
+        return t
     reach = (tx_range - curve.radius) * (1.0 - _BRACKET_SHRINK)
     dx = other.origin_x - curve.center_x
     dy = other.origin_y - curve.center_y
@@ -665,12 +738,13 @@ def compute_llt(
     whose separation model is too large to resolve the range.
 
     Straight/straight pairs are solved exactly. Curve cases run the
-    expand/subdivide/refine pipeline over successive trust windows, from
-    :func:`_walk_start`'s offset, before which the separation cannot reach
-    the range: for a curve/straight pair, the first instant the straight
-    flyer can be more than ``tx_range - R`` from the turn centre; for two
-    curves, 0, or ``inf`` when the range is beyond their reach. An offset at
-    or beyond ``horizon`` caps the result before any window is sized. A
+    expand/subdivide/refine pipeline over successive trust windows, skipping
+    to :func:`_walk_start`'s offset, before which the separation cannot
+    reach the range: for a curve/straight pair, once, to the first instant
+    the straight flyer can be more than ``tx_range - R`` from the turn
+    centre; for two curves, at every window start, to the first instant at
+    which neither flyer is on its no-break arc, or ``inf`` when the range is
+    beyond their reach. A skip to ``horizon`` caps the result. A
     bounded result's ``root`` sits on the range circle to within 1% of the
     range (far tighter in practice, since breaks are refined against the
     exact separation); if no break is found by ``horizon`` the result is marked
@@ -683,10 +757,12 @@ class Window(NamedTuple):
     """One trust window that :func:`walk` searched.
 
     It starts ``t_base`` seconds after the pair's epoch, and ``model`` is the
-    separation re-anchored there. ``width``, ``bernstein`` and ``margin`` are
-    what :func:`trust_window` returned for it. ``pieces`` are what
-    :func:`find_real_roots` kept of it, none when the window is excluded
-    whole, and ``pick`` is :func:`select_root`'s break in it, or None.
+    separation re-anchored there. It ends where the next window starts,
+    unless the walk skips the span between them. ``width``, ``bernstein``
+    and ``margin`` are what :func:`trust_window` returned for it. ``pieces``
+    are what :func:`find_real_roots` kept of it, none when the window is
+    excluded whole, and ``pick`` is :func:`select_root`'s break in it, or
+    None.
     """
 
     t_base: float
@@ -701,6 +777,10 @@ class Window(NamedTuple):
 def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float):
     """:func:`compute_llt` step by step: a :class:`Window` for each trust
     window it searches, in order, then its :class:`LltResult`.
+
+    Each window starts where the last one ends, or where
+    :func:`_walk_start` skips to: before the first window for a case-B
+    pair, before every window for a case-A pair.
 
     Raises as :func:`compute_llt` does, once iterated. A case-C pair, a pair
     answered before any window is sized and a separation identically on the
@@ -728,16 +808,17 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
         return
 
     # The canonical order puts a curve first.
-    t_base = _walk_start(traj_a, traj_b, tx_range)
-    if not t_base < horizon:
-        yield _unbounded(case, horizon)
-        return
-    if t_base > 0.0:
-        traj_a = re_anchor(traj_a, traj_a.epoch + t_base)
-        traj_b = re_anchor(traj_b, traj_b.epoch + t_base)
-        model = squared_link_distance(traj_a, traj_b)
-
+    t_base = 0.0
+    skip = _walk_start(traj_a, traj_b, tx_range, horizon)
     while True:
+        if skip > 0.0:
+            t_base += skip
+            if not t_base < horizon:
+                break
+            traj_a = re_anchor(traj_a, traj_a.epoch + skip)
+            traj_b = re_anchor(traj_b, traj_b.epoch + skip)
+        if t_base > 0.0:
+            model = squared_link_distance(traj_a, traj_b)
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]
         if not any(shifted):
@@ -757,5 +838,5 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             break
         traj_a = re_anchor(traj_a, traj_a.epoch + window)
         traj_b = re_anchor(traj_b, traj_b.epoch + window)
-        model = squared_link_distance(traj_a, traj_b)
+        skip = _walk_start(traj_a, traj_b, tx_range, horizon - t_base) if case == "A" else 0.0
     yield _unbounded(case, horizon)

@@ -30,8 +30,8 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "ac7f97939e2a4d7bee6a74c38d0ae6c7b34e54dd73bde636d48bf0af7416c9e6",
-        "snapshots.csv": "ccdc2fa866ed6285d68f4ddcdb4b3e4847e0535c20425ebf2516e5dbb762761b",
+        "events.jsonl": "45f60c206b63f1796acb7a15299264b3406cabc778c647e32eb49c9f1f37f5e1",
+        "snapshots.csv": "a6bd1cbb6624d62c64016aef491977bb902f9295464b11401e405caf98a87c72",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
 
@@ -55,8 +55,8 @@ def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     config = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "1f8f40d0aff9d8fed98d1233a8d7c93c79c9606c9f184b10197542cc86407097",
-        "snapshots.csv": "afc99f710d7c0b15ff1f0ac7185e0ba846e45d886eb5690bbb03a9ad3c249d0b",
+        "events.jsonl": "bc009db7173a504fbd959333d1b323ac0476682912b5df97d7d77f1276d150ad",
+        "snapshots.csv": "f5aa72a7f77c88232ce805bc546dbeceeaa91b35227396fb2ccb70483eeba059",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
 
@@ -67,8 +67,8 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "61638801e25174bf88dafd91cf1ca16d2b5a864a42600f4d84168e89f0189120",
-        "snapshots.csv": "a1cd53497468755f701c8247efb4b6eb6750cfede6ad9560e385544014db52e5",
+        "events.jsonl": "5a8247bd344c53e2f87a7b7d105b2de4512fbb7709f503a094493f479bff9b46",
+        "snapshots.csv": "c502a6f87dd14bb23c18e0063dac3549423a82205a2045dc4282b0de9bbfc398",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
 
@@ -78,15 +78,15 @@ def test_sparse_hello_scenario(tmp_path):
     # blocks reach their 256-tick cap while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "308e1abeb70f60e14d8fe1ffb3414e706d9694b004fdac52cb31cdb3dd1ec317",
-        "snapshots.csv": "110819d39c84d8479b28d89ad0e54e1f46df48c6c289f0d4ba075130700aaac3",
+        "events.jsonl": "762818c009476cdab12bba5b21bba2f55f38a77dbd02481a0ce3e3c5cf90a0b8",
+        "snapshots.csv": "a72db018976ed76e82b6d335f34f35197edb9899290a8ca27c202097da909ba8",
         "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
     }
 
 
 SOLVER_DIGESTS = {
-    ("A", SWEEP_HORIZON): "4cdd75307228c0f1641fbea20538eb51bcbe41356cb788388e4f9de422057497",
-    ("A", DEFAULT_HORIZON): "8c8040196be802367e28e4f526c4102e895309599cf409285643b502cdb7aa54",
+    ("A", SWEEP_HORIZON): "9ba6efc454fa571fe9db9feb434ccbfa5376ab7d572ffec1aebf639c79c3a8f7",
+    ("A", DEFAULT_HORIZON): "fff26aef2dd6e540008dde75ad9763db6687fec404d01b880231268e2229344c",
     ("B", SWEEP_HORIZON): "98ab180f4c412c63e1aefe91e102dfca6e28c52d8fc44b8dada7a99beabb7755",
     ("B", DEFAULT_HORIZON): "a9e5091bfea1167cce671c67323ab0857759633a7a99c20ac8a15ab318b61e53",
     ("C", SWEEP_HORIZON): "43105c1053ca5e0542f101942dc64973d26f6590e5466d078e9b4698d4a60f52",
@@ -120,7 +120,7 @@ def test_solver_results_near_tangent():
             r = compute_llt(a, b, separation * scale, 200.0)
             results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
     assert (hashlib.sha256(repr(results).encode()).hexdigest()
-            == "f4182e2c387bd959778134353d8c67791e7e70acb23ea7b03089980de8368e86")
+            == "cc85bb82fec574f0d4c8a6b514977af35e43ecf8d1c9cba2545c6f46ffd18a01")
 
 
 TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)

@@ -616,31 +616,68 @@ def curve_first(traj_a, traj_b):
     return (traj_a, traj_b) if isinstance(traj_a, CurveTrajectory) else (traj_b, traj_a)
 
 
-def bracket_skipped_windows(traj_a, traj_b, tx, horizon):
-    """(model, W, form) of the trust windows that a walk from 0 sizes and
-    re-anchors past, within the case-B bracket [0, t1]."""
-    c, s = curve_first(traj_a, traj_b)
-    t1 = min(llt._walk_start(c, s, tx), horizon)
+def skipped_spans(windows, result, horizon):
+    """The spans of [0, horizon] that a walk skipped: before its first
+    window, between two windows that do not meet, and after its last one
+    when a skip past the horizon capped it (a walk that caps at a window's
+    edge stops within 1e-12 of the horizon)."""
+    spans = []
+    end = 0.0
+    for w in windows:
+        if w.t_base > end:
+            spans.append((end, w.t_base))
+        end = w.t_base + w.width
+    if result.horizon_capped and end < horizon * (1.0 - 1e-12):
+        spans.append((end, horizon))
+    return spans
+
+
+def assert_spans_in_range(traj_a, traj_b, tx, spans):
+    """No separation reaches the range on any span, from positions alone:
+    on a 1 ms grid and at both ends."""
+    for lo, hi in spans:
+        ts = np.append(np.arange(lo, hi, 1e-3), hi)
+        assert np.max(direct_squared_separation(traj_a, traj_b, ts)) < tx * tx, (lo, hi)
+
+
+def walk_checked(traj_a, traj_b, tx, horizon):
+    """The windows and result of llt.walk, with every skipped span sampled,
+    every excluded window checked and the result matched to the oracle."""
+    *windows, result = llt.walk(traj_a, traj_b, tx, horizon)
+    assert_spans_in_range(traj_a, traj_b, tx, skipped_spans(windows, result, horizon))
+    assert_skips_sound(windows, tx)
+    assert_matches_oracle(result, traj_a, traj_b, tx, horizon)
+    return windows, result
+
+
+def skipped_windows(traj_a, traj_b, tx, horizon):
+    """(model, W, form) of the trust windows that a walk with no skip, from
+    0, sizes wholly inside the spans that llt.walk skips: case B's bracket
+    [0, t1] and case A's spans on the no-break arcs."""
+    *windows, result = llt.walk(traj_a, traj_b, tx, horizon)
+    spans = skipped_spans(windows, result, horizon)
+    a, b = sorted((traj_a, traj_b), key=llt._canonical_key)
     skipped = []
     t_base = 0.0
-    while t_base < t1 * (1.0 - 1e-12):
-        model = squared_link_distance(c, s)
+    while spans and t_base < spans[-1][1] * (1.0 - 1e-12):
+        model = squared_link_distance(a, b)
         window, *form = trust_window(model, cap=horizon - t_base)
-        if t_base + window > t1:
-            break
-        skipped.append((model, window, form))
+        if any(lo <= t_base and t_base + window <= hi for lo, hi in spans):
+            skipped.append((model, window, form))
         t_base += window
-        c = re_anchor(c, c.epoch + window)
-        s = re_anchor(s, s.epoch + window)
+        a = re_anchor(a, a.epoch + window)
+        b = re_anchor(b, b.epoch + window)
     return skipped
 
 
 class TestWalk:
     @pytest.mark.parametrize("case", ["A", "B", "C"])
     def test_windows_tile_up_to_the_result(self, case):
-        # compute_llt answers the walk's last item. The windows meet end to
-        # end, only the last can hold a break, and a bounded result is that
-        # break; a case-C pair is solved in closed form, with no window.
+        # compute_llt answers the walk's last item. Two windows in a row
+        # either meet end to end or leave a gap, which a case-A walk skips
+        # on the no-break arcs, that holds no sampled break. Only the last
+        # window can hold a break, and a bounded result is that break; a
+        # case-C pair is solved in closed form, with no window.
         rng = np.random.default_rng([109, ord(case)])
         for _ in range(20):
             traj_a, traj_b, tx = sample_instance(case, rng)
@@ -649,7 +686,10 @@ class TestWalk:
             assert case != "C" or windows == []
             for w, following in zip(windows, windows[1:]):
                 assert w.pick is None
-                assert following.t_base == w.t_base + w.width
+                end = w.t_base + w.width
+                if following.t_base != end:
+                    assert case == "A" and following.t_base > end
+                    assert_spans_in_range(traj_a, traj_b, tx, [(end, following.t_base)])
             if not result.horizon_capped and windows:
                 assert result.llt == windows[-1].t_base + windows[-1].pick
 
@@ -665,7 +705,7 @@ class TestCaseBBracket:
         for _ in range(500):
             traj_a, traj_b, tx = sample_instance("B", rng)
             c, s = curve_first(traj_a, traj_b)
-            t1 = llt._walk_start(c, s, tx)
+            t1 = llt._walk_start(c, s, tx, SWEEP_HORIZON)
             if t1 == 0.0:
                 continue
             end = min(t1, SWEEP_HORIZON)
@@ -685,7 +725,7 @@ class TestCaseBBracket:
         t_break = (Fraction(tx) - Fraction(radius)
                    - (Fraction(s.origin_x) - Fraction(cx))) / Fraction(speed)
         c = curve(cx, cy, radius, 40.0, CCW, math.pi - 40.0 / radius * float(t_break))
-        assert 0.0 < llt._walk_start(c, s, tx) <= t_break
+        assert 0.0 < llt._walk_start(c, s, tx, SWEEP_HORIZON) <= t_break
         result = compute_llt(c, s, tx, SWEEP_HORIZON)
         assert not result.horizon_capped
         assert result.llt == pytest.approx(float(t_break), abs=1e-9)
@@ -694,7 +734,7 @@ class TestCaseBBracket:
         c = curve(0.0, 0.0, 300.0, 40.0, CCW, 0.0)  # at (300, 0)
         s = straight(350.0, 0.0, 2.0, 30.0)
         tx = 250.0
-        assert llt._walk_start(c, s, tx) == 0.0
+        assert llt._walk_start(c, s, tx, SWEEP_HORIZON) == 0.0
         *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows[0].model == squared_link_distance(c, s)
         assert_skips_sound(windows, tx)
@@ -704,7 +744,7 @@ class TestCaseBBracket:
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
         s = straight(100.0, 0.0, 1.0, 1.0)  # 1 m/s, 100 m from the centre
         tx = 1200.0
-        assert SWEEP_HORIZON <= llt._walk_start(c, s, tx) < math.inf
+        assert SWEEP_HORIZON <= llt._walk_start(c, s, tx, SWEEP_HORIZON) < math.inf
         *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows == []
         assert result == llt.LltResult(SWEEP_HORIZON, "B", None, None, True)
@@ -720,6 +760,110 @@ class TestCaseBBracket:
             *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             n_windows += len(windows)
         assert n_windows / 300 <= 1.9
+
+
+def distance_from_centre(flyer, centre, ts):
+    """Distance of a curve flyer from the centre of another curve at ``ts``."""
+    x, y = planar_positions_at(flyer, ts)
+    return np.hypot(x - centre.center_x, y - centre.center_y)
+
+
+class TestCaseAArcs:
+    """Two curve flyers are never farther apart than either one's distance
+    from the other's centre plus the other's radius. That rules out a break
+    while a flyer is on an arc of its phase, and a case-A walk skips every
+    span on which either flyer is on its arc. Each pair is checked against
+    the oracle, with every skipped span sampled."""
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 + 1e-10, 1.0 - 1e-3])
+    def test_concentric_circles_skip_all_or_nothing(self, scale):
+        # Concentric circles stay within R1 + R2 of each other: a range
+        # beyond that is answered at once, and one within the rounding
+        # allowance of it or below it is walked from 0.
+        a = curve(0.0, 0.0, 100.0, 20.0, CCW, 0.3)
+        b = curve(0.0, 0.0, 150.0, 45.0, CW, -1.0)
+        tx = 250.0 * scale
+        start = llt._walk_start(a, b, tx, SWEEP_HORIZON)
+        assert start == (math.inf if scale == 1.0 + 1e-6 else 0.0)
+        windows, result = walk_checked(a, b, tx, SWEEP_HORIZON)
+        assert (windows == []) == (start == math.inf)
+        assert result.horizon_capped == (scale > 1.0)
+
+    def test_break_exactly_at_an_arc_exit(self):
+        # Centres 300 m apart on a line far from the origin, R1 = 400 m and
+        # r - R2 = 500 m: kappa = 0 exactly, so flyer 1's no-break arc is
+        # the half circle within pi/2 of the direction of centre 2, and it
+        # leaves it 500 m from centre 2. Flyer 2 is then diametrically
+        # beyond centre 2, so the separation, at most rho1 + R2, reaches r
+        # there: the exit instant of these float parameters is a lower
+        # bound on the break. Solved without the rounding allowance, the
+        # exit rounds above it.
+        cx, cy, tx = 1234567.891, 1e6, 700.0
+        c1 = curve(cx, cy, 400.0, 40.0, CCW, -0.3006)
+        gap = Fraction(cx + 300.0) - Fraction(cx)
+        assert (Fraction(tx) - 200) ** 2 == gap ** 2 + 400 ** 2
+        # math.pi is below pi, so this is below the exit instant.
+        t_exit = (Fraction(math.pi) / 2 - Fraction(c1.initial_phase)) / Fraction(c1.omega)
+        c2 = curve(cx + 300.0, cy, 200.0, 30.0, CW, math.atan2(-4.0, 3.0) + 0.15 * float(t_exit))
+        assert 0.0 < llt._walk_start(c1, c2, tx, SWEEP_HORIZON) <= t_exit
+        windows, result = walk_checked(c1, c2, tx, SWEEP_HORIZON)
+        assert windows[0].t_base > 0.0
+        assert not result.horizon_capped
+        assert result.llt == pytest.approx(float(t_exit), abs=1e-9)
+
+    @pytest.mark.parametrize("tx", [900.0, 1000.0, 1080.0, 1100.0])
+    def test_counter_rotating_flyers(self, tx):
+        # Opposite turns about centres 538 m apart: 1100 m is beyond the
+        # reach g + R1 + R2; at 1000 and 1080 m the two arcs cover the
+        # horizon between them, and at 900 m they leave gaps to search.
+        a = curve(0.0, 0.0, 300.0, 40.0, CCW, 2.0)
+        b = curve(500.0, 200.0, 250.0, 35.0, CW, -0.5)
+        windows, result = walk_checked(a, b, tx, SWEEP_HORIZON)
+        assert skipped_spans(windows, result, SWEEP_HORIZON)
+        assert (windows == []) == (tx >= 1000.0)
+
+    @pytest.mark.parametrize("tx", [500.0, 600.0, 640.0])
+    @pytest.mark.parametrize("sense", [CCW, CW])
+    def test_equal_rates_with_overlapping_arcs(self, sense, tx):
+        a = curve(0.0, 0.0, 200.0, 30.0, CCW, 0.0)
+        b = curve(300.0, 0.0, 150.0, 22.5, sense, 2.5)
+        assert abs(a.omega) == abs(b.omega)
+        # For part of every turn both flyers are on their arcs at once.
+        ts = np.linspace(0.0, 2.0 * math.pi / abs(a.omega), 10_001)
+        both = ((distance_from_centre(a, b, ts) + b.radius <= tx)
+                & (distance_from_centre(b, a, ts) + a.radius <= tx))
+        assert both.any() and not both.all()
+        windows, result = walk_checked(a, b, tx, SWEEP_HORIZON)
+        assert skipped_spans(windows, result, SWEEP_HORIZON)
+
+    @pytest.mark.parametrize("tx", [450.0, 480.0])
+    def test_gap_narrower_than_a_window(self, tx):
+        # Equal rates, turning the same way: flyer 2's arc begins 0.05 rad
+        # of phase after flyer 1's ends, a third of a second, while a
+        # window spans up to a quarter turn. The walk searches one window
+        # across the gap and skips on from within flyer 2's arc.
+        g, r1, r2, eps = 300.0, 200.0, 150.0, 0.05
+        h1 = math.acos(-((tx - r2) ** 2 - g * g - r1 * r1) / (2.0 * g * r1))
+        h2 = math.acos(-((tx - r1) ** 2 - g * g - r2 * r2) / (2.0 * g * r2))
+        a = curve(0.0, 0.0, r1, 30.0, CCW, 0.0)
+        b = curve(g, 0.0, r2, 22.5, CCW, math.pi - h1 - h2 - eps)
+        gap_start, gap_end = h1 / a.omega, (h1 + eps) / a.omega
+        windows, result = walk_checked(a, b, tx, SWEEP_HORIZON)
+        first, second = windows[:2]
+        assert first.t_base == pytest.approx(gap_start, abs=1e-6)
+        assert first.t_base + first.width > gap_end
+        assert second.t_base > first.t_base + first.width
+
+    def test_windows_per_call(self):
+        # A standing guard on the arcs' saving: a walk with no arc skip
+        # sizes 3.28 windows per call on these pairs, the arcs 1.11.
+        rng = np.random.default_rng([7, ord("A")])
+        n_windows = 0
+        for _ in range(300):
+            traj_a, traj_b, tx = sample_instance("A", rng)
+            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            n_windows += len(windows)
+        assert n_windows / 300 <= 1.2
 
 
 class TestWindowSkip:
@@ -769,6 +913,12 @@ class TestWindowSkip:
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
             n_skipped += count_excluded(windows)
+            if kind == "A":
+                # The windows a walk without the arc skip sizes where the
+                # walk skips hold no break either.
+                for model, window, form in skipped_windows(a, b, tx, SWEEP_HORIZON):
+                    assert_no_break(model, window, form, tx)
+                    n_skipped += 1
         assert n_skipped >= 5
 
     def test_straight_flyer_at_zero_speed(self):
@@ -802,7 +952,7 @@ class TestWindowSkip:
         assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
         # At 2 m/s, t1 falls mid-horizon: the walk starts there.
         s = straight(800.0, 0.0, 1.0, 2.0)
-        t1 = llt._walk_start(c, s, 1200.0)
+        t1 = llt._walk_start(c, s, 1200.0, SWEEP_HORIZON)
         assert 100.0 < t1 < 200.0
         *windows, result = llt.walk(*pair(2.0), 1200.0, SWEEP_HORIZON)
         assert windows[0].model == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
@@ -845,17 +995,21 @@ class TestBernsteinExclusion:
             *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             n_excluded += count_excluded(windows)
             n_searched += len(windows) - count_excluded(windows)
-            if case == "B":
-                # The windows a walk from 0 sizes before the bracket, where
-                # compute_llt's walk begins, are excluded too.
-                for model, window, form in bracket_skipped_windows(traj_a, traj_b, tx,
-                                                                   SWEEP_HORIZON):
-                    assert_no_break(model, window, form, tx)
-                    n_excluded += 1
+            # The windows a walk with no skip sizes where compute_llt's walk
+            # skips, before case B's bracket or on case A's arcs, are
+            # excluded too.
+            for model, window, form in skipped_windows(traj_a, traj_b, tx, SWEEP_HORIZON):
+                assert_no_break(model, window, form, tx)
+                n_excluded += 1
         assert n_excluded >= n_searched
 
     @staticmethod
-    def rising_first_windows(case, seed, horizon):
+    def rises(model, window):
+        """The separation rises over all of [0, W], on 2,001 samples."""
+        return np.all(np.diff(sample(model, np.linspace(0.0, window, 2001))) > 0.0)
+
+    @classmethod
+    def rising_first_windows(cls, case, seed, horizon):
         """(traj_a, traj_b, model, W) of instances whose separation rises
         over all of the first window. The largest Bernstein coefficient of
         the piece that ends at W is then the value at W, so a range put
@@ -865,7 +1019,7 @@ class TestBernsteinExclusion:
             traj_a, traj_b, _ = sample_instance(case, rng)
             model = squared_link_distance(traj_a, traj_b)
             window = trust_window(model, cap=horizon)[0]
-            if np.all(np.diff(sample(model, np.linspace(0.0, window, 2001))) > 0.0):
+            if cls.rises(model, window):
                 yield traj_a, traj_b, model, window
 
     @pytest.mark.parametrize("case", ["A", "B"])
@@ -924,18 +1078,43 @@ class TestBernsteinExclusion:
         # The range is the separation at the first window's edge W, which
         # it reaches rising: the break is found at W, whichever of the two
         # windows that meet there brackets it, and also where the separation
-        # falls back inside the range soon after W.
+        # falls back inside the range soon after W. For case A the range
+        # moves the arcs and so the walk's start: it is put at the edge of
+        # the first window that the walk actually searches.
         probed = 0
         for traj_a, traj_b, model, window in self.rising_first_windows(case, 101, SWEEP_HORIZON):
-            tx = math.sqrt(model(window))
+            tx, edge = math.sqrt(model(window)), window
+            if case == "A":
+                found = self.range_at_the_first_searched_edge(traj_a, traj_b, tx)
+                if found is None:
+                    continue
+                tx, edge = found
             *windows, result = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
-            assert windows[0].width == window
+            if case == "B":
+                assert windows[0].width == window
             assert_skips_sound(windows, tx)
             assert not result.horizon_capped
-            assert result.llt == pytest.approx(window, abs=1e-9)
+            assert result.llt == pytest.approx(edge, abs=1e-9)
             assert_matches_oracle(result, traj_a, traj_b, tx, SWEEP_HORIZON)
             probed += 1
         assert probed >= 10
+
+    @classmethod
+    def range_at_the_first_searched_edge(cls, traj_a, traj_b, tx):
+        """(range, edge): a range that equals the separation at the edge of
+        the first window a walk with that range searches, with the
+        separation rising over that window. The range is moved to that edge
+        until the window stays put; None if it does not within 30 moves."""
+        for _ in range(30):
+            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            first = windows[0]
+            if not cls.rises(first.model, first.width):
+                return None
+            edge = math.sqrt(first.model(first.width))
+            if edge == tx:
+                return tx, first.t_base + first.width
+            tx = edge
+        return None
 
 
 def first_local_max(traj_a, traj_b, horizon):
