@@ -65,10 +65,10 @@ which comes round once per turn; at the start of every window the walk
 re-anchors at the first instant at which neither flyer is on its arc. A
 range beyond the centres' gap plus both radii makes the arc the whole
 circle and answers the pair at once. For a curve/straight pair (case B)
-the straight flyer's distance ``rho(t)`` from the turn centre has a
-quadratic square. No break comes before ``rho`` first exceeds ``r - R``, at
-a closed-form instant ``t1``, and both UAVs are re-anchored there before the
-first window is sized. Rounding allowances on the arcs, the reach and
+``rho(t)``, the straight flyer's distance from the turn centre, is the
+square root of a quadratic in time. No break comes before ``rho`` first
+exceeds ``r - R``, at a closed-form instant ``t1``, and both UAVs are
+re-anchored there before the first window is sized. Rounding allowances on the arcs, the reach and
 ``t1`` keep the skips certified in floating point, and a skip to the
 horizon answers the pair capped.
 """
@@ -817,7 +817,7 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
                 break
             traj_a = re_anchor(traj_a, traj_a.epoch + skip)
             traj_b = re_anchor(traj_b, traj_b.epoch + skip)
-        if t_base > 0.0:
+        if t_base > 0.0:  # the first window from 0 reuses the model above
             model = squared_link_distance(traj_a, traj_b)
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]

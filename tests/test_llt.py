@@ -371,11 +371,11 @@ class TestBrentq:
         """Every bracket ``(f, lo, hi, f(lo), f(hi))`` select_root hands to
         _brentq on seeded case A/B/C pairs at horizons 300 and 3600 s."""
         brackets = []
-        port = llt._brentq
+        solve = llt._brentq
 
         def record(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter=100):
             brackets.append((f, lo, hi, f_lo, f_hi))
-            return port(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter)
+            return solve(f, lo, hi, f_lo, f_hi, xtol, rtol, maxiter)
 
         rng = np.random.default_rng(41)
         with pytest.MonkeyPatch.context() as patch:
