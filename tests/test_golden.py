@@ -107,6 +107,26 @@ def test_solver_results(case, horizon):
     assert hashlib.sha256(repr(results).encode()).hexdigest() == SOLVER_DIGESTS[case, horizon]
 
 
+BENCH_PAIRS_DIGESTS = {
+    "A": "b5fab49611c64feef1660f819bfc25d6b187a7e69c75d09feeec08f5922288e0",
+    "B": "2d725dd73f50ff020e0230655d2ff040a172eac4955f159c5475557693ed7d20",
+    "C": "ef602426087e4f8fde0e0a2a1781f3684bef3dcc15d776a44552548a654d8493",
+}
+
+
+@pytest.mark.parametrize("case", BENCH_PAIRS_DIGESTS)
+def test_bench_llt_pairs_results(case):
+    # The bench's llt_pairs workload draws its pairs this way (seed 1, as in
+    # CI's bench self-check) and records no output digest of its own.
+    rng = np.random.default_rng([1, ord(case)])
+    results = []
+    for _ in range(1000):
+        a, b, tx_range = sample_instance(case, rng)
+        r = compute_llt(a, b, tx_range, SWEEP_HORIZON)
+        results.append((r.llt, r.case_used, r.root, r.residual, r.horizon_capped))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == BENCH_PAIRS_DIGESTS[case]
+
+
 def test_solver_results_near_tangent():
     # Ranges just above the initial separation put the range circle within
     # rounding of the separation: the windows where a bound that excludes a
