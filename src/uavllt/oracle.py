@@ -19,10 +19,15 @@ from .routing import NodeUnknown, Route
 
 _CHUNK = 1 << 16
 BISECTION_TOL = 1e-6  # seconds
+# Most grid steps brute_force_llt takes: some 28 times the 3.6e6 steps of a
+# 3,600 s horizon at 1 ms, and several seconds of work.
+MAX_STEPS = 10**8
 
 
 class TooLarge(ValueError):
-    """The graph is too big for exhaustive path enumeration."""
+    """The input is too big for brute force: a link-lifetime grid of more
+    than :data:`MAX_STEPS` steps, or a graph too big for exhaustive path
+    enumeration."""
 
 
 def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
@@ -32,13 +37,20 @@ def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
     Steps t by ``dt`` from the shared epoch, then refines the bracketing
     step by bisection to 1e-6 s. Returns ``math.inf`` when no break occurs
     by ``horizon``, also when the grid's last step, which may end past
-    ``horizon``, brackets a break that bisection puts beyond it. Raises :class:`LinkNotUp` if the pair starts out of
-    range, and :class:`ValueError` unless ``tx_range``, ``dt`` and
-    ``horizon`` are positive and finite.
+    ``horizon``, brackets a break that bisection puts beyond it. Raises
+    :class:`LinkNotUp` if the pair starts out of range, :class:`ValueError`
+    unless ``tx_range``, ``dt`` and ``horizon`` are positive and finite, and
+    :class:`TooLarge` (a :class:`ValueError`) when the grid,
+    ``ceil(horizon / dt)`` steps, has more than :data:`MAX_STEPS`, so that
+    no step size can hang a run.
     """
     for name, value in (("transmission range", tx_range), ("dt", dt), ("horizon", horizon)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    # ceil(x) > MAX_STEPS exactly when x > MAX_STEPS, also for an infinite x.
+    if horizon / dt > MAX_STEPS:
+        raise TooLarge(f"refusing a grid of {horizon / dt:.3g} steps of dt = {dt:g} s over"
+                       f" {horizon:g} s: the oracle takes at most {MAX_STEPS:.0e} steps")
     epoch = max(traj_a.epoch, traj_b.epoch)
     traj_a = re_anchor(traj_a, epoch)
     traj_b = re_anchor(traj_b, epoch)
@@ -53,7 +65,7 @@ def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
     if sq_sep(0.0) > r2:
         raise LinkNotUp(f"initial separation exceeds range {tx_range}")
 
-    n_steps = int(math.ceil(horizon / dt))
+    n_steps = math.ceil(horizon / dt)
     start = 0
     while start <= n_steps:
         stop = min(start + _CHUNK, n_steps + 1)

@@ -161,6 +161,15 @@ class TestPairCommand:
         assert exc.value.code == 2
         assert "not a finite number" in capsys.readouterr().err
 
+    def test_oracle_grid_too_fine_exit_2(self, capsys):
+        # 3.6e15 steps of 1e-12 s once kept the command busy for hours.
+        code = main(["pair", "straight:0,0,0,10,100", "straight:50,0,0,20,110",
+                     "--range", "100", "--oracle", "--oracle-dt=1e-12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: refusing a grid of 3.6e+15 steps")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("oracle_dt", ["inf", "nan", "0", "-1"])
     def test_bad_oracle_dt_exit_2(self, oracle_dt, capsys):
         # This pair breaks at 5 s; an infinite step once reported it unbounded.
@@ -301,6 +310,8 @@ class TestValidateCommand:
         (["--horizon", "nan"], "horizon must be positive and finite"),
         (["--horizon", "inf"], "horizon must be positive and finite"),
         (["--trials", "0"], "trials must be >= 1"),
+        # 3e14 steps: the sweep once printed nothing for as long as it ran.
+        (["--trials", "2", "--dt", "1e-12"], "refusing a grid of 3e+14 steps"),
     ])
     def test_bad_sweep_settings_exit_2(self, flags, message, capsys):
         # An infinite step once checked t = 0 alone and printed RESULT: PASS.

@@ -6,7 +6,7 @@ import pytest
 from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory
 from uavllt.llt import LinkNotUp, compute_llt
 from uavllt.netsim import LinkGraph
-from uavllt.oracle import TooLarge, brute_force_llt, enumerate_best_route
+from uavllt.oracle import MAX_STEPS, TooLarge, brute_force_llt, enumerate_best_route
 from uavllt.validate import sample_instance
 
 
@@ -55,6 +55,26 @@ class TestBruteForceLlt:
                 assert abs(coarse - fine) <= 2e-6
             else:
                 assert math.isinf(coarse) == math.isinf(fine)
+
+    @pytest.mark.parametrize("dt, horizon", [(1e-12, 300.0), (5e-324, 1.0), (1e-3, 1.1e5)])
+    def test_grid_too_fine_rejected(self, dt, horizon):
+        # 3e14 steps of 1e-12 s once ran for hours; 5e-324 s makes the step
+        # count infinite.
+        a = StraightTrajectory(0, 0, 0, 10, 0)
+        with pytest.raises(TooLarge, match="refusing a grid"):
+            brute_force_llt(a, a, 100.0, dt=dt, horizon=horizon)
+
+    def test_grid_of_max_steps_accepted(self):
+        # horizon / dt is exactly MAX_STEPS, and one ulp more is refused. The
+        # pair breaks at 1 ms, in the first chunk of the grid.
+        a = StraightTrajectory(0, 0, 0, 0, 100)
+        b = StraightTrajectory(5, 0, 0, 5000, 110)
+        dt = 2.0 ** -20
+        horizon = MAX_STEPS * dt
+        assert horizon / dt == MAX_STEPS
+        assert brute_force_llt(a, b, 10.0, dt=dt, horizon=horizon) == pytest.approx(1e-3, abs=2e-6)
+        with pytest.raises(TooLarge):
+            brute_force_llt(a, b, 10.0, dt=dt, horizon=math.nextafter(horizon, math.inf))
 
     def test_bad_dt_rejected(self):
         a = StraightTrajectory(0, 0, 0, 10, 0)
