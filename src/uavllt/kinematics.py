@@ -184,16 +184,21 @@ def re_anchor(traj: Trajectory, epoch: float) -> Trajectory:
 
     The flight path is unchanged; only the parameter origin moves, so
     positions satisfy ``position_at(re_anchor(T, e), t) == position_at(T, (e - T.epoch) + t)``.
+    A curve's phase moves on by ``omega * dt`` and is wrapped; a straight
+    flyer's origin moves to its :func:`planar_xy` point. The result equals,
+    bit for bit, the trajectory the validating constructor builds from
+    those fields, but ``traj`` is already validated, so the copy skips
+    ``__post_init__`` and keeps its ``omega``: the solver re-anchors both
+    UAVs at every trust window. ``dt == 0`` returns ``traj`` itself.
     """
     dt = epoch - traj.epoch
     if dt == 0.0:
         return traj
-    # Built directly: dataclasses.replace costs several times more, and the
-    # solver re-anchors both UAVs at every trust window.
+    moved = object.__new__(type(traj))
     if isinstance(traj, CurveTrajectory):
-        return CurveTrajectory(traj.center_x, traj.center_y, traj.radius, traj.speed,
-                               traj.direction, wrap_angle(traj.initial_phase + traj.omega * dt),
-                               traj.altitude, epoch)
-    x, y = planar_xy(traj, dt)
-    return StraightTrajectory(x, y, traj.heading, traj.speed, traj.altitude, epoch)
-
+        moved.__dict__.update(traj.__dict__, epoch=epoch,
+                              initial_phase=wrap_angle(traj.initial_phase + traj.omega * dt))
+    else:
+        x, y = planar_xy(traj, dt)
+        moved.__dict__.update(traj.__dict__, origin_x=x, origin_y=y, epoch=epoch)
+    return moved

@@ -127,6 +127,49 @@ class TestReAnchor:
             assert planar_distance(a, b) == pytest.approx(0.0, abs=1e-6)
 
 
+def bits(traj) -> dict:
+    """Every attribute of ``traj``, ``omega`` too, with floats as their exact hex."""
+    return {name: value.hex() if isinstance(value, float) else (type(value), value)
+            for name, value in vars(traj).items()}
+
+
+class TestReAnchorConstruction:
+    """re_anchor copies a validated trajectory without running __post_init__;
+    the copy must be the one the validating constructor builds."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_validating_constructor(self, seed):
+        rng = np.random.default_rng([37, seed])
+        wrapped = {1: 0, -1: 0}
+        for _ in range(60):
+            traj = replace(random_trajectory(rng), epoch=float(rng.uniform(-500, 500)))
+            epoch = traj.epoch + float(rng.uniform(-300, 300))
+            dt = epoch - traj.epoch
+            moved = re_anchor(traj, epoch)
+            if isinstance(traj, CurveTrajectory):
+                phase = traj.initial_phase + traj.omega * dt
+                if abs(phase) > math.pi:
+                    wrapped[1 if phase > 0 else -1] += 1
+                built = CurveTrajectory(traj.center_x, traj.center_y, traj.radius, traj.speed,
+                                        traj.direction, phase, traj.altitude, epoch)
+                assert type(moved.direction) is Direction
+            else:
+                built = StraightTrajectory(*planar_xy(traj, dt), traj.heading, traj.speed,
+                                           traj.altitude, epoch)
+            assert type(moved) is type(built)
+            assert bits(moved) == bits(built)
+            assert moved == built and hash(moved) == hash(built)
+            assert repr(moved) == repr(built)
+        assert min(wrapped.values()) > 0  # phases wrapped past both +pi and -pi
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_shift_returns_the_trajectory(self, seed):
+        rng = np.random.default_rng([41, seed])
+        for _ in range(10):
+            traj = replace(random_trajectory(rng), epoch=float(rng.uniform(-50, 50)))
+            assert re_anchor(traj, traj.epoch) is traj
+
+
 class TestVelocityHeading:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_numeric_derivative(self, seed):
