@@ -111,6 +111,8 @@ _BRACKET_SHRINK = 1e-9
 _BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k)
                         for k in range(TAYLOR_DEGREE + 1)]
                        for i in range(TAYLOR_DEGREE + 1)])
+# k! as floats, all exact: the Taylor coefficients and remainder bounds divide by them.
+_FACTORIAL = [float(math.factorial(k)) for k in range(TAYLOR_DEGREE + 2)]
 
 
 class LinkNotUp(RuntimeError):
@@ -219,50 +221,13 @@ def find_real_roots(bernstein, margin: float, window: float) -> list[tuple[float
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrigTerm:
+class TrigTerm(NamedTuple):
     """One sinusoid ``amplitude * t^t_power * cos(phase + rate * t)``."""
 
     amplitude: float
     phase: float
     rate: float
     t_power: int = 0
-
-    def taylor_coefficients(self) -> list[float]:
-        """Ascending coefficients of the expansion about t=0."""
-        out = [0.0] * (TAYLOR_DEGREE + 1)
-        order = TAYLOR_DEGREE - self.t_power
-        # d^k/dt^k cos(phase + rate*t) at 0 cycles through +-cos/sin(phase)
-        cycle = (
-            math.cos(self.phase),
-            -math.sin(self.phase),
-            -math.cos(self.phase),
-            math.sin(self.phase),
-        )
-        rate_pow = 1.0
-        fact = 1.0
-        for k in range(order + 1):
-            if k > 0:
-                rate_pow *= self.rate
-                fact *= k
-            out[k + self.t_power] = self.amplitude * cycle[k % 4] * rate_pow / fact
-        return out
-
-    def remainder_bound(self, window: float) -> float:
-        """Upper bound on the truncation error over ``[0, window]``.
-
-        Requires ``abs(rate) * window < TAYLOR_DEGREE - t_power + 2``, where
-        the tail of the series is bounded by a geometric one. Every trust
-        window meets it: it starts at a quarter period of the fastest
-        sinusoid, so each argument stays at or below pi/2.
-        """
-        order = TAYLOR_DEGREE - self.t_power
-        x = abs(self.rate) * window
-        if x == 0.0:
-            return 0.0
-        tail = x ** (order + 1) / math.factorial(order + 1)
-        tail /= 1.0 - x / (order + 2)
-        return abs(self.amplitude) * (window ** self.t_power) * tail
 
 
 @dataclass(frozen=True)
@@ -272,6 +237,10 @@ class SquaredDistance:
     ``quadratic`` holds (q0, q1, q2); ``terms`` the sinusoids. Calling the
     model at one time value evaluates the exact (non-expanded) function; no
     Taylor error here.
+
+    Every sum here runs left to right in a plain loop: ``sum`` of floats
+    rounds differently from Python 3.12 on, and the golden digests record
+    every bit of the results.
     """
 
     quadratic: tuple[float, float, float]
@@ -281,19 +250,30 @@ class SquaredDistance:
     def __call__(self, t: float) -> float:
         q0, q1, q2 = self.quadratic
         value = q0 + t * (q1 + t * q2)
-        for term in self.terms:
-            value += term.amplitude * math.cos(term.phase + term.rate * t) * t ** term.t_power
+        for amplitude, phase, rate, t_power in self.terms:
+            if t_power:
+                value += amplitude * math.cos(phase + rate * t) * t ** t_power
+            else:
+                value += amplitude * math.cos(phase + rate * t)
         return value
 
     def taylor(self) -> list[float]:
         """Ascending coefficients of the Taylor polynomial about t=0.
 
         The list always has ``TAYLOR_DEGREE + 1`` entries. The quadratic
-        part is carried exactly, so for case C the polynomial is exact.
+        part is carried exactly, so for case C the polynomial is exact. Each
+        sinusoid adds ``amplitude * c_k * rate^k / k!`` to the coefficient of
+        ``t^(k + t_power)``, in the order of the terms.
         """
         coeffs = [*self.quadratic] + [0.0] * (TAYLOR_DEGREE - 2)
-        for term in self.terms:
-            coeffs = [c + d for c, d in zip(coeffs, term.taylor_coefficients())]
+        for amplitude, phase, rate, t_power in self.terms:
+            # d^k/dt^k cos(phase + rate*t) at 0 cycles through +-cos/sin(phase)
+            cos, sin = math.cos(phase), math.sin(phase)
+            cycle = (cos, -sin, -cos, sin)
+            rate_pow = 1.0
+            for k in range(TAYLOR_DEGREE + 1 - t_power):
+                coeffs[k + t_power] += amplitude * cycle[k & 3] * rate_pow / _FACTORIAL[k]
+                rate_pow *= rate
         return coeffs
 
     def max_rate(self) -> float:
@@ -302,7 +282,22 @@ class SquaredDistance:
         return max(abs(term.rate) for term in self.terms)
 
     def remainder_bound(self, window: float) -> float:
-        return sum(term.remainder_bound(window) for term in self.terms)
+        """Upper bound on the truncation error of :meth:`taylor` over ``[0, window]``.
+
+        Requires ``abs(rate) * window < TAYLOR_DEGREE - t_power + 2`` for
+        every term, where the tail of its series is bounded by a geometric
+        one. Every trust window meets it: it starts at a quarter period of
+        the fastest sinusoid, so each argument stays at or below pi/2.
+        """
+        bound = 0.0
+        for amplitude, _, rate, t_power in self.terms:
+            x = abs(rate) * window
+            if x:
+                order = TAYLOR_DEGREE - t_power
+                tail = x ** (order + 1) / _FACTORIAL[order + 1]
+                tail /= 1.0 - x / (order + 2)
+                bound += abs(amplitude) * (window ** t_power) * tail
+        return bound
 
     def bernstein(self, coeffs: list[float], window: float) -> tuple[list[float], float]:
         """Bernstein coefficients of ``coeffs`` on ``[0, window]``, and their
@@ -317,11 +312,13 @@ class SquaredDistance:
         # and an overflow becomes inf or nan here without a warning. A zero
         # coefficient stays zero even where the window's power overflows.
         scaled = []
+        size = 0.0
         power = 1.0
         for c in coeffs:
-            scaled.append(c * power if c else 0.0)
+            c = c * power if c else 0.0
+            scaled.append(c)
+            size += abs(c)
             power *= window
-        size = sum(map(abs, scaled))
         if not math.isfinite(size):
             raise RangeLostInRounding(
                 f"the separation model overflows when scaled to a {window:.6g} s trust window")
@@ -330,16 +327,24 @@ class SquaredDistance:
         return (_BERNSTEIN @ scaled).tolist(), _ROUNDING * size
 
 
+def _gap_angle(dx: float, dy: float) -> tuple[float, float, float]:
+    """``(gap, sign1, beta)`` of :func:`case_geometry`'s ``(dx, dy)``, with
+    ``beta = cross_sign * alpha``: what the models use of it."""
+    a = abs(dx)
+    b = abs(dy)
+    sign1 = -1.0 if dx < 0.0 else 1.0
+    sign2 = -1.0 if dy < 0.0 else 1.0
+    return math.hypot(a, b), sign1, sign1 * sign2 * math.atan2(b, a)
+
+
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
-    geom = case_geometry(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
-    gap = geom.gap
-    beta = geom.cross_sign * geom.alpha
+    gap, sign1, beta = _gap_angle(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
     q0 = gap * gap + c1.radius**2 + c2.radius**2
     terms = [TrigTerm(-2.0 * c1.radius * c2.radius,
                       c1.initial_phase - c2.initial_phase,
                       c1.omega - c2.omega)]
     if gap > 0.0:
-        scale = 2.0 * geom.sign1 * gap
+        scale = 2.0 * sign1 * gap
         terms.append(TrigTerm(scale * c1.radius, c1.initial_phase - beta, c1.omega))
         terms.append(TrigTerm(-scale * c2.radius, c2.initial_phase - beta, c2.omega))
     return SquaredDistance((q0, 0.0, 0.0), tuple(terms), "A")
@@ -347,16 +352,13 @@ def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistan
 
 def _curve_straight_model(c: CurveTrajectory, s: StraightTrajectory) -> SquaredDistance:
     # Gaps measured from the straight flyer's origin to the turn center.
-    geom = case_geometry(c.center_x - s.origin_x, c.center_y - s.origin_y)
-    gap = geom.gap
-    beta = geom.cross_sign * geom.alpha
+    gap, sign1, beta = _gap_angle(c.center_x - s.origin_x, c.center_y - s.origin_y)
     q0 = gap * gap + c.radius**2
-    q1 = -2.0 * geom.sign1 * s.speed * gap * math.cos(s.heading - beta)
+    q1 = -2.0 * sign1 * s.speed * gap * math.cos(s.heading - beta)
     q2 = s.speed**2
     terms = []
     if gap > 0.0:
-        terms.append(TrigTerm(2.0 * geom.sign1 * c.radius * gap,
-                              c.initial_phase - beta, c.omega))
+        terms.append(TrigTerm(2.0 * sign1 * c.radius * gap, c.initial_phase - beta, c.omega))
     if s.speed > 0.0:
         terms.append(TrigTerm(-2.0 * c.radius * s.speed,
                               c.initial_phase - s.heading, c.omega, t_power=1))
@@ -621,13 +623,43 @@ def _no_break_arc(flyer: CurveTrajectory, other: CurveTrajectory,
     dy = other.center_y - flyer.center_y
     gap = math.hypot(dx, dy)
     squares = (reach * reach, gap * gap, flyer.radius * flyer.radius)
-    excess = squares[0] - squares[1] - squares[2] - _BRACKET_SHRINK * sum(squares)
+    excess = (squares[0] - squares[1] - squares[2]
+              - _BRACKET_SHRINK * (squares[0] + squares[1] + squares[2]))
     width = 2.0 * gap * flyer.radius
     if excess >= width:
         return math.inf, 0.0
     if excess < -width:
         return -1.0, 0.0
     return math.acos(-excess / width), math.atan2(dy, dx)
+
+
+def _no_break_arcs(c1: CurveTrajectory, c2: CurveTrajectory, tx_range: float):
+    """Both flyers' :func:`_no_break_arc`, or None when either is the whole
+    circle. Re-anchoring moves neither centre nor radius, so a walk asks once."""
+    arcs = (_no_break_arc(c1, c2, tx_range), _no_break_arc(c2, c1, tx_range))
+    return None if math.inf in (arcs[0][0], arcs[1][0]) else arcs
+
+
+def _arc_exit(c1: CurveTrajectory, c2: CurveTrajectory, arcs, span: float) -> float:
+    """:func:`_walk_start` of two curve flyers whose :func:`_no_break_arcs` are ``arcs``."""
+    if arcs is None:
+        return math.inf
+    flyers = (c1, c2)
+    t = 0.0
+    settled = k = 0  # flyers in a row found off their arcs at t
+    while settled < 2 and t < span:
+        flyer = flyers[k]
+        half, toward = arcs[k]
+        rate = abs(flyer.omega)
+        half -= _BRACKET_SHRINK * (2.0 * TWO_PI + rate * t)
+        u = math.remainder(flyer.initial_phase + flyer.omega * t - toward, TWO_PI)
+        end = t
+        if abs(u) <= half:
+            end += (half - u if flyer.omega > 0.0 else half + u) / rate
+        settled = 1 if end > t else settled + 1
+        t = end
+        k = 1 - k
+    return t
 
 
 def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float,
@@ -685,24 +717,7 @@ def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float,
     covers the rounding of the root formula.
     """
     if isinstance(other, CurveTrajectory):
-        arcs = ((curve, *_no_break_arc(curve, other, tx_range)),
-                (other, *_no_break_arc(other, curve, tx_range)))
-        if math.inf in (arcs[0][1], arcs[1][1]):
-            return math.inf
-        t = 0.0
-        settled = k = 0  # flyers in a row found off their arcs at t
-        while settled < 2 and t < span:
-            flyer, half, toward = arcs[k]
-            rate = abs(flyer.omega)
-            half -= _BRACKET_SHRINK * (2.0 * TWO_PI + rate * t)
-            u = math.remainder(flyer.initial_phase + flyer.omega * t - toward, TWO_PI)
-            end = t
-            if abs(u) <= half:
-                end += (half - u if flyer.omega > 0.0 else half + u) / rate
-            settled = 1 if end > t else settled + 1
-            t = end
-            k = 1 - k
-        return t
+        return _arc_exit(curve, other, _no_break_arcs(curve, other, tx_range), span)
     reach = (tx_range - curve.radius) * (1.0 - _BRACKET_SHRINK)
     dx = other.origin_x - curve.center_x
     dy = other.origin_y - curve.center_y
@@ -780,7 +795,14 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
 
     Each window starts where the last one ends, or where
     :func:`_walk_start` skips to: before the first window for a case-B
-    pair, before every window for a case-A pair.
+    pair, before every window for a case-A pair, whose no-break arcs the
+    walk computes once, since re-anchoring moves neither centre nor radius.
+
+    At each window the walk re-anchors both trajectories and asks
+    :func:`squared_link_distance`, :func:`trust_window`,
+    :func:`find_real_roots` and :func:`select_root` through this module's
+    names, one call each; the first window from 0 reuses the model of the
+    link-up check. Nothing is kept from one call to the next.
 
     Raises as :func:`compute_llt` does, once iterated. A case-C pair, a pair
     answered before any window is sized and a separation identically on the
@@ -809,7 +831,11 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
 
     # The canonical order puts a curve first.
     t_base = 0.0
-    skip = _walk_start(traj_a, traj_b, tx_range, horizon)
+    if case == "A":
+        arcs = _no_break_arcs(traj_a, traj_b, tx_range)
+        skip = _arc_exit(traj_a, traj_b, arcs, horizon)
+    else:
+        skip = _walk_start(traj_a, traj_b, tx_range, horizon)
     while True:
         if skip > 0.0:
             t_base += skip
@@ -838,5 +864,5 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             break
         traj_a = re_anchor(traj_a, traj_a.epoch + window)
         traj_b = re_anchor(traj_b, traj_b.epoch + window)
-        skip = _walk_start(traj_a, traj_b, tx_range, horizon - t_base) if case == "A" else 0.0
+        skip = _arc_exit(traj_a, traj_b, arcs, horizon - t_base) if case == "A" else 0.0
     yield _unbounded(case, horizon)
