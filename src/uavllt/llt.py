@@ -157,12 +157,16 @@ class CaseGeometry:
         return self.sign1 * self.sign2
 
 
-def case_geometry(dx: float, dy: float) -> CaseGeometry:
+def _gap_parts(dx: float, dy: float) -> tuple[float, float, float, float, float]:
+    """:class:`CaseGeometry`'s fields ``(a, b, sign1, sign2, alpha)`` as a
+    plain tuple, which the separation models read without building one."""
     a = abs(dx)
     b = abs(dy)
-    sign1 = -1.0 if dx < 0.0 else 1.0
-    sign2 = -1.0 if dy < 0.0 else 1.0
-    return CaseGeometry(a, b, sign1, sign2, math.atan2(b, a))
+    return a, b, -1.0 if dx < 0.0 else 1.0, -1.0 if dy < 0.0 else 1.0, math.atan2(b, a)
+
+
+def case_geometry(dx: float, dy: float) -> CaseGeometry:
+    return CaseGeometry(*_gap_parts(dx, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +331,10 @@ class SquaredDistance:
         return (_BERNSTEIN @ scaled).tolist(), _ROUNDING * size
 
 
-def _gap_angle(dx: float, dy: float) -> tuple[float, float, float]:
-    """``(gap, sign1, beta)`` of :func:`case_geometry`'s ``(dx, dy)``, with
-    ``beta = cross_sign * alpha``: what the models use of it."""
-    a = abs(dx)
-    b = abs(dy)
-    sign1 = -1.0 if dx < 0.0 else 1.0
-    sign2 = -1.0 if dy < 0.0 else 1.0
-    return math.hypot(a, b), sign1, sign1 * sign2 * math.atan2(b, a)
-
-
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
-    gap, sign1, beta = _gap_angle(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
+    a, b, sign1, sign2, alpha = _gap_parts(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
+    gap = math.hypot(a, b)
+    beta = sign1 * sign2 * alpha
     q0 = gap * gap + c1.radius**2 + c2.radius**2
     terms = [TrigTerm(-2.0 * c1.radius * c2.radius,
                       c1.initial_phase - c2.initial_phase,
@@ -352,7 +348,9 @@ def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistan
 
 def _curve_straight_model(c: CurveTrajectory, s: StraightTrajectory) -> SquaredDistance:
     # Gaps measured from the straight flyer's origin to the turn center.
-    gap, sign1, beta = _gap_angle(c.center_x - s.origin_x, c.center_y - s.origin_y)
+    a, b, sign1, sign2, alpha = _gap_parts(c.center_x - s.origin_x, c.center_y - s.origin_y)
+    gap = math.hypot(a, b)
+    beta = sign1 * sign2 * alpha
     q0 = gap * gap + c.radius**2
     q1 = -2.0 * sign1 * s.speed * gap * math.cos(s.heading - beta)
     q2 = s.speed**2
