@@ -6,6 +6,7 @@ digest only for a deliberate, documented behaviour change.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,58 @@ def run_fleet(config: ScenarioConfig, directory: Path) -> dict:
     return digests(directory)
 
 
+STEADY = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
+
+
 def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
-    config = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, seed=100000)
-    assert run_fleet(config, tmp_path) == {
+    assert run_fleet(STEADY, tmp_path) == {
         "events.jsonl": "bc009db7173a504fbd959333d1b323ac0476682912b5df97d7d77f1276d150ad",
         "snapshots.csv": "f5aa72a7f77c88232ce805bc546dbeceeaa91b35227396fb2ccb70483eeba059",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
+
+
+# The bench's net_* scenarios 1-3 of seed 1 (scenario 0 is pinned above).
+BENCH_STEADY_DIGESTS = {
+    100001: {
+        "events.jsonl": "cb332c8e2e58b9fbcc22bb4067cc008782591afad22028de659f6d7d1d7da669",
+        "snapshots.csv": "97ec5dd58a88f1fa664a86f80733563608774736bdd6d6ef8be2c6c2d820b70e",
+        "trace.csv": "b0f7723f36e1053cbe433b82ba498cac689ef73e6618ca4179e231bc38cca256",
+    },
+    100002: {
+        "events.jsonl": "a15f5d4a93f285757754ea289b0b25c076e655846246ebb9da089047237e6a6d",
+        "snapshots.csv": "155c8a713cad5f632512f7fb45562e5dd4754122672034456106981b877bac93",
+        "trace.csv": "e86e175d21e4085b65302f767c5a7ad34d5de87ac58f0e759220bf977de4029e",
+    },
+    100003: {
+        "events.jsonl": "27e1b1c1b70cbad2c23b35207e5ba35e698401ab40df9200352bc6b9e1cb4f95",
+        "snapshots.csv": "9d4cfae639fa2dbf419e31b9aaee19278e38a2980bce6abfca6122ac054d26b1",
+        "trace.csv": "14e870450529cb5796d98fbc68833e8343a0d6378bccb5a3a44c2075102fdabe",
+    },
+}
+BENCH_CHURN_DIGESTS = {
+    100001: {
+        "events.jsonl": "bf33de2395bbb3d2680c5b785cc5cf8671e57e9068a4ef8dcb52a7e4c3236189",
+        "snapshots.csv": "dd8cdb6463be0dd3745459b230e7b6a928d5d2611577565cff17a5a960d7f781",
+        "trace.csv": "77254e6ecd8f2ffb2337228aad315bf90559d11331b749e6983fb4b0479a7376",
+    },
+    100002: {
+        "events.jsonl": "e6bfd3b120fb0c88e3cd3aa9591e814f05e744055bf4a19fd1660cf62767152d",
+        "snapshots.csv": "3b81236274773d6e28630cffe483d0c173005fcbe285f4fe773fc3c4fa690557",
+        "trace.csv": "6afe25d3844ead317609b9dde57d7c53457328dcfa2fa76740c370ed14247df5",
+    },
+    100003: {
+        "events.jsonl": "0d506abe364775d01e7a3e8d74ff0e0dd640fc6e7f3ab0415ae5c7f15723bef9",
+        "snapshots.csv": "5c440b48d3838a734df8a15210b29f52172a71a77758c4d29b8f642df4109344",
+        "trace.csv": "fbd0ce0920c81da2df10957531bdd8685eb1834c0f25ec1ec03c2c298340e554",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", BENCH_STEADY_DIGESTS)
+def test_steady_fleet_bench_scenarios(tmp_path, seed):
+    assert run_fleet(replace(STEADY, seed=seed), tmp_path) == BENCH_STEADY_DIGESTS[seed]
 
 
 CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=100000)
@@ -71,6 +116,11 @@ def test_churn_fleet_scenario(tmp_path):
         "snapshots.csv": "c502a6f87dd14bb23c18e0063dac3549423a82205a2045dc4282b0de9bbfc398",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
+
+
+@pytest.mark.parametrize("seed", BENCH_CHURN_DIGESTS)
+def test_churn_fleet_bench_scenarios(tmp_path, seed):
+    assert run_fleet(replace(CHURN, seed=seed), tmp_path) == BENCH_CHURN_DIGESTS[seed]
 
 
 def test_sparse_hello_scenario(tmp_path):
