@@ -13,36 +13,32 @@ terminations are detected by sampling live-link separations on a fine
 grid and bisecting the crossing, so the simulator can score its own
 predictions.
 
-Nothing moves a trajectory or brings a link up between two queued events,
-so the ground-truth check scans every grid tick up to the next event as
-one block. It walks each link it evaluates through the block's ticks up to
-the first one beyond range, and computes each UAV's coordinates at those
-ticks once per block. The check and the Hello take coordinates from
-:func:`~uavllt.kinematics.planar_xy`, the arithmetic of
-:func:`~uavllt.kinematics.position_at`, and distances from
-:func:`math.hypot`, so every separation, and with it every output, is
-bit-identical to checking one tick and one pair at a time. Termination
-bisection and the change handler's range test call :func:`position_at`.
+Most geometry is skipped. Planar separation changes by at most the sum
+of both UAVs' speeds per second, so a pair with separation d at instant t
+stays on its side of the range r (d <= r or d > r) until ``t + (|d - r| -
+allowance) / (v_a + v_b)``, or for good when both UAVs are parked: a
+kinetic certificate (Basch, Guibas & Hershberger 1999). Each UAV pair
+carries one, its contact certificate, with the pair's in-range flag; it
+expires when either UAV changes trajectory (a scripted change may even
+teleport a UAV). The allowance covers the rounding of
+:func:`~uavllt.kinematics.planar_xy` (the arithmetic of
+:func:`~uavllt.kinematics.position_at`) and :func:`math.hypot`, from which
+the Hello and the check take every separation. A Hello reuses the flag of
+each pair whose certificate holds at its instant, and computes and
+certifies the others, taking its own UAV's coordinates once and only if
+some pair needs them.
 
-Most of that geometry is skipped. Planar separation changes by at most
-the sum of both UAVs' speeds per second, so a pair with separation d at
-instant t stays on its side of the range r (d <= r or d > r) until ``t +
-(|d - r| - allowance) / (v_a + v_b)``, or for good when both UAVs are
-parked: a kinetic certificate (Basch, Guibas & Hershberger 1999). The
-allowance, 64 eps times the size of the coordinates, their travel and the
-range, covers the rounding of the coordinates and of
-:func:`math.hypot`, so the bound holds for the separations the scans
-compute. Each UAV pair carries one, its contact certificate, with the
-pair's in-range flag, and both scans read and renew it. A Hello reuses the
-flag of every pair whose certificate holds at its instant, and computes and
-certifies the separations of the others, taking its own UAV's coordinates
-once and only if some pair needs them. A check block evaluates only the
-links whose certificate is missing, out of range or runs out by its last
-tick, and certifies each unbroken one from that tick; a block with none
-makes no geometry call. Certificates expire when either UAV changes
-trajectory (a scripted change may even teleport a UAV). A skipped link or
-pair could not have crossed the range at any instant it was skipped, so
-every output stays bit-identical.
+The check ticks are ``dt_check`` summed up to the duration. Each live link
+waits in a due queue at the instant its certificate runs out, from its
+link-up or from a change that re-estimates it, and one check event is
+queued at the first tick at or after the earliest. That check evaluates
+the due links only, in live order: it ends each one beyond range, bisected
+from the tick before, and certifies the others from its tick. A link
+whose certificate a Hello renewed meanwhile waits again until the new
+expiry. No link is skipped on a tick where its certificate does not hold
+it in range, so every output is bit-identical to checking every link on
+every tick. Termination bisection and the change handler's range test
+call :func:`position_at`.
 
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state, anchored at the change instant, together
@@ -62,6 +58,7 @@ import csv
 import json
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
@@ -82,8 +79,6 @@ DT_CHECK = 0.01          # ground-truth sampling resolution, seconds
 BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
 # A half-completed Hello handshake goes stale after this many intervals.
 HANDSHAKE_FRESHNESS = 2.0
-# Most check ticks one block scan covers; bounds the coordinates it holds.
-_CHECK_BLOCK = 256
 # A certificate's allowance for rounding, relative to the size of the
 # coordinates, their travel and the range.
 _CERT_ROUNDING = 64.0 * sys.float_info.epsilon
@@ -279,7 +274,7 @@ class Simulator:
 
         self.events: list = []
         self.snapshots: list = []
-        self.live: dict = {}
+        self.live: dict = {}  # pair -> index of its live link in records
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
         # uid -> (speed, size) of its current trajectory, for certificates
@@ -290,7 +285,11 @@ class Simulator:
         self._contact = {uid: {} for uid in self.order}
         self._heard: dict = {}  # (listener, sender) -> when last heard
         self._hello_seq = {uid: 0 for uid in self.order}
-        self._last_check = 0.0
+        self._due: list = []  # (instant its certificate runs out, k, pair) per live link
+        self._ticks = [0.0]  # then every check tick: the chain of sums of dt_check
+        while self._ticks[-1] + dt_check <= duration:
+            self._ticks.append(self._ticks[-1] + dt_check)
+        self._next_check = len(self._ticks)  # index in _ticks of the queued check
         self._heap: list = []
         self._seq = 0
 
@@ -309,8 +308,7 @@ class Simulator:
         return position_at(seg, t - seg.epoch)
 
     def _separation(self, a, b, t: float) -> float:
-        pa = self._position(a, t)
-        pb = self._position(b, t)
+        pa, pb = self._position(a, t), self._position(b, t)
         return math.hypot(pa.x - pb.x, pa.y - pb.y)
 
     # -- event handlers ----------------------------------------------------
@@ -347,9 +345,10 @@ class Simulator:
     def _establish(self, pair, t: float) -> None:
         link = LinkRecord(endpoints=pair, established_at=t)
         recompute_llt(link, self.states, t, self.tx_range, self.horizon)
-        self.live[pair] = link
+        k = self.live[pair] = len(self.records)
         self.records.append(link)
         self._log_estimate(t, "link_up", pair, link.current_result)
+        self._watch(k, pair, t)
 
     def _log_estimate(self, t: float, kind: str, pair, result: LltResult) -> None:
         self.events.append({
@@ -381,57 +380,60 @@ class Simulator:
             event.update({"cx": None, "cy": None, "r": None, "heading": traj.heading})
         self.events.append(event)
 
-        for pair in [p for p in self.live if uid in p]:
-            link = self.live[pair]
+        for pair, k in [item for item in self.live.items() if uid in item[0]]:
             if self._separation(pair[0], pair[1], t) > self.tx_range:
                 # Already out of range: the break happened since the last
-                # look; terminate instead of re-estimating.
-                self._terminate(pair, max(self._last_check, link.established_at), t)
+                # tick; terminate instead of re-estimating.
+                self._terminate(pair, t)
                 continue
-            recompute_llt(link, self.states, t, self.tx_range, self.horizon)
+            link = recompute_llt(self.records[k], self.states, t, self.tx_range, self.horizon)
             self._log_estimate(t, "llt_recompute", pair, link.current_result)
+            self._watch(k, pair, t)
         self._push(new_state.next_change_at, _CHANGE, uid)
 
-    def _handle_check(self, t: float, _payload) -> None:
-        # No trajectory changes and no link comes up before the next queued
-        # event, so every check tick that would pop before it is scanned here
-        # as one block, with the tick times the one-by-one chain would make.
-        ticks = [t]
-        nxt = t + self.dt_check
-        top = self._heap[0][:2] if self._heap else (math.inf, 0)
-        while nxt <= self.duration and (nxt, _CHECK) < top and len(ticks) < _CHECK_BLOCK:
-            ticks.append(nxt)
-            nxt += self.dt_check
-        # A link can have left range on a tick of this block only if its
-        # pair's contact certificate is missing, out of range or runs out by
-        # the last tick.
-        last = ticks[-1]
-        contact = self._contact
-        pairs = [(a, b) for a, b in self.live
-                 if (cert := contact[a].get(b)) is None or cert[0] <= last or not cert[1]]
-        r = self.tx_range
-        tracks = {}  # uid -> its coordinates at every tick of the block
-        broken = []  # (tick index, live index, pair) of each link's first tick out of range
-        for j, pair in enumerate(pairs):
-            for uid in pair:
-                if uid not in tracks:
-                    traj = self.states[uid].trajectory
-                    tracks[uid] = [planar_xy(traj, tick - traj.epoch) for tick in ticks]
-            for k, ((xa, ya), (xb, yb)) in enumerate(zip(tracks[pair[0]], tracks[pair[1]])):
-                distance = math.hypot(xa - xb, ya - yb)
-                if distance > r:
-                    broken.append((k, j, pair))
-                    break
-            else:
-                a, b = pair
-                contact[a][b] = contact[b][a] = (self._contact_until(a, b, last, distance), True)
-        # Terminate in tick order, then in live order, as tick-by-tick checks would.
-        broken.sort()
-        for k, _, pair in broken:
-            lo = ticks[k - 1] if k else self._last_check
-            self._terminate(pair, max(lo, self.live[pair].established_at), ticks[k])
-        self._last_check = last
-        self._push(nxt, _CHECK)
+    def _tick_before(self, t: float) -> float:
+        """The last check tick before ``t``, or 0.0 if there is none."""
+        return self._ticks[bisect_left(self._ticks, t, 1) - 1]
+
+    def _watch(self, k: int, pair, t: float) -> None:
+        """Queue live link ``k`` at the instant its contact certificate runs out,
+        but not before ``t``, and wake the check at the first tick from then on."""
+        cert = self._contact[pair[0]].get(pair[1])
+        due = t if cert is None else max(cert[0], t)
+        heappush(self._due, (due, k, pair))
+        self._wake(bisect_left(self._ticks, due, 1))
+
+    def _wake(self, i: int) -> None:
+        """Queue the check at tick ``i`` if it comes before the queued one."""
+        if i < self._next_check:
+            self._next_check = i
+            self._push(self._ticks[i], _CHECK, i)
+
+    def _handle_check(self, t: float, i: int) -> None:
+        if i != self._next_check:
+            return  # an earlier wake-up replaced this check
+        ticks, due, contact, records = self._ticks, self._due, self._contact, self.records
+        popped = {}
+        while due and due[0][0] <= t:
+            _, k, pair = heappop(due)
+            popped[k] = pair
+        # In live order, as checking every link on every tick would end them.
+        for k, (a, b) in sorted(popped.items()):
+            if records[k].terminated_at is not None:
+                continue
+            cert = contact[a].get(b)
+            if cert is None or t >= cert[0] or not cert[1]:
+                traj_a, traj_b = self.states[a].trajectory, self.states[b].trajectory
+                xa, ya = planar_xy(traj_a, t - traj_a.epoch)
+                xb, yb = planar_xy(traj_b, t - traj_b.epoch)
+                d = math.hypot(xa - xb, ya - yb)
+                if d > self.tx_range:
+                    self._terminate((a, b), t)
+                    continue
+                cert = contact[a][b] = contact[b][a] = (self._contact_until(a, b, t, d), True)
+            heappush(due, (cert[0], k, (a, b)))
+        self._next_check = len(ticks)
+        self._wake(max(bisect_left(ticks, due[0][0] if due else math.inf, 1), i + 1))
 
     def _contact_until(self, a, b, t: float, separation: float) -> float:
         """Instant before which the computed separation of UAVs ``a`` and
@@ -465,16 +467,15 @@ class Simulator:
             return t + (abs(separation - r) - slack) / closing
         return math.inf
 
-    def _terminate(self, pair, lo: float, hi: float) -> None:
-        link = self.live.pop(pair)
+    def _terminate(self, pair, t: float) -> None:
+        """End ``pair``'s live link, found out of range at ``t``: bisect the
+        break since the last check tick before ``t`` or since its link-up."""
+        link = self.records[self.live.pop(pair)]
         a, b = pair
-
-        def out_of_range(tau: float) -> bool:
-            return self._separation(a, b, tau) > self.tx_range
-
+        lo, hi = max(self._tick_before(t), link.established_at), t
         while hi - lo > BREAK_REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if out_of_range(mid):
+            if self._separation(a, b, mid) > self.tx_range:
                 hi = mid
             else:
                 lo = mid
@@ -490,7 +491,7 @@ class Simulator:
         })
 
     def _handle_sample(self, t: float, _payload) -> None:
-        edges = {pair: link.remaining_at(t) for pair, link in self.live.items()}
+        edges = {pair: self.records[k].remaining_at(t) for pair, k in self.live.items()}
         self.snapshots.append(LinkGraph(t, frozenset(self.order), edges))
         self._push(t + self.hello_interval, _SAMPLE)
 
@@ -501,7 +502,6 @@ class Simulator:
         for i, uid in enumerate(self.order):
             self._push(self.hello_interval * i / n, _HELLO, uid)
             self._push(self.states[uid].next_change_at, _CHANGE, uid)
-        self._push(self.dt_check, _CHECK)
         self._push(0.0, _SAMPLE)
 
         handlers = (self._handle_change, self._handle_hello, self._handle_check,

@@ -124,8 +124,8 @@ def test_churn_fleet_bench_scenarios(tmp_path, seed):
 
 
 def test_sparse_hello_scenario(tmp_path):
-    # Hellos 20 s apart leave long gaps between queued events, so check
-    # blocks reach their 256-tick cap while links come up and go down.
+    # Hellos 20 s apart leave long gaps between queued events, so the
+    # check wakes on its own between them while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
         "events.jsonl": "762818c009476cdab12bba5b21bba2f55f38a77dbd02481a0ce3e3c5cf90a0b8",

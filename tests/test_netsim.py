@@ -203,9 +203,9 @@ REFERENCE_FLEET = dict(x_max=3000.0, y_max=3000.0, buffer_width=400.0, uav_count
 REFERENCE_CONFIGS = {
     # Turns every 1-4 s: certificates rarely outlive a change.
     "": ScenarioConfig(**REFERENCE_FLEET, wait_min=1.0, wait_max=4.0, duration=20.0),
-    # Turns every 30-90 s: certificates outlive many blocks.
+    # Turns every 30-90 s: certificates outlive many ticks.
     "steady": ScenarioConfig(**REFERENCE_FLEET, wait_min=30.0, wait_max=90.0, duration=60.0),
-    # Hellos 10 s apart: blocks of over a hundred ticks.
+    # Hellos 10 s apart: the check wakes on its own between them.
     "sparse": ScenarioConfig(**REFERENCE_FLEET, hello_interval=10.0, duration=120.0),
 }
 
@@ -219,7 +219,19 @@ def reference_runs():
 
 class TickByTickSimulator(Simulator):
     """Reference geometry: every Hello and every check tick takes its
-    separations one pair at a time from the scalar ``_separation``."""
+    separations one pair at a time from the scalar ``_separation``. It runs
+    its own chain of check ticks and ignores the due queue's wake-ups."""
+
+    def run(self):
+        self._last_check = 0.0
+        self._push(self.dt_check, _CHECK)
+        return super().run()
+
+    def _watch(self, k, pair, t):
+        pass
+
+    def _tick_before(self, t):
+        return self._last_check
 
     def _handle_hello(self, t, uid):
         seq = self._hello_seq[uid]
@@ -238,9 +250,8 @@ class TickByTickSimulator(Simulator):
 
     def _handle_check(self, t, _payload):
         for pair in list(self.live):
-            link = self.live[pair]
             if self._separation(pair[0], pair[1], t) > self.tx_range:
-                self._terminate(pair, max(self._last_check, link.established_at), t)
+                self._terminate(pair, t)
         self._last_check = t
         self._push(t + self.dt_check, _CHECK)
 
@@ -454,11 +465,9 @@ class TestCheckBlockScan:
 
     def test_range_within_rounding_of_the_separation(self):
         # Two UAVs 10 km from the origin fly straight apart at 120 m/s. The
-        # link comes up with b's Hello at 0.5 s, is first evaluated on the
-        # ticks before a's 1 s Hello, and the next block ends on the last
-        # tick before b's 1.5 s Hello. Ranges within rounding of the
-        # separation at that tick are where a certificate without its
-        # rounding allowance would skip a tick that is already out of range.
+        # link comes up with b's Hello at 0.5 s. Ranges within rounding of
+        # the separation at the last tick before 1.5 s put the break on
+        # either side of that tick.
         ticks = [0.01]
         while ticks[-1] < 1.5:
             ticks.append(ticks[-1] + 0.01)
@@ -522,14 +531,14 @@ class TestCheckBlockScan:
             return planar_xy(traj, t)
 
         monkeypatch.setattr(netsim, "planar_xy", counting_planar_xy)
-        blocks = check_calls = 0
+        checks_with_geometry = check_calls = 0
         handle_check = sim._handle_check
 
         def counting_handle_check(t, payload):
-            nonlocal blocks, check_calls
+            nonlocal checks_with_geometry, check_calls
             before = calls
             handle_check(t, payload)
-            blocks += calls > before
+            checks_with_geometry += calls > before
             check_calls += calls - before
 
         sim._handle_check = counting_handle_check
@@ -537,7 +546,7 @@ class TestCheckBlockScan:
         kinds = [e["event"] for e in result.events]
         assert kinds.count("link_up") == 1
         assert ("a", "b") in result.snapshots[-1].edges
-        assert blocks == 0
+        assert checks_with_geometry == 0
         assert calls - check_calls == 2
 
     @pytest.mark.parametrize("ids, xs, error, match", [
@@ -559,6 +568,110 @@ class TestCheckBlockScan:
         kwargs = {"tx_range": 100.0, "duration": 10.0, name: value}
         with pytest.raises(ValueError, match=name):
             Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}), **kwargs)
+
+
+class TestDueQueue:
+    """The check wakes only where a live link's contact certificate runs out
+    or a change re-estimated it; each wake-up schedule below must give the
+    tick-by-tick reference's events."""
+
+    def test_link_up_exactly_at_range_wakes_no_earlier_tick(self):
+        # "b" jumps at 0.4 s to a slow approach that puts it exactly at range
+        # at its 0.5 s Hello, which brings the link up. The fresh certificate
+        # runs out at about 0.345 s, before the Hello and before the 0.45 s
+        # tick, when "b" was beyond range: the check must wake at 0.6 s, not
+        # on a tick that has passed.
+        def approach(state, now):
+            return StraightTrajectory(5100.0, 0.0, math.pi, 1e-9, 100.0, epoch=now)
+
+        b = make_state("b", StraightTrajectory(5050.0, 0.0, 0.0, 0.0, 100.0), next_change_at=0.4)
+        x_b, _ = planar_xy(approach(b, 0.4), 0.1)
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a", 5000.0), b], ScriptedChanges({"b": [(0.4, approach)]}),
+                            tx_range=x_b - 5000.0, duration=2.0, dt_check=0.15))
+        (up,) = [e for e in reference.events if e["event"] == "link_up"]
+        assert up["t"] == 0.5
+        assert link_downs(reference) == []
+
+    def test_change_on_a_tick_finds_the_link_out_of_range(self):
+        # "b" leaves range at 2.95 s and turns back where it is at 3 s, the
+        # instant of a tick. The change ends the link, bisected from the
+        # 2.875 s tick, the last one before it.
+        def turn_back(state, now):
+            return StraightTrajectory(30.0, 0.0, math.pi, 10.0, 100.0, epoch=now)
+
+        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=3.0)
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a"), b], ScriptedChanges({"b": [(3.0, turn_back)]}),
+                            tx_range=29.5, duration=6.0, dt_check=0.125))
+        down = link_downs(reference)[0]
+        assert down["t"] == pytest.approx(2.95, abs=1e-6)
+
+    def test_hello_between_ticks_sees_the_break_first(self):
+        # The link breaks at 3.26 s. b's Hello at 3 1/3 s, between the 3.25
+        # and 3.375 s ticks, certifies the pair out of range until after
+        # 3.375 s; that tick must still find the break.
+        states = [parked("a"), flying("b", 0.0, 0.0, 10.0), parked("c", 5000.0)]
+        reference = assert_matches_reference(
+            lambda cls: cls(states, ScriptedChanges({}), tx_range=32.6, duration=6.0,
+                            dt_check=0.125))
+        (down,) = link_downs(reference)
+        assert down["t"] == pytest.approx(3.26, abs=1e-6)
+
+    @pytest.mark.parametrize("heading", [0.3, 1.1, 2.7])
+    def test_range_within_rounding_of_a_due_tick_separation(self, heading):
+        # Two UAVs 10 km from the origin fly straight apart at 120 m/s, 600 m
+        # apart at the first tick from 1.6 s. The certificate that brings
+        # the link up at b's 0.5 s Hello runs out near that tick. Ranges
+        # within rounding of the separation computed there are where a
+        # certificate without its rounding allowance would wake the check a
+        # tick after the link is already out of range.
+        ticks = [0.01]
+        while ticks[-1] < 1.6:
+            ticks.append(ticks[-1] + 0.01)
+        gap = 600.0 - 120.0 * ticks[-1]
+        a = StraightTrajectory(1e4, 1e4, heading + math.pi, 60.0, 100.0)
+        b = StraightTrajectory(1e4 + gap * math.cos(heading), 1e4 + gap * math.sin(heading),
+                               heading, 60.0, 100.0)
+        pa, pb = position_at(a, ticks[-1]), position_at(b, ticks[-1])
+        tx_range = math.hypot(pa.x - pb.x, pa.y - pb.y)
+        for _ in range(40):
+            tx_range = math.nextafter(tx_range, 0.0)
+        breaks = set()
+        for _ in range(80):
+            reference = assert_matches_reference(
+                lambda cls: cls([make_state("a", a), make_state("b", b)], ScriptedChanges({}),
+                                tx_range=tx_range, duration=2.1))
+            (down,) = link_downs(reference)
+            breaks.add(down["t"] <= ticks[-1])
+            tx_range = math.nextafter(tx_range, math.inf)
+        assert breaks == {True, False}
+
+    @pytest.mark.parametrize("dt_check", [0.125, 0.15], ids=["on_a_tick", "between_ticks"])
+    def test_link_up_breaks_before_the_next_tick(self, dt_check):
+        # b's 0.5 s Hello, on a tick of 1/8 s or between ticks of 0.15 s,
+        # brings the link up 5 m inside range; it breaks at 0.55 s, before
+        # the next tick, and is bisected from the link-up.
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a"), flying("b", 0.0, 0.0, 10.0)], ScriptedChanges({}),
+                            tx_range=5.5, duration=2.0, dt_check=dt_check))
+        (up,) = [e for e in reference.events if e["event"] == "link_up"]
+        (down,) = link_downs(reference)
+        assert up["t"] == 0.5
+        assert down["t"] == pytest.approx(0.55, abs=1e-6)
+
+    def test_breaks_on_one_tick_logged_in_live_order_whatever_their_due(self):
+        # (a, c) comes up at 1/3 s and (a, b) at 2/3 s. b leaves range at
+        # 5.63 s and c at 5.7 s, so (a, b) is due first, but both breaks are
+        # found on the 5.75 s tick and logged in live order. (b, c) comes up
+        # and breaks too.
+        states = [parked("a"), flying("c", -60.1, math.pi, 7.0), flying("b", 21.18, 0.0, 14.0)]
+        reference = assert_matches_reference(
+            lambda cls: cls(states, ScriptedChanges({}), tx_range=100.0, duration=8.0,
+                            dt_check=0.125))
+        downs = [e for e in link_downs(reference) if e["a"] == "a"]
+        assert [(e["b"], e["t"]) for e in downs] == [("c", pytest.approx(5.7, abs=1e-5)),
+                                                      ("b", pytest.approx(5.63, abs=1e-5))]
 
 
 class TestSpeedAndSize:
