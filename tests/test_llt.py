@@ -811,6 +811,24 @@ class TestCaseAArcs:
         assert not result.horizon_capped
         assert result.llt == pytest.approx(float(t_exit), abs=1e-9)
 
+    def test_late_step_allowance_covers_the_phase_rounding(self):
+        # Flyer 1 turns at 1e-7 rad/s and leaves its arc after 1.5e7 s.
+        # Flyer 2 turns at 100 rad/s, so its phase is 1.5e9 rad there, where
+        # an ulp is 2.4e-7 rad, far beyond the 4 pi part of the step's
+        # allowance. The exit of flyer 2's arc must still leave it on the
+        # arc, checked exactly against a pi good to 80 digits. The arcs are
+        # set by hand.
+        pi = Fraction("3.14159265358979323846264338327950288419716939937510"
+                      "582097494459230781640628620899")
+        c1 = curve(0.0, 0.0, 1000.0, 1e-4, CCW, -0.5)
+        c2 = curve(1e4, 0.0, 1.0, 100.0, CCW, 0.0)
+        half, toward = 3.0, 0.0
+        exit_ = llt._arc_exit(c1, c2, ((1.0, 0.0), (half, toward)), 1e9)
+        assert abs(c2.omega) * exit_ > 1e9
+        u = Fraction(c2.initial_phase) + Fraction(c2.omega) * Fraction(exit_) - Fraction(toward)
+        u -= 2 * pi * math.floor(u / (2 * pi) + Fraction(1, 2))
+        assert abs(u) <= half
+
     @pytest.mark.parametrize("tx", [900.0, 1000.0, 1080.0, 1100.0])
     def test_counter_rotating_flyers(self, tx):
         # Opposite turns about centres 538 m apart: 1100 m is beyond the
