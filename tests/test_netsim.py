@@ -660,6 +660,20 @@ class TestDueQueue:
         assert up["t"] == 0.5
         assert down["t"] == pytest.approx(0.55, abs=1e-6)
 
+    def test_pass_between_two_ticks_bisects_from_the_link_up(self):
+        # "b" passes "a" at 100 m/s, in range only from 0.23 to 0.28 s,
+        # between the 0.15 and 0.3 s ticks. Hellos 0.02 s apart per UAV bring
+        # the link up at 0.24 s; bisected from the 0.15 s tick instead, the
+        # break would land where the pair had not yet come into range.
+        b = make_state("b", StraightTrajectory(-25.5, math.sqrt(93.75), 0.0, 100.0, 100.0))
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a"), b], ScriptedChanges({}), tx_range=10.0, duration=1.0,
+                            hello_interval=0.02, dt_check=0.15))
+        (up,) = [e for e in reference.events if e["event"] == "link_up"]
+        (down,) = link_downs(reference)
+        assert up["t"] == pytest.approx(0.24)
+        assert down["t"] == pytest.approx(0.28, abs=1e-6)
+
     def test_breaks_on_one_tick_logged_in_live_order_whatever_their_due(self):
         # (a, c) comes up at 1/3 s and (a, b) at 2/3 s. b leaves range at
         # 5.63 s and c at 5.7 s, so (a, b) is due first, but both breaks are
