@@ -21,24 +21,22 @@ kinetic certificate (Basch, Guibas & Hershberger 1999). Each UAV pair
 carries one, its contact certificate, with the pair's in-range flag; it
 expires when either UAV changes trajectory (a scripted change may even
 teleport a UAV). The allowance covers the rounding of
-:func:`~uavllt.kinematics.planar_xy` (the arithmetic of
-:func:`~uavllt.kinematics.position_at`) and :func:`math.hypot`, from which
-the Hello and the check take every separation. A Hello reuses the flag of
-each pair whose certificate holds at its instant, and computes and
-certifies the others, taking its own UAV's coordinates once and only if
-some pair needs them.
+:func:`~uavllt.kinematics.planar_xy`, the arithmetic of
+:func:`~uavllt.kinematics.position_at`, and of :func:`math.hypot`, from
+which the Hello and the check take every separation (bisection and the
+change handler call :func:`position_at`). A Hello reuses the flag of each
+pair whose certificate holds, and computes and certifies the others,
+taking its own UAV's coordinates once and only if some pair needs them.
 
 The check ticks are ``dt_check`` summed up to the duration. Each live link
 waits in a due queue at the instant its certificate runs out, from its
-link-up or from a change that re-estimates it, and one check event is
-queued at the first tick at or after the earliest. That check evaluates
-the due links only, in live order: it ends each one beyond range, bisected
-from the tick before, and certifies the others from its tick. A link
-whose certificate a Hello renewed meanwhile waits again until the new
-expiry. No link is skipped on a tick where its certificate does not hold
-it in range, so every output is bit-identical to checking every link on
-every tick. Termination bisection and the change handler's range test
-call :func:`position_at`.
+link-up or a change that re-estimates it; one check event is queued at
+the first tick at or after the earliest. It evaluates the due links only,
+in live order, ends each one beyond range (bisected from the tick before)
+and certifies the others from its tick; a link whose certificate a Hello
+renewed waits again until the new expiry. No link is skipped on a tick
+where its certificate does not hold it in range, so every output is
+bit-identical to checking every link on every tick.
 
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state, anchored at the change instant, together
@@ -308,7 +306,8 @@ class Simulator:
         return position_at(seg, t - seg.epoch)
 
     def _separation(self, a, b, t: float) -> float:
-        pa, pb = self._position(a, t), self._position(b, t)
+        pa = self._position(a, t)
+        pb = self._position(b, t)
         return math.hypot(pa.x - pb.x, pa.y - pb.y)
 
     # -- event handlers ----------------------------------------------------
@@ -433,7 +432,8 @@ class Simulator:
                 cert = contact[a][b] = contact[b][a] = (self._contact_until(a, b, t, d), True)
             heappush(due, (cert[0], k, (a, b)))
         self._next_check = len(ticks)
-        self._wake(max(bisect_left(ticks, due[0][0] if due else math.inf, 1), i + 1))
+        if due:
+            self._wake(max(bisect_left(ticks, due[0][0], 1), i + 1))
 
     def _contact_until(self, a, b, t: float, separation: float) -> float:
         """Instant before which the computed separation of UAVs ``a`` and
