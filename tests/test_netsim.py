@@ -15,7 +15,7 @@ from uavllt.kinematics import (
     position_at,
 )
 from uavllt.llt import LinkNotUp
-from uavllt.mobility import SmoothTurnFleet, UavState, tangent_trajectory
+from uavllt.mobility import SmoothTurnFleet, UavState, segment_at, tangent_trajectory
 from uavllt.netsim import (
     _CHECK,
     _HELLO,
@@ -218,9 +218,16 @@ def reference_runs():
 
 
 class TickByTickSimulator(Simulator):
-    """Reference geometry: every Hello and every check tick takes its
-    separations one pair at a time from the scalar ``_separation``. It runs
-    its own chain of check ticks and ignores the due queue's wake-ups."""
+    """Reference geometry: every Hello, every check tick and every bisection
+    step takes its separations one pair at a time from its own
+    ``_separation``, built on :func:`segment_at` and :func:`position_at`. It
+    runs its own chain of check ticks and ignores the due queue's wake-ups."""
+
+    def _separation(self, a, b, t):
+        seg_a = segment_at(self._segments[a], t)
+        seg_b = segment_at(self._segments[b], t)
+        pa, pb = position_at(seg_a, t - seg_a.epoch), position_at(seg_b, t - seg_b.epoch)
+        return math.hypot(pa.x - pb.x, pa.y - pb.y)
 
     def run(self):
         self._last_check = 0.0
