@@ -225,31 +225,35 @@ def find_real_roots(bernstein, margin: float, window: float) -> list[tuple[float
 # ---------------------------------------------------------------------------
 
 
-class TrigTerm(NamedTuple):
-    """One sinusoid ``amplitude * t^t_power * cos(phase + rate * t)``."""
-
-    amplitude: float
-    phase: float
-    rate: float
-    t_power: int = 0
-
-
-@dataclass(frozen=True)
 class SquaredDistance:
     """Exact squared planar separation of a UAV pair as a function of time.
 
-    ``quadratic`` holds (q0, q1, q2); ``terms`` the sinusoids. Calling the
-    model at one time value evaluates the exact (non-expanded) function; no
-    Taylor error here.
+    ``quadratic`` holds (q0, q1, q2); ``terms`` the sinusoids, each a plain
+    ``(amplitude, phase, rate, t_power)`` tuple that stands for
+    ``amplitude * t^t_power * cos(phase + rate * t)``. Calling the model at
+    one time value evaluates the exact (non-expanded) function; no Taylor
+    error here. Models with equal fields are equal.
 
     Every sum here runs left to right in a plain loop: ``sum`` of floats
     rounds differently from Python 3.12 on, and the golden digests record
     every bit of the results.
     """
 
-    quadratic: tuple[float, float, float]
-    terms: tuple[TrigTerm, ...]
-    case_label: str
+    __slots__ = ("quadratic", "terms", "case_label")
+
+    def __init__(self, quadratic: tuple[float, float, float], terms: tuple, case_label: str):
+        self.quadratic = quadratic
+        self.terms = terms
+        self.case_label = case_label
+
+    def __eq__(self, other):
+        if not isinstance(other, SquaredDistance):
+            return NotImplemented
+        return (self.quadratic, self.terms, self.case_label) == (
+            other.quadratic, other.terms, other.case_label)
+
+    def __repr__(self) -> str:
+        return f"SquaredDistance({self.quadratic!r}, {self.terms!r}, {self.case_label!r})"
 
     def __call__(self, t: float) -> float:
         q0, q1, q2 = self.quadratic
@@ -272,18 +276,19 @@ class SquaredDistance:
         coeffs = [*self.quadratic] + [0.0] * (TAYLOR_DEGREE - 2)
         for amplitude, phase, rate, t_power in self.terms:
             # d^k/dt^k cos(phase + rate*t) at 0 cycles through +-cos/sin(phase)
-            cos, sin = math.cos(phase), math.sin(phase)
+            # times the amplitude, folded in once: a * (-s) == -(a * s) exactly
+            cos, sin = amplitude * math.cos(phase), amplitude * math.sin(phase)
             cycle = (cos, -sin, -cos, sin)
             rate_pow = 1.0
             for k in range(TAYLOR_DEGREE + 1 - t_power):
-                coeffs[k + t_power] += amplitude * cycle[k & 3] * rate_pow / _FACTORIAL[k]
+                coeffs[k + t_power] += cycle[k & 3] * rate_pow / _FACTORIAL[k]
                 rate_pow *= rate
         return coeffs
 
     def max_rate(self) -> float:
         if not self.terms:
             return 0.0
-        return max(abs(term.rate) for term in self.terms)
+        return max(abs(rate) for _, _, rate, _ in self.terms)
 
     def remainder_bound(self, window: float) -> float:
         """Upper bound on the truncation error of :meth:`taylor` over ``[0, window]``.
@@ -326,8 +331,8 @@ class SquaredDistance:
         if not math.isfinite(size):
             raise RangeLostInRounding(
                 f"the separation model overflows when scaled to a {window:.6g} s trust window")
-        for term in self.terms:
-            size += abs(term.amplitude) * window ** term.t_power
+        for amplitude, _, _, t_power in self.terms:
+            size += abs(amplitude) * window ** t_power
         return (_BERNSTEIN @ scaled).tolist(), _ROUNDING * size
 
 
@@ -336,13 +341,12 @@ def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistan
     gap = math.hypot(a, b)
     beta = sign1 * sign2 * alpha
     q0 = gap * gap + c1.radius**2 + c2.radius**2
-    terms = [TrigTerm(-2.0 * c1.radius * c2.radius,
-                      c1.initial_phase - c2.initial_phase,
-                      c1.omega - c2.omega)]
+    terms = [(-2.0 * c1.radius * c2.radius, c1.initial_phase - c2.initial_phase,
+              c1.omega - c2.omega, 0)]
     if gap > 0.0:
         scale = 2.0 * sign1 * gap
-        terms.append(TrigTerm(scale * c1.radius, c1.initial_phase - beta, c1.omega))
-        terms.append(TrigTerm(-scale * c2.radius, c2.initial_phase - beta, c2.omega))
+        terms.append((scale * c1.radius, c1.initial_phase - beta, c1.omega, 0))
+        terms.append((-scale * c2.radius, c2.initial_phase - beta, c2.omega, 0))
     return SquaredDistance((q0, 0.0, 0.0), tuple(terms), "A")
 
 
@@ -356,10 +360,9 @@ def _curve_straight_model(c: CurveTrajectory, s: StraightTrajectory) -> SquaredD
     q2 = s.speed**2
     terms = []
     if gap > 0.0:
-        terms.append(TrigTerm(2.0 * sign1 * c.radius * gap, c.initial_phase - beta, c.omega))
+        terms.append((2.0 * sign1 * c.radius * gap, c.initial_phase - beta, c.omega, 0))
     if s.speed > 0.0:
-        terms.append(TrigTerm(-2.0 * c.radius * s.speed,
-                              c.initial_phase - s.heading, c.omega, t_power=1))
+        terms.append((-2.0 * c.radius * s.speed, c.initial_phase - s.heading, c.omega, 1))
     return SquaredDistance((q0, q1, q2), tuple(terms), "B")
 
 
@@ -799,8 +802,12 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     At each window the walk re-anchors both trajectories and asks
     :func:`squared_link_distance`, :func:`trust_window`,
     :func:`find_real_roots` and :func:`select_root` through this module's
-    names, one call each; the first window from 0 reuses the model of the
-    link-up check. Nothing is kept from one call to the next.
+    names, one call each. Only a walk that starts at 0 builds the model of
+    the link-up check, which raises :class:`LinkNotUp`, and its first window
+    reuses it. A case-A walk that skips at 0 builds none: a flyer on its
+    shrunk no-break arc at 0, or a reach over the whole circle, certifies
+    ``D(0) < r``, so the check cannot fire there. Nothing is kept from one
+    call to the next.
 
     Raises as :func:`compute_llt` does, once iterated. A case-C pair, a pair
     answered before any window is sized and a separation identically on the
@@ -814,26 +821,28 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     if _canonical_key(traj_b) < _canonical_key(traj_a):
         traj_a, traj_b = traj_b, traj_a
 
-    model = squared_link_distance(traj_a, traj_b)
-    case = model.case_label
-    d0_sq = model(0.0)
-    r2 = tx_range * tx_range
-    if d0_sq > r2 * (1.0 + 1e-12):
-        raise LinkNotUp(
-            f"initial separation {math.sqrt(d0_sq):.3f} m exceeds range {tx_range:.3f} m"
-        )
-
-    if case == "C":
-        yield _solve_case_c(model, tx_range, horizon)
-        return
-
     # The canonical order puts a curve first.
+    r2 = tx_range * tx_range
     t_base = 0.0
-    if case == "A":
+    if isinstance(traj_b, CurveTrajectory):
+        case = "A"
         arcs = _no_break_arcs(traj_a, traj_b, tx_range)
         skip = _arc_exit(traj_a, traj_b, arcs, horizon)
     else:
-        skip = _walk_start(traj_a, traj_b, tx_range, horizon)
+        case = "B" if isinstance(traj_a, CurveTrajectory) else "C"
+        skip = 0.0
+    if skip == 0.0:
+        model = squared_link_distance(traj_a, traj_b)
+        d0_sq = model(0.0)
+        if d0_sq > r2 * (1.0 + 1e-12):
+            raise LinkNotUp(
+                f"initial separation {math.sqrt(d0_sq):.3f} m exceeds range {tx_range:.3f} m"
+            )
+        if case == "C":
+            yield _solve_case_c(model, tx_range, horizon)
+            return
+        if case == "B":
+            skip = _walk_start(traj_a, traj_b, tx_range, horizon)
     while True:
         if skip > 0.0:
             t_base += skip
@@ -841,7 +850,7 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
                 break
             traj_a = re_anchor(traj_a, traj_a.epoch + skip)
             traj_b = re_anchor(traj_b, traj_b.epoch + skip)
-        if t_base > 0.0:  # the first window from 0 reuses the model above
+        if t_base > 0.0:  # a first window from 0 reuses the model above
             model = squared_link_distance(traj_a, traj_b)
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]

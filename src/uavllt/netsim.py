@@ -21,12 +21,13 @@ kinetic certificate (Basch, Guibas & Hershberger 1999). Each UAV pair
 carries one, its contact certificate, with the pair's in-range flag; it
 expires when either UAV changes trajectory (a scripted change may even
 teleport a UAV). The allowance covers the rounding of
-:func:`~uavllt.kinematics.planar_xy`, the arithmetic of
-:func:`~uavllt.kinematics.position_at`, and of :func:`math.hypot`, from
-which the Hello and the check take every separation (bisection and the
-change handler call :func:`position_at`). A Hello reuses the flag of each
-pair whose certificate holds, and computes and certifies the others,
-taking its own UAV's coordinates once and only if some pair needs them.
+:func:`~uavllt.kinematics.planar_xy` and of :func:`math.hypot`, from which
+every separation is taken in plain floats: the Hello's and the check's,
+and those of the change handler and the bisection, which take each UAV's
+segment from :func:`~uavllt.mobility.segment_at`. A Hello reuses the flag
+of each pair whose certificate holds, and computes and certifies the
+others, taking its own UAV's coordinates once and only if some pair needs
+them.
 
 The check ticks are ``dt_check`` summed up to the duration. Each live link
 waits in a due queue at the instant its certificate runs out, from its
@@ -61,14 +62,8 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 from .config import ScenarioConfig
-from .kinematics import (
-    CurveTrajectory,
-    Position,
-    Trajectory,
-    planar_xy,
-    position_at,
-    re_anchor,
-)
+from .kinematics import CurveTrajectory, Trajectory, planar_xy, re_anchor
+from .kinematics import position_at  # noqa: F401 (re-export)
 from .llt import DEFAULT_HORIZON, LltResult, compute_llt
 from . import mobility
 from .mobility import SmoothTurnFleet, UavState, segment_at, trace_row  # noqa: F401 (re-export)
@@ -301,14 +296,12 @@ class Simulator:
 
     # -- geometry ----------------------------------------------------------
 
-    def _position(self, uid, t: float) -> Position:
-        seg = segment_at(self._segments[uid], t)
-        return position_at(seg, t - seg.epoch)
-
     def _separation(self, a, b, t: float) -> float:
-        pa = self._position(a, t)
-        pb = self._position(b, t)
-        return math.hypot(pa.x - pb.x, pa.y - pb.y)
+        seg_a = segment_at(self._segments[a], t)
+        seg_b = segment_at(self._segments[b], t)
+        xa, ya = planar_xy(seg_a, t - seg_a.epoch)
+        xb, yb = planar_xy(seg_b, t - seg_b.epoch)
+        return math.hypot(xa - xb, ya - yb)
 
     # -- event handlers ----------------------------------------------------
 

@@ -14,6 +14,6 @@ def sample(model, ts):
     ts = np.asarray(ts, dtype=float)
     q0, q1, q2 = model.quadratic
     value = q0 + ts * (q1 + ts * q2)
-    for term in model.terms:
-        value = value + term.amplitude * np.cos(term.phase + term.rate * ts) * ts ** term.t_power
+    for amplitude, phase, rate, t_power in model.terms:
+        value = value + amplitude * np.cos(phase + rate * ts) * ts ** t_power
     return value

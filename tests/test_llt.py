@@ -789,6 +789,39 @@ class TestCaseAArcs:
         assert (windows == []) == (start == math.inf)
         assert result.horizon_capped == (scale > 1.0)
 
+    # Centres 500 m apart, R1 = 200 m and R2 = 150 m: the pair never parts
+    # beyond g + R1 + R2 = 850 m. It starts 666.6 m apart, and at ranges up
+    # to that both flyers start off their no-break arcs.
+    START_OFF_ARCS = (curve(0.0, 0.0, 200.0, 40.0, CCW, 2.0),
+                      curve(500.0, 0.0, 150.0, 30.0, CW, 1.0))
+
+    def test_whole_circle_answered_with_no_model(self, monkeypatch):
+        a, b = self.START_OFF_ARCS
+
+        def no_model(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(llt, "squared_link_distance", no_model)
+        assert compute_llt(a, b, 900.0, SWEEP_HORIZON) == llt.LltResult(
+            SWEEP_HORIZON, "A", None, None, True)
+
+    def test_off_both_arcs_and_beyond_range_not_up(self):
+        a, b = self.START_OFF_ARCS
+        tx = 600.0
+        assert initial_separation(a, b) > tx
+        assert llt._walk_start(a, b, tx, SWEEP_HORIZON) == 0.0
+        with pytest.raises(LinkNotUp):
+            compute_llt(a, b, tx, SWEEP_HORIZON)
+
+    def test_within_the_link_up_tolerance_beyond_range_breaks_at_once(self):
+        a, b = self.START_OFF_ARCS
+        tx = initial_separation(a, b) / (1.0 + 1e-13)
+        assert initial_separation(a, b) > tx
+        assert llt._walk_start(a, b, tx, SWEEP_HORIZON) == 0.0
+        result = compute_llt(a, b, tx, SWEEP_HORIZON)
+        assert result.case_used == "A" and not result.horizon_capped
+        assert result.llt == 0.0
+
     def test_break_exactly_at_an_arc_exit(self):
         # Centres 300 m apart on a line far from the origin, R1 = 400 m and
         # r - R2 = 500 m: kappa = 0 exactly, so flyer 1's no-break arc is

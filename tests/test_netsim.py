@@ -614,6 +614,25 @@ class TestDueQueue:
         down = link_downs(reference)[0]
         assert down["t"] == pytest.approx(2.95, abs=1e-6)
 
+    def test_change_inside_the_bracket_of_a_check_found_break(self):
+        # "b" flies east at 10 m/s and speeds up to 40 m/s at 2.9 s, between
+        # the 2.875 and 3 s ticks and 0.5 m inside range: the link breaks at
+        # 2.9125 s, not at 2.95 s as the old segment would have it. The 3 s
+        # tick finds the break, and its bisection from 2.875 s must take
+        # each step's separation from the segment in force at that step.
+        def speed_up(state, now):
+            x, y = planar_xy(state.trajectory, now - state.trajectory.epoch)
+            return StraightTrajectory(x, y, 0.0, 40.0, 100.0, epoch=now)
+
+        b = make_state("b", StraightTrajectory(0.0, 0.0, 0.0, 10.0, 100.0), next_change_at=2.9)
+        reference = assert_matches_reference(
+            lambda cls: cls([parked("a"), b], ScriptedChanges({"b": [(2.9, speed_up)]}),
+                            tx_range=29.5, duration=6.0, dt_check=0.125))
+        (recompute,) = [e for e in reference.events if e["event"] == "llt_recompute"]
+        (down,) = link_downs(reference)
+        assert recompute["t"] == 2.9
+        assert down["t"] == pytest.approx(2.9 + 0.5 / 40.0, abs=1e-6)
+
     def test_hello_between_ticks_sees_the_break_first(self):
         # The link breaks at 3.26 s. b's Hello at 3 1/3 s, between the 3.25
         # and 3.375 s ticks, certifies the pair out of range until after
