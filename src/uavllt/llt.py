@@ -821,9 +821,9 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     if _canonical_key(traj_b) < _canonical_key(traj_a):
         traj_a, traj_b = traj_b, traj_a
 
-    # The canonical order puts a curve first.
     r2 = tx_range * tx_range
     t_base = 0.0
+    # The canonical order puts a curve first.
     if isinstance(traj_b, CurveTrajectory):
         case = "A"
         arcs = _no_break_arcs(traj_a, traj_b, tx_range)

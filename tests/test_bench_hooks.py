@@ -34,43 +34,27 @@ PAIRS = {
           CurveTrajectory(0, 0, 150, 15, Direction.CLOCKWISE, 0.0, 110), 120.0),
     "B": (CurveTrajectory(0, 0, 300, 40, CCW, 0.0, 100),
           StraightTrajectory(350, 0, 1.0, 50, 110), 500.0),
+    # One flyer starts on its no-break arc: the walk skips at 0 and builds
+    # no model there.
+    "A_skip": (CurveTrajectory(0, 0, 200, 40, CCW, 2.0, 100),
+               CurveTrajectory(500, 0, 150, 30, Direction.CLOCKWISE, 1.0, 110), 800.0),
 }
 
 
-def count_wrapped_calls(workloads, monkeypatch) -> Counter:
-    """Calls to each of the traced pass's targets, by span name."""
+@pytest.mark.parametrize("case", PAIRS)
+def test_searched_window_calls_the_wrapped_stages(bench, monkeypatch, case):
+    workloads, _ = bench
     calls = Counter()
     for module, attr, span_name, _ in workloads.INTERNAL:
         def counted(*args, _fn=getattr(module, attr), _name=span_name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
-@pytest.mark.parametrize("case", PAIRS)
-def test_searched_window_calls_the_wrapped_stages(bench, monkeypatch, case):
-    workloads, _ = bench
-    calls = count_wrapped_calls(workloads, monkeypatch)
     traj_a, traj_b, tx = PAIRS[case]
     result = llt.compute_llt(traj_a, traj_b, tx, 600.0)
-    assert result.case_used == case and not result.horizon_capped
+    assert result.case_used == case[0] and not result.horizon_capped
     assert calls["llt.trust_window"] >= 1
-    # One model per trust window: the first window reuses compute_llt's own.
+    # One model per trust window: a first window from 0 reuses compute_llt's own.
     assert calls["llt.squared_link_distance"] == calls["llt.trust_window"]
     assert calls["llt.find_real_roots"] >= 1
     assert calls["llt.select_root"] >= 1
-
-
-def test_case_a_walk_that_skips_at_zero_builds_one_model_per_window(bench, monkeypatch):
-    # Flyer 1 starts on its no-break arc, so the walk skips at 0 and needs
-    # no model there: it builds one per trust window and no more.
-    workloads, _ = bench
-    traj_a = CurveTrajectory(0, 0, 200, 40, CCW, 2.0, 100)
-    traj_b = CurveTrajectory(500, 0, 150, 30, Direction.CLOCKWISE, 1.0, 110)
-    assert llt._walk_start(traj_a, traj_b, 800.0, 600.0) > 0.0
-    calls = count_wrapped_calls(workloads, monkeypatch)
-    result = llt.compute_llt(traj_a, traj_b, 800.0, 600.0)
-    assert result.case_used == "A" and not result.horizon_capped
-    assert calls["llt.trust_window"] >= 1
-    assert calls["llt.squared_link_distance"] == calls["llt.trust_window"]
