@@ -225,6 +225,7 @@ def find_real_roots(bernstein, margin: float, window: float) -> list[tuple[float
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class SquaredDistance:
     """Exact squared planar separation of a UAV pair as a function of time.
 
@@ -232,28 +233,17 @@ class SquaredDistance:
     ``(amplitude, phase, rate, t_power)`` tuple that stands for
     ``amplitude * t^t_power * cos(phase + rate * t)``. Calling the model at
     one time value evaluates the exact (non-expanded) function; no Taylor
-    error here. Models with equal fields are equal.
+    error here. Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, and a model is built per trust window.
 
     Every sum here runs left to right in a plain loop: ``sum`` of floats
     rounds differently from Python 3.12 on, and the golden digests record
     every bit of the results.
     """
 
-    __slots__ = ("quadratic", "terms", "case_label")
-
-    def __init__(self, quadratic: tuple[float, float, float], terms: tuple, case_label: str):
-        self.quadratic = quadratic
-        self.terms = terms
-        self.case_label = case_label
-
-    def __eq__(self, other):
-        if not isinstance(other, SquaredDistance):
-            return NotImplemented
-        return (self.quadratic, self.terms, self.case_label) == (
-            other.quadratic, other.terms, other.case_label)
-
-    def __repr__(self) -> str:
-        return f"SquaredDistance({self.quadratic!r}, {self.terms!r}, {self.case_label!r})"
+    quadratic: tuple[float, float, float]
+    terms: tuple[tuple[float, float, float, int], ...]
+    case_label: str
 
     def __call__(self, t: float) -> float:
         q0, q1, q2 = self.quadratic

@@ -354,9 +354,6 @@ def segment_at(segments: list[Trajectory], t: float) -> Trajectory:
     instant ``t``: the last whose ``epoch``, the instant of the change that
     made it, is at or before ``t``, or the first when ``t`` precedes every
     change. A segment that starts at ``t`` is in force at ``t``."""
-    last = segments[-1]
-    if last.epoch <= t:  # nearly every lookup of the simulator
-        return last
     return segments[bisect_right(segments, t, 1, key=attrgetter("epoch")) - 1]
 
 
