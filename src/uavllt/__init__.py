@@ -19,12 +19,10 @@ from .kinematics import (
     velocity_heading,
 )
 from .llt import (
-    CaseGeometry,
     LinkNotUp,
     LltResult,
     RangeLostInRounding,
     SquaredDistance,
-    case_geometry,
     compute_llt,
     find_real_roots,
     select_root,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arena",
-    "CaseGeometry",
     "ConfigError",
     "CurveTrajectory",
     "Direction",
@@ -82,7 +79,6 @@ __all__ = [
     "Trajectory",
     "UavState",
     "brute_force_llt",
-    "case_geometry",
     "compute_llt",
     "enumerate_best_route",
     "find_real_roots",

@@ -26,12 +26,12 @@ import sys
 
 from .config import ConfigError, load_config
 from .kinematics import CurveTrajectory, Direction, StraightTrajectory, Trajectory
-from .llt import LinkNotUp, compute_llt
+from .llt import DEFAULT_HORIZON, LinkNotUp, compute_llt
 from .mobility import write_trace_csv
 from .netsim import read_snapshot_csv, run_simulation, write_events_jsonl, write_snapshots_csv
 from .oracle import brute_force_llt
 from .routing import NodeUnknown, max_min_route
-from .validate import run_sweep
+from .validate import SWEEP_DT, SWEEP_HORIZON, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,7 +96,6 @@ def _cmd_pair(args) -> int:
     print(f"case: {result.case_used}")
     print(f"llt: {_fmt_llt(result.llt, result.horizon_capped, args.horizon)}")
     if not result.horizon_capped:
-        print(f"root: {result.root:.6f} s")
         print(f"residual: {result.residual:.3e} m")
     if args.oracle:
         if math.isinf(reference):
@@ -172,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("traj_a", type=parse_trajectory)
     pair.add_argument("traj_b", type=parse_trajectory)
     pair.add_argument("--range", type=float, required=True, help="transmission range, m")
-    pair.add_argument("--horizon", type=float, default=3600.0)
+    pair.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     pair.add_argument("--oracle", action="store_true",
                       help="also run the brute-force oracle and print the difference")
-    pair.add_argument("--oracle-dt", type=float, default=1e-3)
+    pair.add_argument("--oracle-dt", type=float, default=SWEEP_DT)
     pair.set_defaults(func=_cmd_pair)
 
     simulate = sub.add_parser("simulate", help="run a smooth-turn network scenario")
@@ -195,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--case", choices=["A", "B", "C", "all"], default="all")
     validate.add_argument("--trials", type=int, default=100)
     validate.add_argument("--seed", type=int, default=1)
-    validate.add_argument("--dt", type=float, default=1e-3)
-    validate.add_argument("--horizon", type=float, default=300.0)
+    validate.add_argument("--dt", type=float, default=SWEEP_DT)
+    validate.add_argument("--horizon", type=float, default=SWEEP_HORIZON)
     validate.set_defaults(func=_cmd_validate)
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .llt import DEFAULT_HORIZON
 from .mobility import Arena, SmoothTurnConfig, spawn_margin
 
 
@@ -35,7 +36,7 @@ class ScenarioConfig:
     hello_interval: float = 1.0
     duration: float = 600.0
     seed: int = 1
-    horizon: float = 3600.0
+    horizon: float = DEFAULT_HORIZON
 
     def __post_init__(self):
         if self.uav_count < 2:

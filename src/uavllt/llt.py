@@ -54,23 +54,26 @@ does not inherit the expansion error. "No break here" therefore rests on
 the remainder bound too, and no sampled safety net is needed. The refinement
 is Brent's method, ported into this module from scipy's ``brentq`` so that
 the package needs no scipy (:func:`_brentq`). Its iterates must stay bit for
-bit scipy's: the golden output digests depend on every break time.
+bit scipy's: the golden output digests depend on every break time. The walk
+then judges the break: its residual, the exact separation's distance from
+the range circle there, must be within :data:`RANGE_RESIDUAL_RTOL` of the
+range, or the range is lost in the model's rounding.
 
-A walk skips ahead to where a break first becomes possible
-(:func:`_walk_start`). A curve flyer stays on its circle, so by the
-triangle inequality the separation is at most the other flyer's distance
-from the turn centre plus the radius. For two curve flyers (case A) that
-rules out a break while either flyer is on a closed-form arc of its phase,
-which comes round once per turn; at the start of every window the walk
-re-anchors at the first instant at which neither flyer is on its arc. A
-range beyond the centres' gap plus both radii makes the arc the whole
-circle and answers the pair at once. For a curve/straight pair (case B)
-``rho(t)``, the straight flyer's distance from the turn centre, is the
-square root of a quadratic in time. No break comes before ``rho`` first
-exceeds ``r - R``, at a closed-form instant ``t1``, and both UAVs are
-re-anchored there before the first window is sized. Rounding allowances on the arcs, the reach and
-``t1`` keep the skips certified in floating point, and a skip to the
-horizon answers the pair capped.
+A walk skips ahead to where a break first becomes possible. A curve flyer
+stays on its circle, so by the triangle inequality the separation is at
+most the other flyer's distance from the turn centre plus the radius. For
+two curve flyers (case A) that rules out a break while either flyer is on a
+closed-form arc of its phase, which comes round once per turn; at the start
+of every window the walk re-anchors at the first instant at which neither
+flyer is on its arc (:func:`_arc_exit`). A range beyond the centres' gap
+plus both radii makes the arc the whole circle and answers the pair at
+once. For a curve/straight pair (case B) ``rho(t)``, the straight flyer's
+distance from the turn centre, is the square root of a quadratic in time.
+No break comes before ``rho`` first exceeds ``r - R``, at a closed-form
+instant ``t1`` (:func:`_walk_start`), and both UAVs are re-anchored there
+before the first window is sized. Rounding allowances on the arcs, the
+reach and ``t1`` keep the skips certified in floating point, and a skip to
+the horizon answers the pair capped.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 _ROUNDING = 64.0 * sys.float_info.epsilon
 # Relative shrink of the case-B bracket's reach r - R and of its start t1,
 # and of the ends of the case-A no-break arcs, far above the few ulps of
-# rounding it covers (see _walk_start).
+# rounding it covers (see _walk_start and _arc_exit).
 _BRACKET_SHRINK = 1e-9
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
@@ -123,50 +126,6 @@ class RangeLostInRounding(ValueError):
     """The separation model's terms are so large that the range is lost in
     their rounding: the model leaves range in a window, but off the range
     circle, or its expansion overflows when scaled to the window."""
-
-
-# ---------------------------------------------------------------------------
-# Case geometry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaseGeometry:
-    """Absolute center gaps, their signs, and the gap angle.
-
-    For a planar offset (dx, dy) between two reference points:
-    ``a = |dx|``, ``b = |dy|``, ``sign1 = dx/a``, ``sign2 = dy/b`` and
-    ``alpha = acos(a / sqrt(a^2 + b^2))``. A zero gap takes sign +1; the
-    corresponding term carries a zero factor, so the choice is a removable
-    singularity (verified against the direct expansion in the tests).
-    """
-
-    a: float
-    b: float
-    sign1: float
-    sign2: float
-    alpha: float
-
-    @property
-    def gap(self) -> float:
-        """sqrt(a^2 + b^2), the planar distance between the reference points."""
-        return math.hypot(self.a, self.b)
-
-    @property
-    def cross_sign(self) -> float:
-        return self.sign1 * self.sign2
-
-
-def _gap_parts(dx: float, dy: float) -> tuple[float, float, float, float, float]:
-    """:class:`CaseGeometry`'s fields ``(a, b, sign1, sign2, alpha)`` as a
-    plain tuple, which the separation models read without building one."""
-    a = abs(dx)
-    b = abs(dy)
-    return a, b, -1.0 if dx < 0.0 else 1.0, -1.0 if dy < 0.0 else 1.0, math.atan2(b, a)
-
-
-def case_geometry(dx: float, dy: float) -> CaseGeometry:
-    return CaseGeometry(*_gap_parts(dx, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +202,6 @@ class SquaredDistance:
 
     quadratic: tuple[float, float, float]
     terms: tuple[tuple[float, float, float, int], ...]
-    case_label: str
 
     def __call__(self, t: float) -> float:
         q0, q1, q2 = self.quadratic
@@ -326,6 +284,21 @@ class SquaredDistance:
         return (_BERNSTEIN @ scaled).tolist(), _ROUNDING * size
 
 
+def _gap_parts(dx: float, dy: float) -> tuple[float, float, float, float, float]:
+    """Absolute centre gaps, their signs, and the gap angle of the gap/sign form.
+
+    For a planar offset (dx, dy) between two reference points, returns
+    ``(a, b, sign1, sign2, alpha)``: ``a = |dx|``, ``b = |dy|``,
+    ``sign1 = dx/a``, ``sign2 = dy/b`` and ``alpha = acos(a / sqrt(a^2 + b^2))``.
+    A zero gap takes sign +1; the corresponding term carries a zero factor,
+    so the choice is a removable singularity (verified against the direct
+    expansion in the tests).
+    """
+    a = abs(dx)
+    b = abs(dy)
+    return a, b, -1.0 if dx < 0.0 else 1.0, -1.0 if dy < 0.0 else 1.0, math.atan2(b, a)
+
+
 def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistance:
     a, b, sign1, sign2, alpha = _gap_parts(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
     gap = math.hypot(a, b)
@@ -337,7 +310,7 @@ def _curve_pair_model(c1: CurveTrajectory, c2: CurveTrajectory) -> SquaredDistan
         scale = 2.0 * sign1 * gap
         terms.append((scale * c1.radius, c1.initial_phase - beta, c1.omega, 0))
         terms.append((-scale * c2.radius, c2.initial_phase - beta, c2.omega, 0))
-    return SquaredDistance((q0, 0.0, 0.0), tuple(terms), "A")
+    return SquaredDistance((q0, 0.0, 0.0), tuple(terms))
 
 
 def _curve_straight_model(c: CurveTrajectory, s: StraightTrajectory) -> SquaredDistance:
@@ -353,7 +326,7 @@ def _curve_straight_model(c: CurveTrajectory, s: StraightTrajectory) -> SquaredD
         terms.append((2.0 * sign1 * c.radius * gap, c.initial_phase - beta, c.omega, 0))
     if s.speed > 0.0:
         terms.append((-2.0 * c.radius * s.speed, c.initial_phase - s.heading, c.omega, 1))
-    return SquaredDistance((q0, q1, q2), tuple(terms), "B")
+    return SquaredDistance((q0, q1, q2), tuple(terms))
 
 
 def _straight_pair_model(s1: StraightTrajectory, s2: StraightTrajectory) -> SquaredDistance:
@@ -365,7 +338,7 @@ def _straight_pair_model(s1: StraightTrajectory, s2: StraightTrajectory) -> Squa
     q1 = (2.0 * v1 * (dx * math.cos(h1) + dy * math.sin(h1))
           - 2.0 * v2 * (dx * math.cos(h2) + dy * math.sin(h2)))
     q2 = v1 * v1 + v2 * v2 - 2.0 * v1 * v2 * math.cos(h1 - h2)
-    return SquaredDistance((q0, q1, q2), (), "C")
+    return SquaredDistance((q0, q1, q2), ())
 
 
 def _to_shared_epoch(traj_a: Trajectory, traj_b: Trajectory) -> tuple[Trajectory, Trajectory]:
@@ -509,8 +482,8 @@ def select_root(pieces, exact_dist, tx_range: float):
     Its iterates must equal ``scipy.optimize.brentq``'s bit for bit, since
     the golden digests record every break time. An end exactly on the
     circle counts as not inside, so a break at a piece's or a window's edge
-    is not lost between two pieces. Raises :class:`RangeLostInRounding`
-    when that crossing is off the range circle.
+    is not lost between two pieces. It only brackets and refines: whether
+    the break sits on the range circle is :func:`walk`'s to judge.
     """
     if tx_range <= 0.0:
         raise ValueError(f"transmission range must be positive, got {tx_range}")
@@ -526,19 +499,8 @@ def select_root(pieces, exact_dist, tx_range: float):
             return 0.0
         end, f_end = hi, f(hi)
         if f_lo < 0.0 <= f_end:
-            t = float(_brentq(f, lo, hi, f_lo, f_end, _ROOT_XTOL, _ROOT_RTOL))
-            if not _on_range_circle(exact_dist, t, tx_range):
-                raise RangeLostInRounding(
-                    f"the separation model crosses the {tx_range:g} m range at {t:.6g} s, but no"
-                    " crossing sits on the range circle: the range is lost in the rounding of its"
-                    " terms")
-            return t
+            return float(_brentq(f, lo, hi, f_lo, f_end, _ROOT_XTOL, _ROOT_RTOL))
     return None
-
-
-def _on_range_circle(exact_dist, t: float, tx_range: float) -> bool:
-    """True when the separation at ``t`` is the range to within RANGE_RESIDUAL_RTOL."""
-    return abs(math.sqrt(max(exact_dist(t), 0.0)) - tx_range) <= RANGE_RESIDUAL_RTOL * tx_range
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +513,15 @@ class LltResult:
     """Outcome of a link-lifetime computation.
 
     ``llt`` is the predicted remaining lifetime in seconds measured from the
-    pair's shared epoch. When no break is found by the horizon,
-    ``horizon_capped`` is set and ``llt`` equals the horizon (the lifetime
-    is at least that); ``root`` and ``residual`` are then None.
+    pair's shared epoch: the break time. ``residual`` is the exact
+    separation's distance from the range circle at the break, in metres.
+    When no break is found by the horizon, ``horizon_capped`` is set and
+    ``llt`` equals the horizon (the lifetime is at least that); ``residual``
+    is then None.
     """
 
     llt: float
     case_used: str
-    root: float | None
     residual: float | None
     horizon_capped: bool
 
@@ -571,16 +534,16 @@ def _canonical_key(traj: Trajectory):
 
 
 def _unbounded(case: str, horizon: float) -> LltResult:
-    return LltResult(llt=horizon, case_used=case, root=None, residual=None,
-                     horizon_capped=True)
+    return LltResult(llt=horizon, case_used=case, residual=None, horizon_capped=True)
 
 
-def _bounded(case: str, llt: float, model: SquaredDistance, t: float,
-             tx_range: float) -> LltResult:
-    """A break ``llt`` seconds from the epoch, found at ``t`` on ``model``."""
-    residual = abs(math.sqrt(max(model(t), 0.0)) - tx_range)
-    return LltResult(llt=llt, case_used=case, root=llt, residual=residual,
-                     horizon_capped=False)
+def _bounded(case: str, llt: float, residual: float) -> LltResult:
+    return LltResult(llt=llt, case_used=case, residual=residual, horizon_capped=False)
+
+
+def _residual(model: SquaredDistance, t: float, tx_range: float) -> float:
+    """Distance of ``model``'s separation at ``t`` from the range circle, in metres."""
+    return abs(math.sqrt(max(model(t), 0.0)) - tx_range)
 
 
 def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> LltResult:
@@ -591,14 +554,14 @@ def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> Ll
         if q1 > 0.0 and c < 0.0:
             root = -c / q1
             if root <= horizon:
-                return _bounded("C", root, model, root, tx_range)
+                return _bounded("C", root, _residual(model, root, tx_range))
         return _unbounded("C", horizon)
     disc = q1 * q1 - 4.0 * q2 * c
     root = (-q1 + math.sqrt(max(disc, 0.0))) / (2.0 * q2)
     root = max(root, 0.0)
     if root > horizon:
         return _unbounded("C", horizon)
-    return _bounded("C", root, model, root, tx_range)
+    return _bounded("C", root, _residual(model, root, tx_range))
 
 
 def _no_break_arc(flyer: CurveTrajectory, other: CurveTrajectory,
@@ -606,7 +569,7 @@ def _no_break_arc(flyer: CurveTrajectory, other: CurveTrajectory,
     """``(half, toward)``: the pair cannot break while ``flyer``'s phase is
     within ``half`` of ``toward``, the direction of the other centre from its
     own. ``half`` is ``inf`` for the whole circle and negative for no arc;
-    it is shrunk for the rounding of ``kappa`` only (see :func:`_walk_start`)."""
+    it is shrunk for the rounding of ``kappa`` only (see :func:`_arc_exit`)."""
     reach = tx_range - other.radius
     if reach <= 0.0:
         return -1.0, 0.0
@@ -632,39 +595,16 @@ def _no_break_arcs(c1: CurveTrajectory, c2: CurveTrajectory, tx_range: float):
 
 
 def _arc_exit(c1: CurveTrajectory, c2: CurveTrajectory, arcs, span: float) -> float:
-    """:func:`_walk_start` of two curve flyers whose :func:`_no_break_arcs` are ``arcs``."""
-    if arcs is None:
-        return math.inf
-    flyers = (c1, c2)
-    t = 0.0
-    settled = k = 0  # flyers in a row found off their arcs at t
-    while settled < 2 and t < span:
-        flyer = flyers[k]
-        half, toward = arcs[k]
-        rate = abs(flyer.omega)
-        half -= _BRACKET_SHRINK * (2.0 * TWO_PI + rate * t)
-        u = math.remainder(flyer.initial_phase + flyer.omega * t - toward, TWO_PI)
-        end = t
-        if abs(u) <= half:
-            end += (half - u if flyer.omega > 0.0 else half + u) / rate
-        settled = 1 if end > t else settled + 1
-        t = end
-        k = 1 - k
-    return t
+    """Offset from the pair's anchor before which two curve flyers, whose
+    :func:`_no_break_arcs` are ``arcs``, cannot break: 0, a time, or ``inf``.
+    ``span`` is the time the walk has left; an offset at or beyond it caps
+    the pair.
 
-
-def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float,
-                span: float) -> float:
-    """Offset from the pair's anchor before which a pair led by a curve
-    flyer cannot break: 0, a time, or ``inf``. ``span`` is the time the walk
-    has left; an offset at or beyond it caps the pair.
-
-    A curve flyer stays on its circle. For two curve flyers
-    ``D(t) <= rho1(t) + R2``, where ``rho1`` is flyer 1's distance from
-    centre 2. With ``g`` the centres' gap and ``u1`` flyer 1's phase less
-    the direction of centre 2 from centre 1,
-    ``rho1^2 = g^2 + R1^2 - 2 g R1 cos(u1)``, so no break comes while
-    ``cos(u1) >= -kappa``, ``kappa = ((r - R2)^2 - g^2 - R1^2) / (2 g R1)``:
+    A curve flyer stays on its circle, so ``D(t) <= rho1(t) + R2``, where
+    ``rho1`` is flyer 1's distance from centre 2. With ``g`` the centres'
+    gap and ``u1`` flyer 1's phase less the direction of centre 2 from
+    centre 1, ``rho1^2 = g^2 + R1^2 - 2 g R1 cos(u1)``, so no break comes
+    while ``cos(u1) >= -kappa``, ``kappa = ((r - R2)^2 - g^2 - R1^2) / (2 g R1)``:
     on an arc ``|u1| <= acos(-kappa)`` of flyer 1's phase, which comes round
     every ``2 pi / |omega1|``. It is the whole circle when
     ``g + R1 + R2 <= r`` (``inf``: the pair never breaks) and empty when
@@ -690,8 +630,32 @@ def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float,
     on the arc (at most ``2 pi``) into an exit at most a turn after ``t``.
     The true phase is thus still on the true arc at a computed exit, and it
     crosses the arc monotonically up to there.
+    """
+    if arcs is None:
+        return math.inf
+    flyers = (c1, c2)
+    t = 0.0
+    settled = k = 0  # flyers in a row found off their arcs at t
+    while settled < 2 and t < span:
+        flyer = flyers[k]
+        half, toward = arcs[k]
+        rate = abs(flyer.omega)
+        half -= _BRACKET_SHRINK * (2.0 * TWO_PI + rate * t)
+        u = math.remainder(flyer.initial_phase + flyer.omega * t - toward, TWO_PI)
+        end = t
+        if abs(u) <= half:
+            end += (half - u if flyer.omega > 0.0 else half + u) / rate
+        settled = 1 if end > t else settled + 1
+        t = end
+        k = 1 - k
+    return t
 
-    For a straight flyer ``D(t) <= rho(t) + R``, where
+
+def _walk_start(curve: CurveTrajectory, straight: StraightTrajectory, tx_range: float) -> float:
+    """Offset from the pair's anchor before which a curve/straight pair
+    cannot break: 0, a time, or ``inf``.
+
+    A curve flyer stays on its circle, so ``D(t) <= rho(t) + R``, where
     ``rho(t) = |d + v*t*u|`` is the straight flyer's distance from the
     centre (``d`` its origin less the centre, ``u`` its heading). No break
     comes before ``t1``, the larger root of
@@ -707,24 +671,22 @@ def _walk_start(curve: CurveTrajectory, other: Trajectory, tx_range: float,
     :data:`_BRACKET_SHRINK` covers them, and shrinking ``t1`` by as much
     covers the rounding of the root formula.
     """
-    if isinstance(other, CurveTrajectory):
-        return _arc_exit(curve, other, _no_break_arcs(curve, other, tx_range), span)
     reach = (tx_range - curve.radius) * (1.0 - _BRACKET_SHRINK)
-    dx = other.origin_x - curve.center_x
-    dy = other.origin_y - curve.center_y
+    dx = straight.origin_x - curve.center_x
+    dy = straight.origin_y - curve.center_y
     rho = math.hypot(dx, dy)
     if reach <= 0.0 or rho > reach:
         return 0.0
-    if other.speed == 0.0:
+    if straight.speed == 0.0:
         return math.inf
-    along = dx * math.cos(other.heading) + dy * math.sin(other.heading)
+    along = dx * math.cos(straight.heading) + dy * math.sin(straight.heading)
     inside = (rho - reach) * (rho + reach)  # |d|^2 - reach^2 <= 0
     root = math.sqrt(along * along - inside)
     # The larger root, in the form without cancellation.
     if along <= 0.0:
-        t1 = (root - along) / other.speed
+        t1 = (root - along) / straight.speed
     else:
-        t1 = -inside / (other.speed * (root + along))
+        t1 = -inside / (straight.speed * (root + along))
     return t1 * (1.0 - _BRACKET_SHRINK)
 
 
@@ -743,18 +705,12 @@ def compute_llt(
     Raises :class:`RangeLostInRounding` (a :class:`ValueError`) for a pair
     whose separation model is too large to resolve the range.
 
-    Straight/straight pairs are solved exactly. Curve cases run the
-    expand/subdivide/refine pipeline over successive trust windows, skipping
-    to :func:`_walk_start`'s offset, before which the separation cannot
-    reach the range: for a curve/straight pair, once, to the first instant
-    the straight flyer can be more than ``tx_range - R`` from the turn
-    centre; for two curves, at every window start, to the first instant at
-    which neither flyer is on its no-break arc, or ``inf`` when the range is
-    beyond their reach. A skip to ``horizon`` caps the result. A
-    bounded result's ``root`` sits on the range circle to within 1% of the
-    range (far tighter in practice, since breaks are refined against the
-    exact separation); if no break is found by ``horizon`` the result is marked
-    ``horizon_capped``.
+    Straight/straight pairs are solved exactly; curve cases run the
+    expand/subdivide/refine pipeline over successive trust windows, with the
+    skips the module docstring describes. A bounded result's break sits on
+    the range circle to within 1% of the range (far tighter in practice,
+    since breaks are refined against the exact separation); if no break is
+    found by ``horizon`` the result is marked ``horizon_capped``.
     """
     return deque(walk(traj_a, traj_b, tx_range, horizon), maxlen=1).pop()
 
@@ -784,10 +740,11 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     """:func:`compute_llt` step by step: a :class:`Window` for each trust
     window it searches, in order, then its :class:`LltResult`.
 
-    Each window starts where the last one ends, or where
-    :func:`_walk_start` skips to: before the first window for a case-B
-    pair, before every window for a case-A pair, whose no-break arcs the
-    walk computes once, since re-anchoring moves neither centre nor radius.
+    Each window starts where the last one ends, or where the walk skips
+    to: :func:`_walk_start` before the first window for a case-B pair,
+    :func:`_arc_exit` before every window for a case-A pair, whose no-break
+    arcs the walk computes once, since re-anchoring moves neither centre nor
+    radius.
 
     At each window the walk re-anchors both trajectories and asks
     :func:`squared_link_distance`, :func:`trust_window`,
@@ -798,6 +755,10 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     shrunk no-break arc at 0, or a reach over the whole circle, certifies
     ``D(0) < r``, so the check cannot fire there. Nothing is kept from one
     call to the next.
+
+    The walk computes each pick's residual once, before it yields the
+    window: beyond :data:`RANGE_RESIDUAL_RTOL` of the range it raises
+    :class:`RangeLostInRounding`, otherwise the result carries it.
 
     Raises as :func:`compute_llt` does, once iterated. A case-C pair, a pair
     answered before any window is sized and a separation identically on the
@@ -832,7 +793,7 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             yield _solve_case_c(model, tx_range, horizon)
             return
         if case == "B":
-            skip = _walk_start(traj_a, traj_b, tx_range, horizon)
+            skip = _walk_start(traj_a, traj_b, tx_range)
     while True:
         if skip > 0.0:
             t_base += skip
@@ -848,13 +809,20 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             break  # separation identically equal to the range: never exceeds
         pieces = find_real_roots(shifted, margin + _ROUNDING * r2, window)
         pick = select_root(pieces, model, tx_range)
+        if pick is not None:
+            residual = _residual(model, pick, tx_range)
+            if residual > RANGE_RESIDUAL_RTOL * tx_range:
+                raise RangeLostInRounding(
+                    f"the separation model crosses the {tx_range:g} m range at {pick:.6g} s, but"
+                    " no crossing sits on the range circle: the range is lost in the rounding of"
+                    " its terms")
         yield Window(t_base, model, window, bernstein, margin, pieces, pick)
         if pick is not None:
             total = t_base + pick
             if total > horizon:
                 yield _unbounded(case, horizon)
             else:
-                yield _bounded(case, total, model, pick, tx_range)
+                yield _bounded(case, total, residual)
             return
         t_base += window
         if t_base >= horizon * (1.0 - 1e-12):

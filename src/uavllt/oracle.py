@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .kinematics import Trajectory, planar_positions_at, position_at, re_anchor
-from .llt import LinkNotUp
+from .llt import DEFAULT_HORIZON, LinkNotUp
 from .routing import NodeUnknown, Route
 
 _CHUNK = 1 << 16
@@ -31,7 +31,7 @@ class TooLarge(ValueError):
 
 
 def brute_force_llt(traj_a: Trajectory, traj_b: Trajectory, tx_range: float,
-                    dt: float = 1e-3, horizon: float = 3600.0) -> float:
+                    dt: float = 1e-3, horizon: float = DEFAULT_HORIZON) -> float:
     """First time the pair's planar separation exceeds the range.
 
     Steps t by ``dt`` from the shared epoch, then refines the bracketing

@@ -23,7 +23,6 @@ from uavllt.llt import (
     TAYLOR_DEGREE,
     LinkNotUp,
     RangeLostInRounding,
-    case_geometry,
     compute_llt,
     find_real_roots,
     select_root,
@@ -68,19 +67,19 @@ class TestClassifyCase:
     def test_cases(self):
         c = curve(0, 0, 100, 20, CCW, 0)
         s = straight(0, 0, 0, 20)
-        assert squared_link_distance(c, c).case_label == "A"
-        assert squared_link_distance(s, c).case_label == "B"
-        assert squared_link_distance(c, s).case_label == "B"
-        assert squared_link_distance(s, s).case_label == "C"
+        assert compute_llt(c, c, 500.0).case_used == "A"
+        assert compute_llt(s, c, 500.0).case_used == "B"
+        assert compute_llt(c, s, 500.0).case_used == "B"
+        assert compute_llt(s, s, 500.0).case_used == "C"
 
 
 class TestCaseGeometry:
     def test_zero_gaps_take_positive_sign(self):
-        g = case_geometry(0.0, -5.0)
-        assert g.sign1 == 1.0 and g.sign2 == -1.0
-        assert g.alpha == pytest.approx(math.pi / 2)
-        g = case_geometry(3.0, 0.0)
-        assert g.sign2 == 1.0 and g.alpha == 0.0
+        a, b, sign1, sign2, alpha = llt._gap_parts(0.0, -5.0)
+        assert (a, b, sign1, sign2) == (0.0, 5.0, 1.0, -1.0)
+        assert alpha == pytest.approx(math.pi / 2)
+        a, b, sign1, sign2, alpha = llt._gap_parts(3.0, 0.0)
+        assert (a, b, sign2, alpha) == (3.0, 0.0, 1.0, 0.0)
 
 
 class TestSquaredLinkDistance:
@@ -342,10 +341,12 @@ class TestSelectRoot:
         exact = lambda t: 100.0 - (t - 1.0) * (t - 1.5)
         assert select_root([(0.0, 1.0), (1.0, 2.0)], exact, 10.0) == 1.0
 
-    def test_crossing_off_the_range_circle_raises(self):
+    def test_crossing_off_the_range_circle_is_returned(self):
+        # select_root only brackets and refines, to Brent's tolerance: the
+        # walk judges the pick.
         exact = lambda t: 0.0 if t < 1.0 else 1e6
-        with pytest.raises(RangeLostInRounding):
-            select_root([(0.0, 2.0)], exact, 10.0)
+        pick = select_root([(0.0, 2.0)], exact, 10.0)
+        assert pick == pytest.approx(1.0, abs=llt._ROOT_XTOL + llt._ROOT_RTOL)
 
 
 def traced(f, seen):
@@ -462,7 +463,7 @@ class TestComputeLlt:
         model = squared_link_distance(a, b)
         assert model.quadratic[1:] == (0.0, 0.0)
         result = compute_llt(a, b, 60.0, horizon=500.0)
-        assert result == llt.LltResult(500.0, "C", None, None, True)
+        assert result == llt.LltResult(500.0, "C", None, True)
 
     def test_rigid_rotation_unbounded(self):
         a = curve(0, 0, 100, 20, CCW, 0.0)
@@ -470,7 +471,7 @@ class TestComputeLlt:
         result = compute_llt(a, b, 150.0, horizon=500.0)
         assert result.horizon_capped
         assert result.llt == 500.0
-        assert result.root is None
+        assert result.residual is None
 
     def test_concentric_counter_rotating(self):
         # Closed form: break when cos((w1-w2) t) falls to
@@ -504,13 +505,28 @@ class TestComputeLlt:
         model = squared_link_distance(c, s)
         assert model.terms == () and model.quadratic[0] == 500.0**2
         result = compute_llt(c, s, 500.0, horizon=600.0)
-        assert result == llt.LltResult(600.0, "B", None, None, True)
+        assert result == llt.LltResult(600.0, "B", None, True)
 
     def test_link_not_up(self):
         a = straight(0, 0, 0, 10)
         b = straight(500, 0, 0, 10)
         with pytest.raises(LinkNotUp):
             compute_llt(a, b, 100.0)
+
+    def test_break_off_the_range_circle_raises_before_its_window(self):
+        # The pair of the CLI's exit-2 test: a 1e12 m orbit puts the squared
+        # separation near 1e24 m^2, where the model minus r^2 is rounding
+        # noise. select_root picks a sign change of that noise, off the
+        # range circle, and the walk refuses it before yielding its window.
+        c = curve(0.0, -1e12, 1e12, 40.0, CCW, math.pi / 2)
+        s = straight(100.0, 0.0, 0.3, 40.0, z=110.0)
+        with pytest.raises(RangeLostInRounding, match="no crossing sits on the range circle"):
+            compute_llt(c, s, 500.0)
+        yielded = []
+        with pytest.raises(RangeLostInRounding):
+            for item in llt.walk(c, s, 500.0, DEFAULT_HORIZON):
+                yielded.append(item)
+        assert all(w.pick is None for w in yielded)
 
     @pytest.mark.parametrize("tx_range, horizon", [
         (math.nan, 600.0), (math.inf, 600.0), (0.0, 600.0), (-5.0, 600.0),
@@ -705,7 +721,7 @@ class TestCaseBBracket:
         for _ in range(500):
             traj_a, traj_b, tx = sample_instance("B", rng)
             c, s = curve_first(traj_a, traj_b)
-            t1 = llt._walk_start(c, s, tx, SWEEP_HORIZON)
+            t1 = llt._walk_start(c, s, tx)
             if t1 == 0.0:
                 continue
             end = min(t1, SWEEP_HORIZON)
@@ -725,7 +741,7 @@ class TestCaseBBracket:
         t_break = (Fraction(tx) - Fraction(radius)
                    - (Fraction(s.origin_x) - Fraction(cx))) / Fraction(speed)
         c = curve(cx, cy, radius, 40.0, CCW, math.pi - 40.0 / radius * float(t_break))
-        assert 0.0 < llt._walk_start(c, s, tx, SWEEP_HORIZON) <= t_break
+        assert 0.0 < llt._walk_start(c, s, tx) <= t_break
         result = compute_llt(c, s, tx, SWEEP_HORIZON)
         assert not result.horizon_capped
         assert result.llt == pytest.approx(float(t_break), abs=1e-9)
@@ -734,7 +750,7 @@ class TestCaseBBracket:
         c = curve(0.0, 0.0, 300.0, 40.0, CCW, 0.0)  # at (300, 0)
         s = straight(350.0, 0.0, 2.0, 30.0)
         tx = 250.0
-        assert llt._walk_start(c, s, tx, SWEEP_HORIZON) == 0.0
+        assert llt._walk_start(c, s, tx) == 0.0
         *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows[0].model == squared_link_distance(c, s)
         assert_skips_sound(windows, tx)
@@ -744,10 +760,10 @@ class TestCaseBBracket:
         c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
         s = straight(100.0, 0.0, 1.0, 1.0)  # 1 m/s, 100 m from the centre
         tx = 1200.0
-        assert SWEEP_HORIZON <= llt._walk_start(c, s, tx, SWEEP_HORIZON) < math.inf
+        assert SWEEP_HORIZON <= llt._walk_start(c, s, tx) < math.inf
         *windows, result = llt.walk(c, s, tx, SWEEP_HORIZON)
         assert windows == []
-        assert result == llt.LltResult(SWEEP_HORIZON, "B", None, None, True)
+        assert result == llt.LltResult(SWEEP_HORIZON, "B", None, True)
         assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
 
     def test_windows_per_call(self):
@@ -760,6 +776,11 @@ class TestCaseBBracket:
             *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             n_windows += len(windows)
         assert n_windows / 300 <= 1.9
+
+
+def arc_exit(c1, c2, tx):
+    """Where a case-A walk from the pair's anchor starts."""
+    return llt._arc_exit(c1, c2, llt._no_break_arcs(c1, c2, tx), SWEEP_HORIZON)
 
 
 def distance_from_centre(flyer, centre, ts):
@@ -783,7 +804,7 @@ class TestCaseAArcs:
         a = curve(0.0, 0.0, 100.0, 20.0, CCW, 0.3)
         b = curve(0.0, 0.0, 150.0, 45.0, CW, -1.0)
         tx = 250.0 * scale
-        start = llt._walk_start(a, b, tx, SWEEP_HORIZON)
+        start = arc_exit(a, b, tx)
         assert start == (math.inf if scale == 1.0 + 1e-6 else 0.0)
         windows, result = walk_checked(a, b, tx, SWEEP_HORIZON)
         assert (windows == []) == (start == math.inf)
@@ -803,13 +824,13 @@ class TestCaseAArcs:
 
         monkeypatch.setattr(llt, "squared_link_distance", no_model)
         assert compute_llt(a, b, 900.0, SWEEP_HORIZON) == llt.LltResult(
-            SWEEP_HORIZON, "A", None, None, True)
+            SWEEP_HORIZON, "A", None, True)
 
     def test_off_both_arcs_and_beyond_range_not_up(self):
         a, b = self.START_OFF_ARCS
         tx = 600.0
         assert initial_separation(a, b) > tx
-        assert llt._walk_start(a, b, tx, SWEEP_HORIZON) == 0.0
+        assert arc_exit(a, b, tx) == 0.0
         with pytest.raises(LinkNotUp):
             compute_llt(a, b, tx, SWEEP_HORIZON)
 
@@ -817,7 +838,7 @@ class TestCaseAArcs:
         a, b = self.START_OFF_ARCS
         tx = initial_separation(a, b) / (1.0 + 1e-13)
         assert initial_separation(a, b) > tx
-        assert llt._walk_start(a, b, tx, SWEEP_HORIZON) == 0.0
+        assert arc_exit(a, b, tx) == 0.0
         result = compute_llt(a, b, tx, SWEEP_HORIZON)
         assert result.case_used == "A" and not result.horizon_capped
         assert result.llt == 0.0
@@ -838,7 +859,7 @@ class TestCaseAArcs:
         # math.pi is below pi, so this is below the exit instant.
         t_exit = (Fraction(math.pi) / 2 - Fraction(c1.initial_phase)) / Fraction(c1.omega)
         c2 = curve(cx + 300.0, cy, 200.0, 30.0, CW, math.atan2(-4.0, 3.0) + 0.15 * float(t_exit))
-        assert 0.0 < llt._walk_start(c1, c2, tx, SWEEP_HORIZON) <= t_exit
+        assert 0.0 < arc_exit(c1, c2, tx) <= t_exit
         windows, result = walk_checked(c1, c2, tx, SWEEP_HORIZON)
         assert windows[0].t_base > 0.0
         assert not result.horizon_capped
@@ -994,16 +1015,16 @@ class TestWindowSkip:
 
         # The straight flyer stays within r - R = 1000 m of the centre until
         # t1: never when parked, after ~3e302 s when creeping at 1e-300 m/s.
-        capped = llt.LltResult(DEFAULT_HORIZON, "B", None, None, True)
+        capped = llt.LltResult(DEFAULT_HORIZON, "B", None, True)
         for speed in (0.0, 1e-300):
             *windows, result = llt.walk(*pair(speed), 1200.0, DEFAULT_HORIZON)
             assert windows == []
             assert result == capped
         # Without the bracket this horizon would walk ~10^8 windows.
-        assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, None, True)
+        assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, True)
         # At 2 m/s, t1 falls mid-horizon: the walk starts there.
         s = straight(800.0, 0.0, 1.0, 2.0)
-        t1 = llt._walk_start(c, s, 1200.0, SWEEP_HORIZON)
+        t1 = llt._walk_start(c, s, 1200.0)
         assert 100.0 < t1 < 200.0
         *windows, result = llt.walk(*pair(2.0), 1200.0, SWEEP_HORIZON)
         assert windows[0].model == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
@@ -1221,7 +1242,7 @@ class TestEqualOrbitalRates:
     def squared_peak(c1, c2):
         """Largest squared separation: the two gap sinusoids share one rate,
         so their phasor sum gives the envelope's maximum in closed form."""
-        gap = case_geometry(c1.center_x - c2.center_x, c1.center_y - c2.center_y).gap
+        gap = math.hypot(c1.center_x - c2.center_x, c1.center_y - c2.center_y)
         base = (gap * gap + c1.radius**2 + c2.radius**2
                 - 2.0 * c1.radius * c2.radius * math.cos(c1.initial_phase - c2.initial_phase))
         px = c1.radius * math.cos(c1.initial_phase) - c2.radius * math.cos(c2.initial_phase)
