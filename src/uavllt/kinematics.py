@@ -8,6 +8,12 @@ the one definition of that arithmetic, in plain floats: :func:`position_at`,
 the simulator's geometry and a straight flyer's :func:`re_anchor` all take
 their coordinates from it.
 
+:func:`contact_span` is the one kinetic certificate on those coordinates
+(Basch, Guibas & Hershberger 1999): planar separation changes by at most the
+sum of both UAVs' speeds per second, so a computed separation certifies how
+long the pair stays on its side of the range. The simulator's contact
+certificates and the solver's no-break steps both rest on it.
+
 Angles are handled quadrant-aware throughout (two-argument arctangent),
 so vertical headings and points in any quadrant are unambiguous.
 All types are immutable values; every function here is pure.
@@ -16,12 +22,16 @@ All types are immutable values; every function here is pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# A certificate's allowance for rounding, relative to the size of the
+# coordinates, their travel and the range (see contact_span).
+_CERT_ROUNDING = 64.0 * sys.float_info.epsilon
 
 
 class Direction(IntEnum):
@@ -202,3 +212,54 @@ def re_anchor(traj: Trajectory, epoch: float) -> Trajectory:
         x, y = planar_xy(traj, dt)
         moved.__dict__.update(traj.__dict__, origin_x=x, origin_y=y, epoch=epoch)
     return moved
+
+
+def speed_and_size(traj: Trajectory, until: float) -> tuple[float, float]:
+    """Planar speed of ``traj``, and the size of the terms :func:`planar_xy`
+    computes its coordinates from at any time in ``[0, until]``: the scale
+    of their rounding. A curve flyer's speed is ``R * |omega|``, the rate
+    :func:`planar_xy` moves it at."""
+    if isinstance(traj, CurveTrajectory):
+        speed = traj.radius * abs(traj.omega)
+        base = abs(traj.center_x) + abs(traj.center_y) + 6.0 * traj.radius
+    else:
+        speed = traj.speed
+        base = abs(traj.origin_x) + abs(traj.origin_y)
+    return speed, base + 3.0 * speed * (until + abs(traj.epoch))
+
+
+def contact_span(separation: float, tx_range: float, motion_a: tuple[float, float],
+                 motion_b: tuple[float, float]) -> float:
+    """Time, from an instant ``t``, for which a UAV pair stays on the side of
+    ``tx_range`` that ``separation``, computed at ``t`` from :func:`planar_xy`
+    and :func:`math.hypot`, is on: at most ``tx_range`` (in range) or beyond
+    it. ``motion_a`` and ``motion_b`` are the UAVs' :func:`speed_and_size`
+    up to the last instant the span may reach. ``inf`` when both UAVs are
+    parked, as their positions never change; negative when the separation is
+    within the allowance of the range.
+
+    The true separation changes by at most ``v_a + v_b`` per second, so it
+    cannot cross ``r`` before ``t + |separation - r| / (v_a + v_b)``. The
+    slack subtracted from ``|separation - r|`` covers the rounding between
+    true and computed values, at ``t`` and at a later instant whose computed
+    separation is near ``r``:
+    - the coordinates, by a few eps of the size of their terms
+      (``size_a``, ``size_b``, which include all travel up to the
+      ``until`` they were taken for, and so also ``v_a + v_b`` times the
+      rounding of ``t``);
+    - their difference and :func:`math.hypot`, by a few eps of
+      ``separation`` at ``t`` and of ``r`` later;
+    - the speeds and the quotient, by a few eps of the travel the bound
+      spans, at most ``separation + r``.
+    Every coordinate has ``|x| + |y|`` at most its trajectory's size, so
+    ``separation`` is at most ``size_a + size_b`` and needs no term of its
+    own: 64 eps times ``size_a + size_b + 8r`` covers each of these many
+    times over. So within the span neither the true separation nor any
+    separation computed from the coordinates crosses ``tx_range``.
+    """
+    (speed_a, size_a), (speed_b, size_b) = motion_a, motion_b
+    closing = speed_a + speed_b
+    if closing > 0.0:
+        slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * tx_range)
+        return (abs(separation - tx_range) - slack) / closing
+    return math.inf

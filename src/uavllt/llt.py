@@ -63,17 +63,33 @@ A walk skips ahead to where a break first becomes possible. A curve flyer
 stays on its circle, so by the triangle inequality the separation is at
 most the other flyer's distance from the turn centre plus the radius. For
 two curve flyers (case A) that rules out a break while either flyer is on a
-closed-form arc of its phase, which comes round once per turn; at the start
-of every window the walk re-anchors at the first instant at which neither
-flyer is on its arc (:func:`_arc_exit`). A range beyond the centres' gap
-plus both radii makes the arc the whole circle and answers the pair at
-once. For a curve/straight pair (case B) ``rho(t)``, the straight flyer's
-distance from the turn centre, is the square root of a quadratic in time.
-No break comes before ``rho`` first exceeds ``r - R``, at a closed-form
-instant ``t1`` (:func:`_walk_start`), and both UAVs are re-anchored there
-before the first window is sized. Rounding allowances on the arcs, the
-reach and ``t1`` keep the skips certified in floating point, and a skip to
-the horizon answers the pair capped.
+closed-form arc of its phase, which comes round once per turn
+(:func:`_arc_exit`). A range beyond the centres' gap plus both radii makes
+the arc the whole circle and answers the pair at once. For a curve/straight
+pair (case B) ``rho(t)``, the straight flyer's distance from the turn
+centre, is the square root of a quadratic in time. No break comes before
+``rho`` first exceeds ``r - R``, at a closed-form instant ``t1``
+(:func:`_walk_start`). Rounding allowances on the arcs, the reach and ``t1``
+keep these skips certified in floating point, and a skip to the horizon
+answers the pair capped.
+
+Where neither rules a break out, the planar separation still changes by at
+most ``v_a + v_b`` per second, a curve flyer's speed being ``R |omega|``:
+from a computed separation ``d`` the pair cannot leave range for
+``(r - d - slack) / (v_a + v_b)`` seconds. That is the kinetic certificate
+the simulator's contact certificates rest on,
+:func:`~uavllt.kinematics.contact_span`, whose docstring proves the slack.
+Before it sizes a window, the walk takes such speed steps while one spans at
+least :data:`_MIN_STEP_SHARE` of the nominal window, a quarter period of the
+fastest sinusoid, and steps past case A's arcs again wherever a step lands
+on one (:func:`_no_break_until`). So a walk takes at most about
+``1 / _MIN_STEP_SHARE`` cheap steps where it would otherwise size one
+window. The end of the last window, the start skip, the steps and the arcs
+add up to one offset, and both UAVs are re-anchored once per window. A walk
+that starts at 0 steps there only when the link-up check's separation
+already promises a whole nominal window, so a break in the first window
+costs no step at all. The speed steps cannot certify "never", which the
+arcs and ``t1`` can.
 """
 
 from __future__ import annotations
@@ -86,7 +102,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import TWO_PI, CurveTrajectory, StraightTrajectory, Trajectory, re_anchor
+from .kinematics import (TWO_PI, CurveTrajectory, StraightTrajectory, Trajectory, contact_span,
+                         planar_xy, re_anchor, speed_and_size)
 
 # Degree of the Taylor expansion of every sinusoid.
 TAYLOR_DEGREE = 12
@@ -109,6 +126,11 @@ _ROUNDING = 64.0 * sys.float_info.epsilon
 # and of the ends of the case-A no-break arcs, far above the few ulps of
 # rounding it covers (see _walk_start and _arc_exit).
 _BRACKET_SHRINK = 1e-9
+# The walk takes a certified speed step only while it spans at least this
+# share of the nominal trust window, a quarter period of the fastest
+# sinusoid, so it takes about 1 / _MIN_STEP_SHARE steps at most where a walk
+# without them would size one window.
+_MIN_STEP_SHARE = 0.05
 # Change of basis from the power basis on [0, 1] to the Bernstein basis of
 # degree TAYLOR_DEGREE: b_i = sum_k C(i, k) / C(n, k) * a_k.
 _BERNSTEIN = np.array([[math.comb(i, k) / math.comb(TAYLOR_DEGREE, k)
@@ -594,11 +616,11 @@ def _no_break_arcs(c1: CurveTrajectory, c2: CurveTrajectory, tx_range: float):
     return None if math.inf in (arcs[0][0], arcs[1][0]) else arcs
 
 
-def _arc_exit(c1: CurveTrajectory, c2: CurveTrajectory, arcs, span: float) -> float:
-    """Offset from the pair's anchor before which two curve flyers, whose
-    :func:`_no_break_arcs` are ``arcs``, cannot break: 0, a time, or ``inf``.
-    ``span`` is the time the walk has left; an offset at or beyond it caps
-    the pair.
+def _arc_exit(c1: CurveTrajectory, c2: CurveTrajectory, arcs, t: float, span: float) -> float:
+    """Offset from the pair's anchor, at or after ``t``, before which two
+    curve flyers, whose :func:`_no_break_arcs` are ``arcs``, cannot break
+    unless they can at ``t``: ``t``, a later time, or ``inf``. ``span`` is
+    the time the walk has left; an offset at or beyond it caps the pair.
 
     A curve flyer stays on its circle, so ``D(t) <= rho1(t) + R2``, where
     ``rho1`` is flyer 1's distance from centre 2. With ``g`` the centres'
@@ -609,11 +631,11 @@ def _arc_exit(c1: CurveTrajectory, c2: CurveTrajectory, arcs, span: float) -> fl
     every ``2 pi / |omega1|``. It is the whole circle when
     ``g + R1 + R2 <= r`` (``inf``: the pair never breaks) and empty when
     ``R2 >= r``; concentric circles (``g = 0``) have one or the other.
-    Flyer 2 has the mirror arc. The offset is the first instant at which
-    neither flyer is on its arc. A flyer on its arc at ``t`` leaves it at
-    ``t + (acos(-kappa) - sign(omega) u) / |omega|``, so the search steps
-    from exit to exit of the two flyers in turn, each step moving forward,
-    and stops at ``span``.
+    Flyer 2 has the mirror arc. The offset is the first instant from ``t``
+    on at which neither flyer is on its arc. A flyer on its arc at ``t``
+    leaves it at ``t + (acos(-kappa) - sign(omega) u) / |omega|``, so the
+    search steps from exit to exit of the two flyers in turn, each step
+    moving forward, and stops at ``span``.
 
     Each arc is shrunk at both ends, twice. The numerator of ``kappa`` is
     formed from ``r - R2``, ``g`` (a ``hypot`` of two rounded differences)
@@ -634,7 +656,6 @@ def _arc_exit(c1: CurveTrajectory, c2: CurveTrajectory, arcs, span: float) -> fl
     if arcs is None:
         return math.inf
     flyers = (c1, c2)
-    t = 0.0
     settled = k = 0  # flyers in a row found off their arcs at t
     while settled < 2 and t < span:
         flyer = flyers[k]
@@ -690,6 +711,42 @@ def _walk_start(curve: CurveTrajectory, straight: StraightTrajectory, tx_range: 
     return t1 * (1.0 - _BRACKET_SHRINK)
 
 
+def _no_break_until(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, t: float,
+                    span: float, arcs, motions, min_step: float) -> float:
+    """Offset from the pair's anchor, at or after ``t``, before which the
+    pair cannot break unless it can at ``t``: ``t`` moved on by certified
+    speed steps and, for case A, past the no-break arcs ``arcs`` (None for
+    case B), until neither moves it. ``motions`` are both UAVs'
+    :func:`~uavllt.kinematics.speed_and_size` up to the horizon, ``span``
+    is the time the walk has left, and an offset at or beyond it caps the
+    pair.
+
+    A speed step is :func:`~uavllt.kinematics.contact_span` from the
+    separation that :func:`~uavllt.kinematics.planar_xy` and
+    :func:`math.hypot` give at the current offset, the certificate the
+    simulator's contact certificates rest on: no break comes within it. It
+    is taken while it spans at least ``min_step``, and never from a
+    separation beyond the range, where the certificate holds the pair out of
+    range instead.
+    """
+    while t < span:
+        xa, ya = planar_xy(traj_a, t)
+        xb, yb = planar_xy(traj_b, t)
+        separation = math.hypot(xa - xb, ya - yb)
+        if separation <= tx_range:
+            step = contact_span(separation, tx_range, *motions)
+            if step >= min_step:
+                t += step
+                continue
+        if arcs is None:
+            break
+        exit_ = _arc_exit(traj_a, traj_b, arcs, t, span)
+        if exit_ == t:
+            break
+        t = exit_
+    return t
+
+
 def compute_llt(
     traj_a: Trajectory,
     traj_b: Trajectory,
@@ -720,11 +777,11 @@ class Window(NamedTuple):
 
     It starts ``t_base`` seconds after the pair's epoch, and ``model`` is the
     separation re-anchored there. It ends where the next window starts,
-    unless the walk skips the span between them. ``width``, ``bernstein``
-    and ``margin`` are what :func:`trust_window` returned for it. ``pieces``
-    are what :func:`find_real_roots` kept of it, none when the window is
-    excluded whole, and ``pick`` is :func:`select_root`'s break in it, or
-    None.
+    unless the walk skips the span between them on speed steps or case A's
+    arcs. ``width``, ``bernstein`` and ``margin`` are what
+    :func:`trust_window` returned for it. ``pieces`` are what
+    :func:`find_real_roots` kept of it, none when the window is excluded
+    whole, and ``pick`` is :func:`select_root`'s break in it, or None.
     """
 
     t_base: float
@@ -740,18 +797,20 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     """:func:`compute_llt` step by step: a :class:`Window` for each trust
     window it searches, in order, then its :class:`LltResult`.
 
-    Each window starts where the last one ends, or where the walk skips
-    to: :func:`_walk_start` before the first window for a case-B pair,
-    :func:`_arc_exit` before every window for a case-A pair, whose no-break
-    arcs the walk computes once, since re-anchoring moves neither centre nor
-    radius.
+    Each window starts where the last one ends or where the walk skips to,
+    :func:`_no_break_until` from there: speed steps, and for a case-A pair
+    the no-break arcs, which the walk computes once, since re-anchoring
+    moves neither centre nor radius. A case-B walk first skips to
+    :func:`_walk_start`, and a case-A walk to :func:`_arc_exit` from 0.
+    However far it skips, the walk re-anchors both trajectories once per
+    window.
 
-    At each window the walk re-anchors both trajectories and asks
-    :func:`squared_link_distance`, :func:`trust_window`,
-    :func:`find_real_roots` and :func:`select_root` through this module's
-    names, one call each. Only a walk that starts at 0 builds the model of
-    the link-up check, which raises :class:`LinkNotUp`, and its first window
-    reuses it. A case-A walk that skips at 0 builds none: a flyer on its
+    At each window the walk asks :func:`squared_link_distance`,
+    :func:`trust_window`, :func:`find_real_roots` and :func:`select_root`
+    through this module's names, one call each. Only a walk that starts at
+    0 builds the model of the link-up check, which raises
+    :class:`LinkNotUp`, and its first window reuses it unless the walk steps
+    away from 0. A case-A walk that skips at 0 builds none: a flyer on its
     shrunk no-break arc at 0, or a reach over the whole circle, certifies
     ``D(0) < r``, so the check cannot fire there. Nothing is kept from one
     call to the next.
@@ -778,11 +837,13 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     if isinstance(traj_b, CurveTrajectory):
         case = "A"
         arcs = _no_break_arcs(traj_a, traj_b, tx_range)
-        skip = _arc_exit(traj_a, traj_b, arcs, horizon)
+        offset = _arc_exit(traj_a, traj_b, arcs, 0.0, horizon)
+        rate = max(abs(traj_a.omega), abs(traj_b.omega), abs(traj_a.omega - traj_b.omega))
     else:
         case = "B" if isinstance(traj_a, CurveTrajectory) else "C"
-        skip = 0.0
-    if skip == 0.0:
+        arcs = None
+        offset = 0.0
+    if offset == 0.0:
         model = squared_link_distance(traj_a, traj_b)
         d0_sq = model(0.0)
         if d0_sq > r2 * (1.0 + 1e-12):
@@ -793,15 +854,26 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             yield _solve_case_c(model, tx_range, horizon)
             return
         if case == "B":
-            skip = _walk_start(traj_a, traj_b, tx_range)
+            offset = _walk_start(traj_a, traj_b, tx_range)
+            rate = abs(traj_a.omega)
+    motions = (speed_and_size(traj_a, horizon), speed_and_size(traj_b, horizon))
+    # The rates above are those of the model's sinusoids, so this is where
+    # trust_window starts from without building a model to ask.
+    nominal = (math.pi / 2.0) / rate if rate else horizon
+    # From 0, step only where the link-up check's separation promises a
+    # whole nominal window: a break in the first window then costs nothing.
+    steps = offset > 0.0 or tx_range - math.sqrt(d0_sq) >= (
+        motions[0][0] + motions[1][0]) * nominal
     while True:
-        if skip > 0.0:
-            t_base += skip
-            if not t_base < horizon:
+        if steps:
+            offset = _no_break_until(traj_a, traj_b, tx_range, offset, horizon - t_base, arcs,
+                                     motions, _MIN_STEP_SHARE * nominal)
+        if offset > 0.0:
+            t_base += offset
+            if t_base >= horizon * (1.0 - 1e-12):
                 break
-            traj_a = re_anchor(traj_a, traj_a.epoch + skip)
-            traj_b = re_anchor(traj_b, traj_b.epoch + skip)
-        if t_base > 0.0:  # a first window from 0 reuses the model above
+            traj_a = re_anchor(traj_a, traj_a.epoch + offset)
+            traj_b = re_anchor(traj_b, traj_b.epoch + offset)
             model = squared_link_distance(traj_a, traj_b)
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]
@@ -824,10 +896,6 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             else:
                 yield _bounded(case, total, residual)
             return
-        t_base += window
-        if t_base >= horizon * (1.0 - 1e-12):
-            break
-        traj_a = re_anchor(traj_a, traj_a.epoch + window)
-        traj_b = re_anchor(traj_b, traj_b.epoch + window)
-        skip = _arc_exit(traj_a, traj_b, arcs, horizon - t_base) if case == "A" else 0.0
+        offset = window
+        steps = True
     yield _unbounded(case, horizon)

@@ -17,7 +17,8 @@ Most geometry is skipped. Planar separation changes by at most the sum
 of both UAVs' speeds per second, so a pair with separation d at instant t
 stays on its side of the range r (d <= r or d > r) until ``t + (|d - r| -
 allowance) / (v_a + v_b)``, or for good when both UAVs are parked: a
-kinetic certificate (Basch, Guibas & Hershberger 1999). Each UAV pair
+kinetic certificate (Basch, Guibas & Hershberger 1999), which
+:func:`~uavllt.kinematics.contact_span` computes and proves. Each UAV pair
 carries one, its contact certificate, with the pair's in-range flag; it
 expires when either UAV changes trajectory (a scripted change may even
 teleport a UAV). The allowance covers the rounding of
@@ -56,13 +57,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 from .config import ScenarioConfig
-from .kinematics import CurveTrajectory, Trajectory, planar_xy, re_anchor
+from .kinematics import CurveTrajectory, contact_span, planar_xy, re_anchor, speed_and_size
 from .kinematics import position_at  # noqa: F401 (re-export)
 from .llt import DEFAULT_HORIZON, LltResult, compute_llt
 from . import mobility
@@ -72,9 +72,6 @@ DT_CHECK = 0.01          # ground-truth sampling resolution, seconds
 BREAK_REFINE_TOL = 1e-6  # bisection width for termination instants, seconds
 # A half-completed Hello handshake goes stale after this many intervals.
 HANDSHAKE_FRESHNESS = 2.0
-# A certificate's allowance for rounding, relative to the size of the
-# coordinates, their travel and the range.
-_CERT_ROUNDING = 64.0 * sys.float_info.epsilon
 
 # Event kinds: the order in which events at one instant are handled, and the
 # index of each kind's handler in Simulator.run.
@@ -145,19 +142,6 @@ def _check_one_id_type(ids) -> None:
     kinds = sorted({type(uid).__name__ for uid in ids})
     if len(kinds) > 1:
         raise TypeError(f"node ids must all share one type, got {', '.join(kinds)}")
-
-
-def _speed_and_size(traj: Trajectory, until: float) -> tuple[float, float]:
-    """Planar speed of ``traj``, and the size of the terms
-    :func:`~uavllt.kinematics.planar_xy` computes its coordinates from at any
-    time in ``[0, until]``: the scale of their rounding."""
-    if isinstance(traj, CurveTrajectory):
-        speed = traj.radius * abs(traj.omega)  # the rate planar_xy moves at
-        base = abs(traj.center_x) + abs(traj.center_y) + 6.0 * traj.radius
-    else:
-        speed = traj.speed
-        base = abs(traj.origin_x) + abs(traj.origin_y)
-    return speed, base + 3.0 * speed * (until + abs(traj.epoch))
 
 
 def recompute_llt(link: LinkRecord, states_now: dict, now: float, tx_range: float,
@@ -271,7 +255,7 @@ class Simulator:
         self.records: list = []
         self._segments = {uid: [self.states[uid].trajectory] for uid in self.order}
         # uid -> (speed, size) of its current trajectory, for certificates
-        self._motion = {uid: _speed_and_size(self.states[uid].trajectory, duration)
+        self._motion = {uid: speed_and_size(self.states[uid].trajectory, duration)
                         for uid in self.order}
         # uid -> {other uid -> (instant the pair's in-range flag could first
         # change, in range)}, held under both uids; the Hello and the check share it
@@ -357,7 +341,7 @@ class Simulator:
                              f"{traj.epoch!r}; a change must be anchored at its instant")
         self.states[uid] = new_state
         self._segments[uid].append(traj)
-        self._motion[uid] = _speed_and_size(traj, self.duration)
+        self._motion[uid] = speed_and_size(traj, self.duration)
         # A scripted change may even teleport the UAV.
         contacts = self._contact[uid]
         for vid in contacts:
@@ -431,34 +415,10 @@ class Simulator:
     def _contact_until(self, a, b, t: float, separation: float) -> float:
         """Instant before which the computed separation of UAVs ``a`` and
         ``b`` stays on the side of ``tx_range`` that ``separation``, computed
-        at ``t``, is on: at most ``tx_range`` (in range) or beyond it.
-        ``inf`` when both UAVs are parked, as their positions never change.
-
-        The true separation changes by at most ``v_a + v_b`` per second, so
-        it cannot cross ``r`` before ``t + |separation - r| / (v_a + v_b)``.
-        The slack subtracted from ``|separation - r|`` covers the rounding
-        between true and computed values, at ``t`` and at a later instant
-        whose computed separation is near ``r``:
-        - the coordinates, by a few eps of the size of their terms
-          (``size_a``, ``size_b``, which include all travel up to the end of
-          the run, and so also ``v_a + v_b`` times the rounding of ``t``);
-        - their difference and :func:`math.hypot`, by a few eps of
-          ``separation`` at ``t`` and of ``r`` later;
-        - the speeds and the quotient, by a few eps of the travel the bound
-          spans, at most ``separation + r``.
-        Every coordinate has ``|x| + |y|`` at most its trajectory's size, so
-        ``separation`` is at most ``size_a + size_b`` and needs no term of
-        its own: 64 eps times ``size_a + size_b + 8r`` covers each of these
-        many times over, so every separation computed before the bound is on
-        the same side of ``tx_range`` as ``separation``.
-        """
-        r = self.tx_range
-        (speed_a, size_a), (speed_b, size_b) = self._motion[a], self._motion[b]
-        closing = speed_a + speed_b
-        if closing > 0.0:
-            slack = _CERT_ROUNDING * (size_a + size_b + 8.0 * r)
-            return t + (abs(separation - r) - slack) / closing
-        return math.inf
+        at ``t``, is on: :func:`~uavllt.kinematics.contact_span` on the
+        UAVs' speeds and sizes up to the end of the run. ``inf`` when both
+        UAVs are parked."""
+        return t + contact_span(separation, self.tx_range, self._motion[a], self._motion[b])
 
     def _terminate(self, pair, t: float) -> None:
         """End ``pair``'s live link, found out of range at ``t``: bisect the

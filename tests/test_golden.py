@@ -31,8 +31,8 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "45f60c206b63f1796acb7a15299264b3406cabc778c647e32eb49c9f1f37f5e1",
-        "snapshots.csv": "a6bd1cbb6624d62c64016aef491977bb902f9295464b11401e405caf98a87c72",
+        "events.jsonl": "9fd9bd8420ddcea192e5b0e5d7dfe614fd05ed91a4c9a903810990bbec7a8513",
+        "snapshots.csv": "9be630448acc514abb107f4258af0dbb261144c2bd453bd4b578f9fede84d96d",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
 
@@ -58,8 +58,8 @@ STEADY = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, see
 def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     assert run_fleet(STEADY, tmp_path) == {
-        "events.jsonl": "bc009db7173a504fbd959333d1b323ac0476682912b5df97d7d77f1276d150ad",
-        "snapshots.csv": "f5aa72a7f77c88232ce805bc546dbeceeaa91b35227396fb2ccb70483eeba059",
+        "events.jsonl": "5b9da9ab4e0ec286adad4147790641d709eaf2f561af2abe0da52154245e893f",
+        "snapshots.csv": "00ac9e43016d5914d762c9d1bc55641f575e7b1453fa8b662f08d335e064a597",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
 
@@ -67,35 +67,35 @@ def test_steady_fleet_scenario(tmp_path):
 # The bench's net_* scenarios 1-3 of seed 1 (scenario 0 is pinned above).
 BENCH_STEADY_DIGESTS = {
     100001: {
-        "events.jsonl": "cb332c8e2e58b9fbcc22bb4067cc008782591afad22028de659f6d7d1d7da669",
-        "snapshots.csv": "97ec5dd58a88f1fa664a86f80733563608774736bdd6d6ef8be2c6c2d820b70e",
+        "events.jsonl": "54dd6a9b45b6f8e90365669837e300865405e170ecda93e9baaac5b1c5546ced",
+        "snapshots.csv": "6ce16918b7c909f605271d7700c09c52927f60de090de0eba9ef0780e8bfde54",
         "trace.csv": "b0f7723f36e1053cbe433b82ba498cac689ef73e6618ca4179e231bc38cca256",
     },
     100002: {
-        "events.jsonl": "a15f5d4a93f285757754ea289b0b25c076e655846246ebb9da089047237e6a6d",
-        "snapshots.csv": "155c8a713cad5f632512f7fb45562e5dd4754122672034456106981b877bac93",
+        "events.jsonl": "3c0881a46a94ba8557e4d02dc23a47f1b86a049c8de71050bea048944722e61a",
+        "snapshots.csv": "bdd0e4f7c742dfa17ae1b47e329cd35774efbe895fece4db36ae9997e5a20bbb",
         "trace.csv": "e86e175d21e4085b65302f767c5a7ad34d5de87ac58f0e759220bf977de4029e",
     },
     100003: {
-        "events.jsonl": "27e1b1c1b70cbad2c23b35207e5ba35e698401ab40df9200352bc6b9e1cb4f95",
-        "snapshots.csv": "9d4cfae639fa2dbf419e31b9aaee19278e38a2980bce6abfca6122ac054d26b1",
+        "events.jsonl": "734eee3edad8aee7249f43fc7141bff33d4ec5aa49b6bad27a16798a7198b11e",
+        "snapshots.csv": "7c25f6b187e282ff1ebfeb16a9a870f4666841856ee5ad032a198e13eb3cd638",
         "trace.csv": "14e870450529cb5796d98fbc68833e8343a0d6378bccb5a3a44c2075102fdabe",
     },
 }
 BENCH_CHURN_DIGESTS = {
     100001: {
-        "events.jsonl": "bf33de2395bbb3d2680c5b785cc5cf8671e57e9068a4ef8dcb52a7e4c3236189",
-        "snapshots.csv": "dd8cdb6463be0dd3745459b230e7b6a928d5d2611577565cff17a5a960d7f781",
+        "events.jsonl": "11a352ccfaee987187eeeabe47a830e94531ffffdf5c77a9cfcf7b4874e1c881",
+        "snapshots.csv": "48388b68c7a8ed2e64e145fad6b4f7b54bbb40d92d93a9faef6022ac2080f8a8",
         "trace.csv": "77254e6ecd8f2ffb2337228aad315bf90559d11331b749e6983fb4b0479a7376",
     },
     100002: {
-        "events.jsonl": "e6bfd3b120fb0c88e3cd3aa9591e814f05e744055bf4a19fd1660cf62767152d",
-        "snapshots.csv": "3b81236274773d6e28630cffe483d0c173005fcbe285f4fe773fc3c4fa690557",
+        "events.jsonl": "8f192a189c588b0f1ff9db4f1d2fb2f27ba2815e4cc44a493e51d0f925839a3a",
+        "snapshots.csv": "45825f0d4536c8b6a6d45f90689e29f499d7806e5ada4ea6e8e31d6454b09d4b",
         "trace.csv": "6afe25d3844ead317609b9dde57d7c53457328dcfa2fa76740c370ed14247df5",
     },
     100003: {
-        "events.jsonl": "0d506abe364775d01e7a3e8d74ff0e0dd640fc6e7f3ab0415ae5c7f15723bef9",
-        "snapshots.csv": "5c440b48d3838a734df8a15210b29f52172a71a77758c4d29b8f642df4109344",
+        "events.jsonl": "341dc56da5fe77360066178066c6f9e735909ec37c461269c1a62fb18caeac94",
+        "snapshots.csv": "94aef88b018b0ef13328428805a52d350a6c027b6a9d924ce3a08fb6e5ec6e70",
         "trace.csv": "fbd0ce0920c81da2df10957531bdd8685eb1834c0f25ec1ec03c2c298340e554",
     },
 }
@@ -112,8 +112,8 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "5a8247bd344c53e2f87a7b7d105b2de4512fbb7709f503a094493f479bff9b46",
-        "snapshots.csv": "c502a6f87dd14bb23c18e0063dac3549423a82205a2045dc4282b0de9bbfc398",
+        "events.jsonl": "12712c766480bcfcedbbba2e90b0915275f31339404ed6adead0b567b900fdd2",
+        "snapshots.csv": "edc3073257907cb94fb0901b9bb37aefa19bcd3697acc39ced294ac88b3dfaf0",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
 
@@ -128,8 +128,8 @@ def test_sparse_hello_scenario(tmp_path):
     # check wakes on its own between them while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "762818c009476cdab12bba5b21bba2f55f38a77dbd02481a0ce3e3c5cf90a0b8",
-        "snapshots.csv": "a72db018976ed76e82b6d335f34f35197edb9899290a8ca27c202097da909ba8",
+        "events.jsonl": "2af491cbb2a821b722edd925153f31213ba713016b7451e4c890397878aa066e",
+        "snapshots.csv": "08648b31487a6203516e77c79aa18dd92049153f1c1a2286e6efd6b7dabfb318",
         "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
     }
 
@@ -143,10 +143,10 @@ def result_row(r) -> tuple:
 
 
 SOLVER_DIGESTS = {
-    ("A", SWEEP_HORIZON): "9ba6efc454fa571fe9db9feb434ccbfa5376ab7d572ffec1aebf639c79c3a8f7",
-    ("A", DEFAULT_HORIZON): "fff26aef2dd6e540008dde75ad9763db6687fec404d01b880231268e2229344c",
-    ("B", SWEEP_HORIZON): "98ab180f4c412c63e1aefe91e102dfca6e28c52d8fc44b8dada7a99beabb7755",
-    ("B", DEFAULT_HORIZON): "a9e5091bfea1167cce671c67323ab0857759633a7a99c20ac8a15ab318b61e53",
+    ("A", SWEEP_HORIZON): "608ea1307a66422b74865e4527a675cda3fdf8517e4c133fb9f9abf95b8b23c1",
+    ("A", DEFAULT_HORIZON): "bfb05054706305dda08fadff7761202379e9e68a033eb29cc38ed659e9963bd4",
+    ("B", SWEEP_HORIZON): "43eedc9557f396d36577acbd82f74926b8f0276ce70c854964ebabe232b50b13",
+    ("B", DEFAULT_HORIZON): "7717bcfcb0a56129c46a47069315d506f871138fbeb518c75208d563f93b29a2",
     ("C", SWEEP_HORIZON): "43105c1053ca5e0542f101942dc64973d26f6590e5466d078e9b4698d4a60f52",
     ("C", DEFAULT_HORIZON): "368bb863ad7ea9f9f1b843a6e28f3ce10ec7fad75e5db8b96155a585ab6d1e90",
 }
@@ -166,8 +166,8 @@ def test_solver_results(case, horizon):
 
 
 BENCH_PAIRS_DIGESTS = {
-    "A": "b5fab49611c64feef1660f819bfc25d6b187a7e69c75d09feeec08f5922288e0",
-    "B": "2d725dd73f50ff020e0230655d2ff040a172eac4955f159c5475557693ed7d20",
+    "A": "789483dd5d269784bff41260bf6c45768f4c08dfbc533ae7f1bc36e86dfda563",
+    "B": "c4236051a8a4e79ee05c4d22d175da3961ac6fcf389cf0ffd6e947ac5f2c03e8",
     "C": "ef602426087e4f8fde0e0a2a1781f3684bef3dcc15d776a44552548a654d8493",
 }
 
@@ -198,7 +198,7 @@ def test_solver_results_near_tangent():
             r = compute_llt(a, b, separation * scale, 200.0)
             results.append(result_row(r))
     assert (hashlib.sha256(repr(results).encode()).hexdigest()
-            == "cc85bb82fec574f0d4c8a6b514977af35e43ecf8d1c9cba2545c6f46ffd18a01")
+            == "f09b42516eaa20960324fd812dda1691c66ca34e4adb08ddb7a3b467cb4df59b")
 
 
 TRACE_ARENA = Arena(0, 5000, 0, 5000, buffer_width=500)

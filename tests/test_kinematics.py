@@ -9,11 +9,13 @@ from uavllt.kinematics import (
     Direction,
     Position,
     StraightTrajectory,
+    contact_span,
     planar_distance,
     planar_positions_at,
     planar_xy,
     position_at,
     re_anchor,
+    speed_and_size,
     velocity_heading,
 )
 
@@ -221,3 +223,52 @@ class TestOmega:
                                                "epoch"]
         assert "omega" not in repr(a)
         assert a == b and hash(a) == hash(b)
+
+
+class TestContactSpan:
+    """Two straight flyers on one line, parting or closing at the full
+    ``v_a + v_b``: the one motion for which the certificate is tight, so
+    only its slack keeps the separation computed at the span's end on the
+    side of the range it started on."""
+
+    @staticmethod
+    def collinear_pair(rng, separation, sign):
+        """Straight flyers ``separation`` apart on a random line in a 2e7 m
+        box, heading apart (``sign`` 1) or towards each other (-1)."""
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = rng.uniform(-1e7, 1e7, size=2)
+        a = StraightTrajectory(x, y, heading + (math.pi if sign > 0 else 0.0),
+                               rng.uniform(10.0, 60.0), 100.0)
+        b = StraightTrajectory(x + separation * math.cos(heading),
+                               y + separation * math.sin(heading),
+                               heading + (0.0 if sign > 0 else math.pi),
+                               rng.uniform(10.0, 60.0), 100.0)
+        return a, b
+
+    @staticmethod
+    def separation(a, b, t):
+        (xa, ya), (xb, yb) = planar_xy(a, t), planar_xy(b, t)
+        return math.hypot(xa - xb, ya - yb)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_full_closing_speed_keeps_its_side(self, sign):
+        # Parting from within the range (1) or closing from beyond it (-1).
+        rng = np.random.default_rng([131, sign + 1])
+        for _ in range(200):
+            tx = rng.uniform(100.0, 5000.0)
+            share = rng.uniform(0.2, 0.95)
+            a, b = self.collinear_pair(rng, tx * share if sign > 0 else tx / share, sign)
+            d = self.separation(a, b, 0.0)
+            span = contact_span(d, tx, speed_and_size(a, 1e3), speed_and_size(b, 1e3))
+            assert 0.0 < span < 1e3
+            for t in (0.5 * span, span):
+                assert (self.separation(a, b, t) <= tx) == (sign > 0), (a, b, tx, t)
+
+    def test_curve_speed_and_parked_pairs(self):
+        # A curve flyer moves at R|omega|; a parked pair never changes side.
+        c = CurveTrajectory(0.0, 0.0, 200.0, 40.0, Direction.COUNTER_CLOCKWISE, 0.0, 100.0)
+        parked = StraightTrajectory(800.0, 0.0, 1.0, 0.0, 100.0)
+        motion_c, motion_parked = speed_and_size(c, 10.0), speed_and_size(parked, 10.0)
+        assert motion_c[0] == c.radius * abs(c.omega)
+        assert contact_span(600.0, 950.0, motion_parked, motion_parked) == math.inf
+        assert 0.0 < contact_span(600.0, 950.0, motion_c, motion_parked) < 350.0 / motion_c[0]

@@ -669,7 +669,7 @@ def walk_checked(traj_a, traj_b, tx, horizon):
 def skipped_windows(traj_a, traj_b, tx, horizon):
     """(model, W, form) of the trust windows that a walk with no skip, from
     0, sizes wholly inside the spans that llt.walk skips: case B's bracket
-    [0, t1] and case A's spans on the no-break arcs."""
+    [0, t1], case A's spans on the no-break arcs and the speed steps."""
     *windows, result = llt.walk(traj_a, traj_b, tx, horizon)
     spans = skipped_spans(windows, result, horizon)
     a, b = sorted((traj_a, traj_b), key=llt._canonical_key)
@@ -690,10 +690,11 @@ class TestWalk:
     @pytest.mark.parametrize("case", ["A", "B", "C"])
     def test_windows_tile_up_to_the_result(self, case):
         # compute_llt answers the walk's last item. Two windows in a row
-        # either meet end to end or leave a gap, which a case-A walk skips
-        # on the no-break arcs, that holds no sampled break. Only the last
-        # window can hold a break, and a bounded result is that break; a
-        # case-C pair is solved in closed form, with no window.
+        # either meet end to end or leave a gap, which a walk skips on speed
+        # steps or a case-A walk on the no-break arcs, that holds no sampled
+        # break. Only the last window can hold a break, and a bounded result
+        # is that break; a case-C pair is solved in closed form, with no
+        # window.
         rng = np.random.default_rng([109, ord(case)])
         for _ in range(20):
             traj_a, traj_b, tx = sample_instance(case, rng)
@@ -704,7 +705,7 @@ class TestWalk:
                 assert w.pick is None
                 end = w.t_base + w.width
                 if following.t_base != end:
-                    assert case == "A" and following.t_base > end
+                    assert case in "AB" and following.t_base > end
                     assert_spans_in_range(traj_a, traj_b, tx, [(end, following.t_base)])
             if not result.horizon_capped and windows:
                 assert result.llt == windows[-1].t_base + windows[-1].pick
@@ -767,20 +768,21 @@ class TestCaseBBracket:
         assert_matches_oracle(result, c, s, tx, SWEEP_HORIZON)
 
     def test_windows_per_call(self):
-        # A standing guard on the bracket's saving: a walk from 0 sizes 6.06
-        # windows per call on these pairs, the bracket 1.80.
+        # A standing guard on the skips' saving: a walk from 0 sizes 6.06
+        # windows per call on these pairs, the bracket 1.80, and the bracket
+        # with the speed steps 1.18.
         rng = np.random.default_rng([7, ord("B")])
         n_windows = 0
         for _ in range(300):
             traj_a, traj_b, tx = sample_instance("B", rng)
-            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            windows, _ = walk_checked(traj_a, traj_b, tx, SWEEP_HORIZON)
             n_windows += len(windows)
-        assert n_windows / 300 <= 1.9
+        assert n_windows / 300 <= 1.3
 
 
 def arc_exit(c1, c2, tx):
     """Where a case-A walk from the pair's anchor starts."""
-    return llt._arc_exit(c1, c2, llt._no_break_arcs(c1, c2, tx), SWEEP_HORIZON)
+    return llt._arc_exit(c1, c2, llt._no_break_arcs(c1, c2, tx), 0.0, SWEEP_HORIZON)
 
 
 def distance_from_centre(flyer, centre, ts):
@@ -877,7 +879,7 @@ class TestCaseAArcs:
         c1 = curve(0.0, 0.0, 1000.0, 1e-4, CCW, -0.5)
         c2 = curve(1e4, 0.0, 1.0, 100.0, CCW, 0.0)
         half, toward = 3.0, 0.0
-        exit_ = llt._arc_exit(c1, c2, ((1.0, 0.0), (half, toward)), 1e9)
+        exit_ = llt._arc_exit(c1, c2, ((1.0, 0.0), (half, toward)), 0.0, 1e9)
         assert abs(c2.omega) * exit_ > 1e9
         u = Fraction(c2.initial_phase) + Fraction(c2.omega) * Fraction(exit_) - Fraction(toward)
         u -= 2 * pi * math.floor(u / (2 * pi) + Fraction(1, 2))
@@ -912,30 +914,108 @@ class TestCaseAArcs:
     def test_gap_narrower_than_a_window(self, tx):
         # Equal rates, turning the same way: flyer 2's arc begins 0.05 rad
         # of phase after flyer 1's ends, a third of a second, while a
-        # window spans up to a quarter turn. The walk searches one window
-        # across the gap and skips on from within flyer 2's arc.
+        # window spans up to a quarter turn. The walk leaves flyer 1's arc
+        # at the gap, far inside the range, crosses the gap on speed steps
+        # and skips on from within flyer 2's arc: no window starts in it.
         g, r1, r2, eps = 300.0, 200.0, 150.0, 0.05
         h1 = math.acos(-((tx - r2) ** 2 - g * g - r1 * r1) / (2.0 * g * r1))
         h2 = math.acos(-((tx - r1) ** 2 - g * g - r2 * r2) / (2.0 * g * r2))
         a = curve(0.0, 0.0, r1, 30.0, CCW, 0.0)
         b = curve(g, 0.0, r2, 22.5, CCW, math.pi - h1 - h2 - eps)
         gap_start, gap_end = h1 / a.omega, (h1 + eps) / a.omega
+        assert arc_exit(a, b, tx) == pytest.approx(gap_start, abs=1e-6)
         windows, result = walk_checked(a, b, tx, SWEEP_HORIZON)
-        first, second = windows[:2]
-        assert first.t_base == pytest.approx(gap_start, abs=1e-6)
-        assert first.t_base + first.width > gap_end
-        assert second.t_base > first.t_base + first.width
+        start, end = skipped_spans(windows, result, SWEEP_HORIZON)[0]
+        assert start == 0.0 and end > gap_end
 
     def test_windows_per_call(self):
-        # A standing guard on the arcs' saving: a walk with no arc skip
-        # sizes 3.28 windows per call on these pairs, the arcs 1.11.
+        # A standing guard on the skips' saving: a walk with no arc skip
+        # sizes 3.28 windows per call on these pairs, the arcs 1.11, and the
+        # arcs with the speed steps 0.80.
         rng = np.random.default_rng([7, ord("A")])
         n_windows = 0
         for _ in range(300):
             traj_a, traj_b, tx = sample_instance("A", rng)
-            *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
+            windows, _ = walk_checked(traj_a, traj_b, tx, SWEEP_HORIZON)
             n_windows += len(windows)
-        assert n_windows / 300 <= 1.2
+        assert n_windows / 300 <= 0.9
+
+
+class TestSpeedSteps:
+    """Planar separation changes by at most v_a + v_b per second, a curve
+    flyer's speed being R|omega|, so before it sizes a window the walk steps
+    ahead on contact_span's certificate while a step spans at least
+    _MIN_STEP_SHARE of the nominal window. Each pair is checked against the
+    oracle, with every skipped span sampled."""
+
+    @staticmethod
+    def counted_steps(monkeypatch):
+        """The arguments of every contact_span call the walk makes from now on."""
+        calls = []
+
+        def counted(*args, _span=llt.contact_span):
+            calls.append(args)
+            return _span(*args)
+
+        monkeypatch.setattr(llt, "contact_span", counted)
+        return calls
+
+    def test_break_at_a_step_end(self):
+        # At the break, 15 s in, the curve flyer passes the point where its
+        # circle touches the x-axis, heading -x, and the straight flyer is r
+        # along that axis, heading +x: the pair parts at the full v_a + v_b,
+        # where the certificate is as tight as it can be. The walk starts at
+        # t1, and its steps end within one step share of the break, never
+        # past it.
+        radius, v_curve, v_straight, tx, t_break = 300.0, 40.0, 100.0, 2000.0, 15.0
+        omega = v_curve / radius
+        c = curve(0.0, -radius, radius, v_curve, CCW, math.pi / 2 - omega * t_break)
+        s = straight(tx - v_straight * t_break, 0.0, 0.0, v_straight)
+        t_true = brentq(lambda t: direct_squared_separation(c, s, t) - tx * tx,
+                        t_break - 1e-3, t_break + 1e-3, xtol=1e-15)
+        t1 = llt._walk_start(c, s, tx)
+        windows, result = walk_checked(c, s, tx, SWEEP_HORIZON)
+        assert len(windows) == 1
+        assert t1 < windows[0].t_base <= t_true
+        assert t_true - windows[0].t_base < llt._MIN_STEP_SHARE * (math.pi / 2.0) / omega
+        assert result.llt == pytest.approx(t_true, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["A", "B"])
+    def test_fast_orbit(self, case, monkeypatch):
+        # A 1.6 m orbit at 176 m/s turns at 110 rad/s: its nominal window is
+        # 14 ms, so a step may be as short as 0.7 ms. It replaces the curve
+        # flyer of sample_instance pairs, through the same point. The walk
+        # evaluates the certificate at most 1 / _MIN_STEP_SHARE times.
+        calls = self.counted_steps(monkeypatch)
+        rng = np.random.default_rng([113, ord(case)])
+        most = 0
+        for _ in range(20):
+            a, b, tx = sample_instance(case, rng)
+            a, b = curve_first(a, b)
+            start = position_at(a, 0.0)
+            phase = a.initial_phase
+            fast = curve(start.x - 1.6 * math.cos(phase), start.y - 1.6 * math.sin(phase), 1.6,
+                         176.0, a.direction, phase)
+            assert abs(fast.omega) > 109.0
+            before = len(calls)
+            walk_checked(fast, b, tx, SWEEP_HORIZON)
+            most = max(most, len(calls) - before)
+        assert 0 < most <= 20
+
+    @pytest.mark.parametrize("tx", [950.0, 990.0])
+    def test_parked_straight_flyer(self, tx, monkeypatch):
+        # Only the circling UAV moves, so the pair parts at no more than
+        # R|omega|, and the separation stays in [600, 1000]. The straight
+        # flyer is beyond r - R from the centre, so t1 is 0, and the walk
+        # steps from 0 on the curve flyer's speed alone.
+        calls = self.counted_steps(monkeypatch)
+        c = curve(0.0, 0.0, 200.0, 40.0, CCW, 0.0)
+        s = straight(800.0, 0.0, 1.0, 0.0)
+        assert llt._walk_start(c, s, tx) == 0.0
+        windows, result = walk_checked(c, s, tx, SWEEP_HORIZON)
+        assert windows[0].t_base > 0.0 and not result.horizon_capped
+        (_, _, motion_a, motion_b), *_ = calls
+        assert sorted((motion_a[0], motion_b[0])) == [0.0, c.radius * abs(c.omega)]
 
 
 class TestWindowSkip:
@@ -951,6 +1031,11 @@ class TestWindowSkip:
             *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             n_skipped += count_excluded(windows)
+            # The windows a walk with no skip sizes where the walk skips
+            # hold no break either.
+            for model, window, form in skipped_windows(traj_a, traj_b, tx, SWEEP_HORIZON):
+                assert_no_break(model, window, form, tx)
+                n_skipped += 1
         assert n_skipped >= 10
 
     def test_break_just_past_a_skipped_window(self):
@@ -985,12 +1070,11 @@ class TestWindowSkip:
             assert_skips_sound(windows, tx)
             assert_matches_oracle(result, a, b, tx, SWEEP_HORIZON)
             n_skipped += count_excluded(windows)
-            if kind == "A":
-                # The windows a walk without the arc skip sizes where the
-                # walk skips hold no break either.
-                for model, window, form in skipped_windows(a, b, tx, SWEEP_HORIZON):
-                    assert_no_break(model, window, form, tx)
-                    n_skipped += 1
+            # The windows a walk with no skip sizes where the walk skips
+            # hold no break either.
+            for model, window, form in skipped_windows(a, b, tx, SWEEP_HORIZON):
+                assert_no_break(model, window, form, tx)
+                n_skipped += 1
         assert n_skipped >= 5
 
     def test_straight_flyer_at_zero_speed(self):
@@ -1022,14 +1106,16 @@ class TestWindowSkip:
             assert result == capped
         # Without the bracket this horizon would walk ~10^8 windows.
         assert compute_llt(*pair(0.0), 1200.0, 1e9) == llt.LltResult(1e9, "B", None, True)
-        # At 2 m/s, t1 falls mid-horizon: the walk starts there.
+        # At 2 m/s, t1 falls mid-horizon: the walk starts there, and its
+        # speed steps go on from there.
         s = straight(800.0, 0.0, 1.0, 2.0)
         t1 = llt._walk_start(c, s, 1200.0)
         assert 100.0 < t1 < 200.0
-        *windows, result = llt.walk(*pair(2.0), 1200.0, SWEEP_HORIZON)
-        assert windows[0].model == squared_link_distance(re_anchor(c, t1), re_anchor(s, t1))
+        windows, result = walk_checked(*pair(2.0), 1200.0, SWEEP_HORIZON)
+        t_base = windows[0].t_base
+        assert t_base >= t1
+        assert windows[0].model == squared_link_distance(re_anchor(c, t_base), re_anchor(s, t_base))
         assert not result.horizon_capped and result.llt > t1
-        assert_matches_oracle(result, *pair(2.0), 1200.0, SWEEP_HORIZON)
 
     @pytest.mark.parametrize("case", ["A", "B"])
     def test_start_on_the_range_circle(self, case):
@@ -1056,6 +1142,11 @@ class TestBernsteinExclusion:
             *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             assert_skips_sound(windows, tx)
             n_excluded += count_excluded(windows)
+            # The windows a walk with no skip sizes where the walk skips
+            # are excluded too.
+            for model, window, form in skipped_windows(traj_a, traj_b, tx, SWEEP_HORIZON):
+                assert_no_break(model, window, form, tx)
+                n_excluded += 1
         assert n_excluded >= 25
 
     @pytest.mark.parametrize("case", ["A", "B"])
@@ -1150,20 +1241,18 @@ class TestBernsteinExclusion:
         # The range is the separation at the first window's edge W, which
         # it reaches rising: the break is found at W, whichever of the two
         # windows that meet there brackets it, and also where the separation
-        # falls back inside the range soon after W. For case A the range
-        # moves the arcs and so the walk's start: it is put at the edge of
-        # the first window that the walk actually searches.
+        # falls back inside the range soon after W. The range moves the
+        # walk's start, through case B's t1, case A's arcs and the speed
+        # steps: it is put at the edge of the first window that the walk
+        # actually searches.
         probed = 0
         for traj_a, traj_b, model, window in self.rising_first_windows(case, 101, SWEEP_HORIZON):
-            tx, edge = math.sqrt(model(window)), window
-            if case == "A":
-                found = self.range_at_the_first_searched_edge(traj_a, traj_b, tx)
-                if found is None:
-                    continue
-                tx, edge = found
+            found = self.range_at_the_first_searched_edge(
+                traj_a, traj_b, math.sqrt(model(window)))
+            if found is None:
+                continue
+            tx, edge = found
             *windows, result = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
-            if case == "B":
-                assert windows[0].width == window
             assert_skips_sound(windows, tx)
             assert not result.horizon_capped
             assert result.llt == pytest.approx(edge, abs=1e-9)
@@ -1176,11 +1265,14 @@ class TestBernsteinExclusion:
         """(range, edge): a range that equals the separation at the edge of
         the first window a walk with that range searches, with the
         separation rising over that window. The range is moved to that edge
-        until the window stays put; None if it does not within 30 moves."""
+        until the window stays put; None if it does not within 30 moves, or
+        if the window ends at the horizon, which cuts it short of a trust
+        window's edge."""
         for _ in range(30):
             *windows, _ = llt.walk(traj_a, traj_b, tx, SWEEP_HORIZON)
             first = windows[0]
-            if not cls.rises(first.model, first.width):
+            if (not cls.rises(first.model, first.width)
+                    or first.t_base + first.width >= SWEEP_HORIZON * (1.0 - 1e-12)):
                 return None
             edge = math.sqrt(first.model(first.width))
             if edge == tx:

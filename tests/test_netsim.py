@@ -13,6 +13,7 @@ from uavllt.kinematics import (
     StraightTrajectory,
     planar_xy,
     position_at,
+    speed_and_size,
 )
 from uavllt.llt import LinkNotUp
 from uavllt.mobility import SmoothTurnFleet, UavState, segment_at, tangent_trajectory
@@ -25,7 +26,6 @@ from uavllt.netsim import (
     ScriptedChanges,
     SmoothTurnChanges,
     Simulator,
-    _speed_and_size,
     recompute_llt,
     run_simulation,
 )
@@ -717,7 +717,7 @@ class TestDueQueue:
 class TestSpeedAndSize:
     @pytest.mark.parametrize("seed", range(5))
     def test_coordinates_within_size(self, seed):
-        # _contact_until's slack has no separation term: every coordinate
+        # contact_span's slack has no separation term: every coordinate
         # has |x| + |y| at most its trajectory's size up to the end of the
         # run, so a separation is at most the two sizes' sum.
         rng = np.random.default_rng([71, seed])
@@ -725,7 +725,7 @@ class TestSpeedAndSize:
         times = np.linspace(0.0, until, 601).tolist()
         for _ in range(40):
             traj = replace(random_trajectory(rng), epoch=float(rng.uniform(1.0, 100.0)))
-            _, size = _speed_and_size(traj, until)
+            _, size = speed_and_size(traj, until)
             for t in times:
                 x, y = planar_xy(traj, t - traj.epoch)
                 assert abs(x) + abs(y) <= size, (traj, t)
