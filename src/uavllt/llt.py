@@ -810,10 +810,11 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     through this module's names, one call each. Only a walk that starts at
     0 builds the model of the link-up check, which raises
     :class:`LinkNotUp`, and its first window reuses it unless the walk steps
-    away from 0. A case-A walk that skips at 0 builds none: a flyer on its
-    shrunk no-break arc at 0, or a reach over the whole circle, certifies
-    ``D(0) < r``, so the check cannot fire there. Nothing is kept from one
-    call to the next.
+    away from 0. A walk that skips at 0 builds none, since what lets it skip
+    certifies ``D(0) < r``, so the check cannot fire there: for case A a
+    flyer on its shrunk no-break arc at 0, or a reach over the whole circle;
+    for case B ``rho(0) <= (r - R)(1 - 1e-9)``, so ``D(0) <= rho(0) + R < r``.
+    Nothing is kept from one call to the next.
 
     The walk computes each pick's residual once, before it yields the
     window: beyond :data:`RANGE_RESIDUAL_RTOL` of the range it raises
@@ -839,9 +840,13 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
         arcs = _no_break_arcs(traj_a, traj_b, tx_range)
         offset = _arc_exit(traj_a, traj_b, arcs, 0.0, horizon)
         rate = max(abs(traj_a.omega), abs(traj_b.omega), abs(traj_a.omega - traj_b.omega))
-    else:
-        case = "B" if isinstance(traj_a, CurveTrajectory) else "C"
+    elif isinstance(traj_a, CurveTrajectory):
+        case = "B"
         arcs = None
+        offset = _walk_start(traj_a, traj_b, tx_range)
+        rate = abs(traj_a.omega)
+    else:
+        case = "C"
         offset = 0.0
     if offset == 0.0:
         model = squared_link_distance(traj_a, traj_b)
@@ -853,9 +858,6 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
         if case == "C":
             yield _solve_case_c(model, tx_range, horizon)
             return
-        if case == "B":
-            offset = _walk_start(traj_a, traj_b, tx_range)
-            rate = abs(traj_a.omega)
     motions = (speed_and_size(traj_a, horizon), speed_and_size(traj_b, horizon))
     # The rates above are those of the model's sinusoids, so this is where
     # trust_window starts from without building a model to ask.

@@ -102,7 +102,8 @@ class SweepReport:
         """Instances where bounded/unbounded verdicts disagree.
 
         A mismatch is excused when the break sits within 2*dt of the
-        horizon, where grid detection and capping legitimately diverge.
+        horizon, where the oracle's sampling and the solver's capping
+        legitimately diverge.
         """
         slack = 2.0 * self.dt
         out = []

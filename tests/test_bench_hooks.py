@@ -38,6 +38,10 @@ PAIRS = {
     # no model there.
     "A_skip": (CurveTrajectory(0, 0, 200, 40, CCW, 2.0, 100),
                CurveTrajectory(500, 0, 150, 30, Direction.CLOCKWISE, 1.0, 110), 800.0),
+    # The straight flyer starts well inside r - R of the turn centre: the
+    # walk skips to t1 and builds no model at 0. It breaks at 12.284 s.
+    "B_skip": (CurveTrajectory(0, 0, 100, 20, CCW, 0.0, 100),
+               StraightTrajectory(50, 0, 0.0, 30, 110), 500.0),
 }
 
 

@@ -167,7 +167,7 @@ class TestPairCommand:
                      "--range", "100", "--oracle", "--oracle-dt=1e-12"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error: refusing a grid of 3.6e+15 steps")
+        assert captured.err.startswith("error: refusing 3.6e+15 minimum steps")
         assert captured.out == ""
 
     @pytest.mark.parametrize("oracle_dt", ["inf", "nan", "0", "-1"])
@@ -303,6 +303,14 @@ class TestValidateCommand:
         assert code == 0
         assert "case C" in out and "RESULT: PASS" in out
 
+    def test_all_cases_sweep_passes(self, capsys):
+        code = main(["validate", "--case", "all", "--trials", "200", "--seed", "3"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(rows) == 4 and rows[3] == "RESULT: PASS"
+        for row, case in zip(rows, "ABC"):
+            assert row.startswith(f"case {case}: trials=200 ") and row.endswith("-> PASS")
+
     @pytest.mark.parametrize("flags, message", [
         (["--dt", "inf"], "dt must be positive and finite"),
         (["--dt", "nan"], "dt must be positive and finite"),
@@ -311,7 +319,7 @@ class TestValidateCommand:
         (["--horizon", "inf"], "horizon must be positive and finite"),
         (["--trials", "0"], "trials must be >= 1"),
         # 3e14 steps: the sweep once printed nothing for as long as it ran.
-        (["--trials", "2", "--dt", "1e-12"], "refusing a grid of 3e+14 steps"),
+        (["--trials", "2", "--dt", "1e-12"], "refusing 3e+14 minimum steps"),
     ])
     def test_bad_sweep_settings_exit_2(self, flags, message, capsys):
         # An infinite step once checked t = 0 alone and printed RESULT: PASS.

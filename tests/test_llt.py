@@ -1399,9 +1399,9 @@ def test_case_c_break_at_the_horizon_edge(offset):
 
 @pytest.mark.parametrize("case", ["A", "B"])
 def test_break_at_the_horizon_edge(case):
-    # Seeded pairs that break before the sweep horizon, each break found on
-    # the oracle's grid and refined from positions alone: a horizon just
-    # before or after it exercises the walk's exits in its last window.
+    # Seeded pairs that break before the sweep horizon, each break found by
+    # the oracle and refined from positions alone: a horizon just before or
+    # after it exercises the walk's exits in its last window.
     rng = np.random.default_rng([113, ord(case)])
     probed = 0
     while probed < 20:

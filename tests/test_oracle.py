@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory
+from uavllt import oracle
+from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory, planar_positions_at
 from uavllt.llt import LinkNotUp, compute_llt
 from uavllt.netsim import LinkGraph
 from uavllt.oracle import MAX_STEPS, TooLarge, brute_force_llt, enumerate_best_route
@@ -28,8 +29,9 @@ class TestBruteForceLlt:
         assert brute_force_llt(a, b, 120.0) == pytest.approx(closed, abs=1e-6)
 
     def test_break_past_the_horizon_in_the_last_grid_step(self):
-        # The grid ends at ceil(horizon/dt)*dt = 1.001 s, past the horizon,
-        # and brackets the break at 1.0007 s: no break by the horizon.
+        # The pair breaks at 1.0007 s, between the horizon and the next
+        # multiple of dt: the walk's last sample is the horizon itself, so
+        # it reports a break only when the horizon is past it.
         a = StraightTrajectory(0, 0, 0, 10, 150)
         b = StraightTrajectory(0, 0, 0, 0, 160)
         assert brute_force_llt(a, b, 10.007, dt=1e-3, horizon=1.0008) == pytest.approx(
@@ -45,7 +47,8 @@ class TestBruteForceLlt:
 
     @pytest.mark.parametrize("case", ["A", "B", "C"])
     def test_grid_independence(self, case):
-        # Halving dt must not move the answer beyond the bisection width.
+        # Halving the minimum step must not move the answer beyond the
+        # bisection width.
         rng = np.random.default_rng([61, ord(case)])
         for _ in range(5):
             traj_a, traj_b, tx = sample_instance(case, rng)
@@ -61,12 +64,12 @@ class TestBruteForceLlt:
         # 3e14 steps of 1e-12 s once ran for hours; 5e-324 s makes the step
         # count infinite.
         a = StraightTrajectory(0, 0, 0, 10, 0)
-        with pytest.raises(TooLarge, match="refusing a grid"):
+        with pytest.raises(TooLarge, match="refusing .* minimum steps"):
             brute_force_llt(a, a, 100.0, dt=dt, horizon=horizon)
 
     def test_grid_of_max_steps_accepted(self):
         # horizon / dt is exactly MAX_STEPS, and one ulp more is refused. The
-        # pair breaks at 1 ms, in the first chunk of the grid.
+        # pair breaks at 1 ms, a few minimum steps in.
         a = StraightTrajectory(0, 0, 0, 0, 100)
         b = StraightTrajectory(5, 0, 0, 5000, 110)
         dt = 2.0 ** -20
@@ -89,6 +92,66 @@ class TestBruteForceLlt:
         label = "transmission range" if name == "tx_range" else name
         with pytest.raises(ValueError, match=f"{label} must be positive and finite"):
             brute_force_llt(a, a, **kwargs)
+
+
+class TestStandingOracle:
+    def test_parked_pair_in_range_takes_one_separation(self, monkeypatch):
+        calls = []
+        real = oracle.planar_xy
+        monkeypatch.setattr(oracle, "planar_xy", lambda traj, t: calls.append(t) or real(traj, t))
+        a = StraightTrajectory(0, 0, 0, 0.0, 100)
+        b = StraightTrajectory(30, 40, 1.0, 0.0, 110)
+        assert math.isinf(brute_force_llt(a, b, 100.0, horizon=3600.0))
+        assert calls == [0.0, 0.0]  # one separation: both flyers at t = 0
+
+    def test_excursion_of_one_and_a_half_steps_found(self):
+        # Counter-rotating concentric circles are R1 + R2 apart once, at the
+        # relative phase pi; a range just under that leaves them out of
+        # range for 1.5 dt only.
+        dt = 1e-3
+        r1, r2, rel_rate = 100.0, 150.0, 0.2
+        half_angle = 0.75 * dt * rel_rate
+        tx = (r1 + r2) - half_angle**2 * r1 * r2 / (2.0 * (r1 + r2))
+        a = CurveTrajectory(0, 0, r1, 10.0, Direction.COUNTER_CLOCKWISE, 0.0, 100)
+        b = CurveTrajectory(0, 0, r2, 15.0, Direction.CLOCKWISE, 0.0, 110)
+        exit_ = math.acos((r1**2 + r2**2 - tx**2) / (2 * r1 * r2)) / rel_rate
+        assert (math.pi / rel_rate - exit_) / dt == pytest.approx(0.75, rel=1e-6)
+        assert brute_force_llt(a, b, tx, dt=dt, horizon=60.0) == pytest.approx(exit_, abs=2e-6)
+
+    @pytest.mark.parametrize("case", ["A", "B", "C"])
+    def test_agrees_with_a_dense_grid(self, case):
+        # A grid ten times finer than the minimum step, on the vectorised
+        # positions, refined by bisection on the same.
+        dt, horizon = 1e-3, 300.0
+        rng = np.random.default_rng([29, ord(case)])
+        bounded = 0
+        for _ in range(5):
+            traj_a, traj_b, tx = sample_instance(case, rng)
+            stepped = brute_force_llt(traj_a, traj_b, tx, dt=dt, horizon=horizon)
+            dense = dense_grid_llt(traj_a, traj_b, tx, dt / 10, horizon)
+            assert math.isinf(stepped) == math.isinf(dense)
+            if math.isfinite(dense):
+                assert abs(stepped - dense) <= 2e-6
+                bounded += 1
+        assert bounded >= 1
+
+
+def dense_grid_llt(traj_a, traj_b, tx, step, horizon):
+    def beyond(ts):
+        xa, ya = planar_positions_at(traj_a, ts)
+        xb, yb = planar_positions_at(traj_b, ts)
+        return np.hypot(xa - xb, ya - yb) > tx
+
+    ts = np.linspace(0.0, horizon, round(horizon / step) + 1)
+    out = beyond(ts)
+    if not out.any():
+        return math.inf
+    j = int(np.argmax(out))
+    lo, hi = ts[j - 1], ts[j]
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if beyond(np.array([mid]))[0] else (mid, hi)
+    return 0.5 * (lo + hi)
 
 
 class TestEnumerateBestRoute:
