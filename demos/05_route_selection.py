@@ -2,7 +2,8 @@
 
 A short direct link is passed over for a detour whose weakest link lasts
 longer; links predicted to outlive the horizon act as infinitely wide.
-The best-first search is cross-checked by exhaustive path enumeration.
+The router's widest-path search and its level-order fewest-hop search are
+cross-checked by exhaustive path enumeration.
 """
 
 import math

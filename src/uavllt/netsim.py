@@ -119,7 +119,9 @@ class LinkGraph:
         comparing ids. Raises :class:`TypeError` for a mix. A weight is a
         remaining lifetime: raises :class:`ValueError` for one that is
         ``nan`` or negative, which would corrupt max-min routing; ``inf``
-        is an unbounded lifetime.
+        is an unbounded lifetime. Also raises :class:`ValueError` for a
+        self-loop and for a pair given twice, in either orientation, since
+        one lifetime would silently replace the other.
         """
         edge_list = list(edge_list)
         seen = {node for a, b, _ in edge_list for node in (a, b)}
@@ -132,7 +134,12 @@ class LinkGraph:
             if not llt >= 0.0:
                 raise ValueError(f"edge ({a!r}, {b!r}) has weight {weight!r}; "
                                  "a lifetime must be at least 0 or inf")
-            edges[(a, b) if a <= b else (b, a)] = llt
+            if a == b:
+                raise ValueError(f"edge ({a!r}, {b!r}) is a self-loop")
+            pair = (a, b) if a < b else (b, a)
+            if pair in edges:
+                raise ValueError(f"edge ({a!r}, {b!r}) repeats the pair {pair!r}")
+            edges[pair] = llt
         return cls(snapshot_time, frozenset(seen), edges)
 
 
@@ -507,7 +514,8 @@ def read_snapshot_csv(path, at: float | None = None) -> LinkGraph:
     latest). Node ids are kept as strings. Raises :class:`ValueError` for a
     row that is not four fields, whose ``t_s`` is not finite or whose
     ``llt_s`` is not a number, and, through :meth:`LinkGraph.from_edges`,
-    for a picked row whose ``llt_s`` is neither ``inf`` nor at least 0.
+    for a picked row whose ``llt_s`` is neither ``inf`` nor at least 0,
+    that repeats a pair or that is a self-loop.
     """
     rows = []
     with open(path, newline="") as fh:

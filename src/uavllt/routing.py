@@ -42,9 +42,21 @@ def max_min_route(graph, src, dst) -> Route | None:
 
     Edge weights of ``math.inf`` (links predicted to outlive the horizon)
     compare greater than any finite lifetime. Runs a widest-path best-first
-    search for the optimal bottleneck value, then a fewest-hops search
-    restricted to edges at least that wide, keeping the lexicographically
-    smallest node sequence among ties.
+    search for the optimal bottleneck value, then a level-order
+    breadth-first search restricted to edges at least that wide, which
+    returns the fewest-hop path and, among those, the lexicographically
+    smallest node sequence.
+
+    Each level of that search lists its nodes in the lexicographic order
+    of their smallest shortest paths. All paths to the next level have one
+    length, so they compare as their second-to-last nodes' paths do, then
+    by their last node; and the prefix of a smallest shortest path is the
+    smallest shortest path to its second-to-last node. So a node first
+    reached from the earliest node of its parent level has its best path
+    through that parent, and the next level is the parents' new
+    neighbours, batch by batch in level order, each batch by increasing
+    id. The search stops as soon as ``dst`` is reached. Node ids only need
+    to be mutually orderable.
     """
     adjacency = _adjacency(graph)
     if src not in adjacency or dst not in adjacency:
@@ -77,17 +89,24 @@ def max_min_route(graph, src, dst) -> Route | None:
 
     # Phase 2: fewest hops, then lexicographically smallest path, over the
     # subgraph of edges at least as wide as the optimal bottleneck.
-    heap = [(0, (src,))]
-    visited = set()
-    while heap:
-        hops, path = heappop(heap)
-        node = path[-1]
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == dst:
-            return Route(path, bottleneck)
-        for nbr, weight in adjacency[node]:
-            if weight >= bottleneck and nbr not in visited:
-                heappush(heap, (hops + 1, path + (nbr,)))
+    parent = {src: src}
+    level = [src]
+    while level:
+        following = []
+        for node in level:
+            batch = []
+            for nbr, weight in adjacency[node]:
+                if weight >= bottleneck and nbr not in parent:
+                    parent[nbr] = node
+                    if nbr == dst:
+                        path = [dst, node]
+                        while node != src:
+                            node = parent[node]
+                            path.append(node)
+                        return Route(tuple(reversed(path)), bottleneck)
+                    batch.append(nbr)
+            if len(batch) > 1:
+                batch.sort()
+            following += batch
+        level = following
     return None

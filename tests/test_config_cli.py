@@ -287,6 +287,21 @@ class TestRouteCommand:
         assert main(["route", str(path), "0", "2"]) == 2
         assert f"'{bad_row}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        # The second row used to replace link 0-1, which hid the route 0 1 2
+        # (bottleneck 40): route printed "0 2" at bottleneck 3 and exit 0.
+        ("0,0,1,50\n0,1,0,2\n0,1,2,40\n0,0,2,3\n0,3,3,9\n",
+         "edge ('1', '0') repeats the pair ('0', '1')"),
+        ("0,0,1,50\n0,1,2,40\n0,3,3,9\n", "edge ('3', '3') is a self-loop"),
+    ], ids=["repeated_pair", "self_loop"])
+    def test_repeated_pair_or_self_loop_exit_2(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "snap.csv"
+        path.write_text("t_s,node_a,node_b,llt_s\n" + rows)
+        assert main(["route", str(path), "0", "2"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "route:" not in captured.out
+
     def test_picks_latest_snapshot_by_default(self, tmp_path, capsys):
         path = tmp_path / "snap.csv"
         path.write_text("t_s,node_a,node_b,llt_s\n0.0,a,b,1.0\n5.0,a,b,42.0\n")

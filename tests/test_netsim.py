@@ -771,3 +771,15 @@ class TestLinkGraphSnapshot:
         edges = [("0", "1", weight), ("1", "2", 3.0), ("0", "3", 4.0), ("3", "2", 2.0)]
         with pytest.raises(ValueError, match=rf"edge \('0', '1'\) has weight {weight!r}"):
             LinkGraph.from_edges(edges)
+
+    @pytest.mark.parametrize("repeat", [("a", "b", 2.0), ("b", "a", 2.0)],
+                             ids=["same_orientation", "reversed"])
+    def test_repeated_pair_rejected(self, repeat):
+        # The second row used to replace the first one's lifetime silently.
+        edges = [("a", "b", 50.0), ("b", "c", 40.0), repeat]
+        with pytest.raises(ValueError, match=r"repeats the pair \('a', 'b'\)"):
+            LinkGraph.from_edges(edges)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(3, 3\) is a self-loop"):
+            LinkGraph.from_edges([(0, 1, 5.0), (3, 3, 9.0)])

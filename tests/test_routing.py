@@ -1,9 +1,10 @@
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
 
-from uavllt.netsim import LinkGraph
+from uavllt.netsim import LinkGraph, read_snapshot_csv
 from uavllt.oracle import enumerate_best_route
 from uavllt.routing import NodeUnknown, max_min_route
 
@@ -108,3 +109,107 @@ class TestMaxMinRoute:
             assert scaled.nodes == base.nodes
             if math.isfinite(base.bottleneck_llt):
                 assert scaled.bottleneck_llt == pytest.approx(3.5 * base.bottleneck_llt)
+
+
+def best_first_fewest_hops(graph, src, dst, bottleneck):
+    """Reference for ``max_min_route``'s second phase: the best-first search
+    it replaced, which pops ``(hops, path)`` keys from a heap, so it yields
+    the fewest-hop, then lexicographically smallest, path over the edges at
+    least ``bottleneck`` wide."""
+    adjacency = {n: [] for n in graph.nodes}
+    for (a, b), weight in graph.edges.items():
+        adjacency[a].append((b, weight))
+        adjacency[b].append((a, weight))
+    heap = [(0, (src,))]
+    visited = set()
+    while heap:
+        hops, path = heappop(heap)
+        node = path[-1]
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == dst:
+            return path
+        for nbr, weight in adjacency[node]:
+            if weight >= bottleneck and nbr not in visited:
+                heappush(heap, (hops + 1, path + (nbr,)))
+    return None
+
+
+def assert_route(graph, src, dst, nodes):
+    route = max_min_route(graph, src, dst)
+    assert route.nodes == nodes
+    assert route == enumerate_best_route(graph, src, dst)
+
+
+class TestLevelOrderTieBreaks:
+    """All widths are equal, so only the fewest-hop search's tie-breaks
+    pick the route. Each graph lists edges so that a search keeping
+    discovery order, leaving a batch of new neighbours unsorted or ordering
+    a level by node id instead of by path would return another route."""
+
+    def test_level_one_listed_in_decreasing_id_order(self):
+        # Level 1 is discovered as 3, 2, 1 but must be expanded as 1, 2, 3,
+        # and level 2 as 5 (via 1) before 4 (via 3), although 4 < 5.
+        g = LinkGraph.from_edges([(0, 3, 5.0), (0, 2, 5.0), (0, 1, 5.0),
+                                  (3, 4, 5.0), (1, 5, 5.0), (4, 9, 5.0), (5, 9, 5.0)])
+        assert_route(g, 0, 9, (0, 1, 5, 9))
+
+    def test_smaller_path_parent_later_in_adjacency_order(self):
+        # 9 is reached from 8 (path 0-1-8) and from 5 (path 0-2-5). Its
+        # adjacency lists 5 first and 5 < 8, yet 0-1-8 is the smaller path.
+        g = LinkGraph.from_edges([(0, 1, 5.0), (0, 2, 5.0), (2, 5, 5.0), (1, 8, 5.0),
+                                  (5, 9, 5.0), (8, 9, 5.0)])
+        assert_route(g, 0, 9, (0, 1, 8, 9))
+
+    def test_str_ids_order_as_strings(self, tmp_path):
+        # Read as ``uavllt route`` reads a snapshot: ids are strs, so "10"
+        # sorts before "9" and 0-10-5 is the smaller path.
+        path = tmp_path / "snap.csv"
+        path.write_text("t_s,node_a,node_b,llt_s\n"
+                        "0.0,0,9,5.0\n0.0,0,10,5.0\n0.0,9,5,5.0\n0.0,10,5,5.0\n")
+        assert_route(read_snapshot_csv(path), "0", "5", ("0", "10", "5"))
+
+
+def tie_heavy_graph(rng, n, label):
+    """Graph on ``n`` nodes with widths from {1, 2, 3, inf}, edges in a
+    random order and a few self-loops, built directly as the simulator
+    builds its snapshots."""
+    density = float(rng.uniform(0.04, 0.3))
+    widths = (1.0, 2.0, 3.0, math.inf)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)
+             if (i == j and rng.random() < 0.05) or (i < j and rng.random() < density)]
+    order = rng.permutation(len(pairs))
+    edges = {}
+    for k in order:
+        a, b = label(pairs[k][0]), label(pairs[k][1])
+        edges[(a, b) if a <= b else (b, a)] = widths[int(rng.integers(0, len(widths)))]
+    return LinkGraph(0.0, frozenset(label(i) for i in range(n)), edges)
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("label", [int, str], ids=["int", "str"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_best_first_on_large_tie_heavy_graphs(self, seed, label):
+        rng = np.random.default_rng([79, seed])
+        n = int(rng.integers(20, 61))
+        g = tie_heavy_graph(rng, n, label)
+        for _ in range(10):
+            src, dst = (label(int(i)) for i in rng.choice(n, 2, replace=False))
+            route = max_min_route(g, src, dst)
+            if route is None:
+                continue
+            assert route.nodes == best_first_fewest_hops(g, src, dst, route.bottleneck_llt)
+
+    @pytest.mark.parametrize("seed", range(150))
+    def test_all_equal_widths_match_enumeration(self, seed):
+        rng = np.random.default_rng([83, seed])
+        n = int(rng.integers(2, 13))
+        density = float(rng.uniform(0.1, 0.5))
+        label = str if seed % 2 else int
+        edges = [(label(i), label(j), 4.0) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        g = LinkGraph.from_edges([edges[k] for k in rng.permutation(len(edges))],
+                                 nodes=map(label, range(n)))
+        assert max_min_route(g, label(0), label(n - 1)) == enumerate_best_route(
+            g, label(0), label(n - 1))
