@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 # A certificate's allowance for rounding, relative to the size of the
 # coordinates, their travel and the range (see contact_span).
@@ -163,18 +161,6 @@ def planar_xy(traj: Trajectory, t: float) -> tuple[float, float]:
 def position_at(traj: Trajectory, t: float) -> Position:
     """Exact position ``t`` seconds after the trajectory's epoch, at its altitude."""
     return Position(*planar_xy(traj, t), traj.altitude)
-
-
-def planar_positions_at(traj: Trajectory, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized planar twin of :func:`planar_xy`; it multiplies in another
-    order, so its coordinates may differ from the scalar ones in the last bits."""
-    ts = np.asarray(ts, dtype=float)
-    if isinstance(traj, CurveTrajectory):
-        phi = traj.initial_phase + traj.omega * ts
-        return (traj.center_x + traj.radius * np.cos(phi),
-                traj.center_y + traj.radius * np.sin(phi))
-    return (traj.origin_x + traj.speed * np.cos(traj.heading) * ts,
-            traj.origin_y + traj.speed * np.sin(traj.heading) * ts)
 
 
 def velocity_heading(traj: Trajectory, t: float = 0.0) -> float:

@@ -390,9 +390,9 @@ def generate_trace(count: int, arena: Arena, config: SmoothTurnConfig, duration:
     """Standalone mobility run: returns (trace rows, per-UAV segment lists).
 
     Each UAV draws from its own random stream, so each is flown to
-    ``duration`` on its own, then the fleet is sampled every ``sample_dt``
-    seconds from those histories by :func:`trace_rows`, the rule the
-    network simulator's trace uses: a sample on a change instant reports
+    ``duration`` on its own. The fleet is then sampled from those histories
+    at every ``k * sample_dt`` up to ``duration`` by :func:`trace_rows`, as
+    the network simulator's trace is: a sample on a change instant reports
     the segment that starts there. ``duration`` and ``sample_dt`` must be
     positive and finite; :class:`ValueError` otherwise.
     """
@@ -407,5 +407,8 @@ def generate_trace(count: int, arena: Arena, config: SmoothTurnConfig, duration:
             state = fleet.advance(i, state.next_change_at)
             history.append(state.trajectory)
         segments.append(history)
-    times = [k * sample_dt for k in range(int(math.floor(duration / sample_dt)) + 1)]
+    times, k = [], 0
+    while k * sample_dt <= duration:
+        times.append(k * sample_dt)
+        k += 1
     return trace_rows(dict(enumerate(segments)), times), segments

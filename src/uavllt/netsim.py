@@ -30,20 +30,24 @@ of each pair whose certificate holds, and computes and certifies the
 others, taking its own UAV's coordinates once and only if some pair needs
 them.
 
-The check ticks are ``dt_check`` summed up to the duration. Each live link
-waits in a due queue at the instant its certificate runs out, from its
-link-up or a change that re-estimates it; one check event is queued at
-the first tick at or after the earliest. It evaluates the due links only,
-in live order, ends each one beyond range (bisected from the tick before)
-and certifies the others from its tick; a link whose certificate a Hello
-renewed waits again until the new expiry. No link is skipped on a tick
-where its certificate does not hold it in range, so every output is
-bit-identical to checking every link on every tick.
+Every periodic instant is computed as ``k`` times its interval, never
+summed: check tick ``k`` is at ``k * dt_check``, Hello ``k`` of the
+``i``-th of ``n`` UAVs at ``hello_interval * i / n + k * hello_interval``
+and snapshot ``k`` at ``k * hello_interval``, each up to and including the
+duration. Each live link waits in a due queue at the first tick at or
+after the instant its certificate runs out, from its link-up or a change
+that re-estimates it (:func:`tick_at_or_after`); one check event is queued
+at the earliest. It evaluates the due links only, in live order, ends
+each one beyond range (bisected from the tick before) and certifies the
+others from its tick; a link whose certificate a Hello renewed waits
+again until the new expiry. No link is skipped on a tick where its
+certificate does not hold it in range, so every output is bit-identical
+to checking every link on every tick.
 
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state, anchored at the change instant, together
-with the instant of the next change. Every Hello interval, starting at
-t = 0, the simulator takes a topology snapshot. The trace is built after
+with the instant of the next change. At each snapshot instant the
+simulator takes a topology snapshot. The trace is built after
 the run from each UAV's segment history, one row per UAV at every
 snapshot instant, by :func:`~uavllt.mobility.generate_trace`'s rule: a
 sample on a change instant reports the segment that starts there. Event
@@ -57,7 +61,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
@@ -76,6 +79,25 @@ HANDSHAKE_FRESHNESS = 2.0
 # Event kinds: the order in which events at one instant are handled, and the
 # index of each kind's handler in Simulator.run.
 _CHANGE, _HELLO, _CHECK, _SAMPLE = range(4)
+
+
+def tick_at_or_after(t: float, dt: float, end: float = math.inf):
+    """Index ``k >= 1`` of the first tick ``k * dt`` at or after the instant
+    ``t``, or ``inf`` when that tick falls past ``end``; ``t`` or ``end``
+    must be finite.
+
+    ``ceil(t / dt)`` alone can be off by one, since the quotient and the
+    tick round apart: at ``t = 3 * 0.1`` it gives 4. The index is settled
+    against the ticks ``k * dt`` themselves.
+    """
+    if t > end:
+        return math.inf
+    k = max(1, math.ceil(t / dt))
+    while k > 1 and (k - 1) * dt >= t:
+        k -= 1
+    while k * dt < t:
+        k += 1
+    return k if k * dt <= end else math.inf
 
 
 @dataclass
@@ -268,12 +290,11 @@ class Simulator:
         # change, in range)}, held under both uids; the Hello and the check share it
         self._contact = {uid: {} for uid in self.order}
         self._heard: dict = {}  # (listener, sender) -> when last heard
-        self._hello_seq = {uid: 0 for uid in self.order}
-        self._due: list = []  # (instant its certificate runs out, k, pair) per live link
-        self._ticks = [0.0]  # then every check tick: the chain of sums of dt_check
-        while self._ticks[-1] + dt_check <= duration:
-            self._ticks.append(self._ticks[-1] + dt_check)
-        self._next_check = len(self._ticks)  # index in _ticks of the queued check
+        n = len(self.order)
+        self._hello_offset = {uid: hello_interval * i / n for i, uid in enumerate(self.order)}
+        # (first tick at or after its certificate runs out, k, pair) per live link
+        self._due: list = []
+        self._next_check = math.inf  # tick of the queued check
         self._heap: list = []
         self._seq = 0
 
@@ -296,9 +317,8 @@ class Simulator:
 
     # -- event handlers ----------------------------------------------------
 
-    def _handle_hello(self, t: float, uid) -> None:
-        seq = self._hello_seq[uid]
-        self._hello_seq[uid] = seq + 1
+    def _handle_hello(self, t: float, payload) -> None:
+        uid, seq = payload
         self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
         fresh = HANDSHAKE_FRESHNESS * self.hello_interval
         contacts = self._contact[uid]
@@ -323,7 +343,10 @@ class Simulator:
             heard_at = self._heard.get((uid, vid))
             if pair not in self.live and heard_at is not None and t - heard_at <= fresh:
                 self._establish(pair, t)
-        self._push(t + self.hello_interval, _HELLO, uid)
+        self._push_hello(uid, seq + 1)
+
+    def _push_hello(self, uid, seq: int) -> None:
+        self._push(self._hello_offset[uid] + seq * self.hello_interval, _HELLO, (uid, seq))
 
     def _establish(self, pair, t: float) -> None:
         link = LinkRecord(endpoints=pair, established_at=t)
@@ -376,34 +399,36 @@ class Simulator:
 
     def _tick_before(self, t: float) -> float:
         """The last check tick before ``t``, or 0.0 if there is none."""
-        return self._ticks[bisect_left(self._ticks, t, 1) - 1]
+        return (tick_at_or_after(t, self.dt_check) - 1) * self.dt_check
 
     def _watch(self, k: int, pair, t: float) -> None:
-        """Queue live link ``k`` at the instant its contact certificate runs out,
-        but not before ``t``, and wake the check at the first tick from then on."""
+        """Queue live link ``k`` at the first tick at or after both ``t`` and
+        the instant its contact certificate runs out, and wake the check there."""
         cert = self._contact[pair[0]].get(pair[1])
         due = t if cert is None else max(cert[0], t)
-        heappush(self._due, (due, k, pair))
-        self._wake(bisect_left(self._ticks, due, 1))
+        i = tick_at_or_after(due, self.dt_check, self.duration)
+        heappush(self._due, (i, k, pair))
+        self._wake(i)
 
-    def _wake(self, i: int) -> None:
+    def _wake(self, i) -> None:
         """Queue the check at tick ``i`` if it comes before the queued one."""
         if i < self._next_check:
             self._next_check = i
-            self._push(self._ticks[i], _CHECK, i)
+            self._push(i * self.dt_check, _CHECK, i)
 
     def _handle_check(self, t: float, i: int) -> None:
         if i != self._next_check:
             return  # an earlier wake-up replaced this check
-        ticks, due, contact, records = self._ticks, self._due, self._contact, self.records
-        popped = {}
-        while due and due[0][0] <= t:
-            _, k, pair = heappop(due)
-            popped[k] = pair
-        # In live order, as checking every link on every tick would end them.
-        for k, (a, b) in sorted(popped.items()):
-            if records[k].terminated_at is not None:
+        due, contact, records = self._due, self._contact, self.records
+        dt, end = self.dt_check, self.duration
+        # Entries of one tick pop in live order, as checking every link on
+        # every tick would end them, and a link's repeats pop together.
+        last = None
+        while due and due[0][0] <= i:
+            _, k, (a, b) = heappop(due)
+            if k == last or records[k].terminated_at is not None:
                 continue
+            last = k
             cert = contact[a].get(b)
             if cert is None or t >= cert[0] or not cert[1]:
                 traj_a, traj_b = self.states[a].trajectory, self.states[b].trajectory
@@ -414,10 +439,11 @@ class Simulator:
                     self._terminate((a, b), t)
                     continue
                 cert = contact[a][b] = contact[b][a] = (self._contact_until(a, b, t, d), True)
-            heappush(due, (cert[0], k, (a, b)))
-        self._next_check = len(ticks)
+            # A certificate that runs out on this tick waits for the next.
+            heappush(due, (max(tick_at_or_after(cert[0], dt, end), i + 1), k, (a, b)))
+        self._next_check = math.inf
         if due:
-            self._wake(max(bisect_left(ticks, due[0][0], 1), i + 1))
+            self._wake(due[0][0])
 
     def _contact_until(self, a, b, t: float, separation: float) -> float:
         """Instant before which the computed separation of UAVs ``a`` and
@@ -450,19 +476,18 @@ class Simulator:
             "prediction_abs_error": None if math.isinf(predicted) else abs(predicted - t_break),
         })
 
-    def _handle_sample(self, t: float, _payload) -> None:
-        edges = {pair: self.records[k].remaining_at(t) for pair, k in self.live.items()}
+    def _handle_sample(self, t: float, k: int) -> None:
+        edges = {pair: self.records[i].remaining_at(t) for pair, i in self.live.items()}
         self.snapshots.append(LinkGraph(t, frozenset(self.order), edges))
-        self._push(t + self.hello_interval, _SAMPLE)
+        self._push((k + 1) * self.hello_interval, _SAMPLE, k + 1)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        n = len(self.order)
-        for i, uid in enumerate(self.order):
-            self._push(self.hello_interval * i / n, _HELLO, uid)
+        for uid in self.order:
+            self._push_hello(uid, 0)
             self._push(self.states[uid].next_change_at, _CHANGE, uid)
-        self._push(0.0, _SAMPLE)
+        self._push(0.0, _SAMPLE, 0)
 
         handlers = (self._handle_change, self._handle_hello, self._handle_check,
                     self._handle_sample)

@@ -15,7 +15,6 @@ from uavllt.cli import main
 from uavllt.kinematics import (
     CurveTrajectory,
     Direction,
-    planar_positions_at,
     position_at,
     velocity_heading,
 )
@@ -26,7 +25,7 @@ from uavllt.oracle import enumerate_best_route
 from uavllt.routing import max_min_route
 from uavllt.validate import _random_curve, _random_straight, run_sweep
 
-from model_sampler import sample
+from model_sampler import planar_positions_at, sample
 from test_routing import random_graph
 
 SWEEP_SEED = 101

@@ -31,7 +31,7 @@ def digests(directory: Path) -> dict:
 def test_small_scenario_cli(tmp_path):
     assert main(["simulate", str(DEMOS / "scenario_small.cfg"), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == {
-        "events.jsonl": "9fd9bd8420ddcea192e5b0e5d7dfe614fd05ed91a4c9a903810990bbec7a8513",
+        "events.jsonl": "ad38ee74112a0342a9e02676e81cd3dfd43b008639aa9395cd07ba4b560067d3",
         "snapshots.csv": "9be630448acc514abb107f4258af0dbb261144c2bd453bd4b578f9fede84d96d",
         "trace.csv": "c572cc7f1a301f18cfc681915c6be290b88d0a3bbde274d4bb8329e4e452e0a3",
     }
@@ -58,7 +58,7 @@ STEADY = ScenarioConfig(uav_count=20, wait_min=30, wait_max=90, duration=40, see
 def test_steady_fleet_scenario(tmp_path):
     # 20 UAVs with long waits: most simulated time is the ground-truth check.
     assert run_fleet(STEADY, tmp_path) == {
-        "events.jsonl": "5b9da9ab4e0ec286adad4147790641d709eaf2f561af2abe0da52154245e893f",
+        "events.jsonl": "7e4e35a550ef5a9b2f6dbff79dd50139f08041113233b030af7320edf30eba6d",
         "snapshots.csv": "00ac9e43016d5914d762c9d1bc55641f575e7b1453fa8b662f08d335e064a597",
         "trace.csv": "ee9b1cb9cd633fd7e1dfa5031ee607b4379516a235129fc2f984b0c6d6a078ce",
     }
@@ -67,35 +67,35 @@ def test_steady_fleet_scenario(tmp_path):
 # The bench's net_* scenarios 1-3 of seed 1 (scenario 0 is pinned above).
 BENCH_STEADY_DIGESTS = {
     100001: {
-        "events.jsonl": "54dd6a9b45b6f8e90365669837e300865405e170ecda93e9baaac5b1c5546ced",
-        "snapshots.csv": "6ce16918b7c909f605271d7700c09c52927f60de090de0eba9ef0780e8bfde54",
+        "events.jsonl": "c2bdaed87a407870ac4f86745db11e4ac7a49d2f93477dfaa5b9e758fc2b96ae",
+        "snapshots.csv": "24c046ee75ffff20999ae75086e97e811733b1fd6b5d649da775f91dedc9550f",
         "trace.csv": "b0f7723f36e1053cbe433b82ba498cac689ef73e6618ca4179e231bc38cca256",
     },
     100002: {
-        "events.jsonl": "3c0881a46a94ba8557e4d02dc23a47f1b86a049c8de71050bea048944722e61a",
+        "events.jsonl": "7ebc46cfbc4fdb8c55d7ceeaa3379f293b59adfe1dc122205a6c71bef75c7297",
         "snapshots.csv": "bdd0e4f7c742dfa17ae1b47e329cd35774efbe895fece4db36ae9997e5a20bbb",
         "trace.csv": "e86e175d21e4085b65302f767c5a7ad34d5de87ac58f0e759220bf977de4029e",
     },
     100003: {
-        "events.jsonl": "734eee3edad8aee7249f43fc7141bff33d4ec5aa49b6bad27a16798a7198b11e",
-        "snapshots.csv": "7c25f6b187e282ff1ebfeb16a9a870f4666841856ee5ad032a198e13eb3cd638",
+        "events.jsonl": "d2f7f2014deb03e156ce4028c0062cce1115aa6c84bbcf3766e216bfa1e150d0",
+        "snapshots.csv": "f9b22e43c6183f7cf29eaaba8f7c09165e1828435aed9b40a5769345190923f7",
         "trace.csv": "14e870450529cb5796d98fbc68833e8343a0d6378bccb5a3a44c2075102fdabe",
     },
 }
 BENCH_CHURN_DIGESTS = {
     100001: {
-        "events.jsonl": "11a352ccfaee987187eeeabe47a830e94531ffffdf5c77a9cfcf7b4874e1c881",
-        "snapshots.csv": "48388b68c7a8ed2e64e145fad6b4f7b54bbb40d92d93a9faef6022ac2080f8a8",
+        "events.jsonl": "2813d4399980d8ca6d5abfaf75c64f436baa4336409ca9cdbf70e58b563bdc40",
+        "snapshots.csv": "0caee90c2bd008de147aafa2a33fd241c6bd7a40a6584a734a4bf70a95a201a7",
         "trace.csv": "77254e6ecd8f2ffb2337228aad315bf90559d11331b749e6983fb4b0479a7376",
     },
     100002: {
-        "events.jsonl": "8f192a189c588b0f1ff9db4f1d2fb2f27ba2815e4cc44a493e51d0f925839a3a",
+        "events.jsonl": "70629ef6942de47de0d430e894d0b10d97dddd77b5d5ebf83021d26d1ac6fedb",
         "snapshots.csv": "45825f0d4536c8b6a6d45f90689e29f499d7806e5ada4ea6e8e31d6454b09d4b",
         "trace.csv": "6afe25d3844ead317609b9dde57d7c53457328dcfa2fa76740c370ed14247df5",
     },
     100003: {
-        "events.jsonl": "341dc56da5fe77360066178066c6f9e735909ec37c461269c1a62fb18caeac94",
-        "snapshots.csv": "94aef88b018b0ef13328428805a52d350a6c027b6a9d924ce3a08fb6e5ec6e70",
+        "events.jsonl": "dbf2d558ef5103e3ec5731f4cf0e017c6f206bfa87f33821a5bc15bb16f29ede",
+        "snapshots.csv": "87bf7b61a4f734c08c2073e3a6629167b0467d0a2350c9a88499f4244899d437",
         "trace.csv": "fbd0ce0920c81da2df10957531bdd8685eb1834c0f25ec1ec03c2c298340e554",
     },
 }
@@ -112,7 +112,7 @@ CHURN = ScenarioConfig(uav_count=40, wait_min=1, wait_max=4, duration=5, seed=10
 def test_churn_fleet_scenario(tmp_path):
     # 40 UAVs turning every 1-4 s: most of the run is lifetime re-estimates.
     assert run_fleet(CHURN, tmp_path) == {
-        "events.jsonl": "12712c766480bcfcedbbba2e90b0915275f31339404ed6adead0b567b900fdd2",
+        "events.jsonl": "c1c8b91b5922963a33375a4e62964b86549a626e9bf3a72449a65007c2bf6f7c",
         "snapshots.csv": "edc3073257907cb94fb0901b9bb37aefa19bcd3697acc39ced294ac88b3dfaf0",
         "trace.csv": "f7e35c0d831cd8317e1efa9e9d600fbb0b9d275ac6b2bf3552d63c698c0e4a11",
     }
@@ -128,7 +128,7 @@ def test_sparse_hello_scenario(tmp_path):
     # check wakes on its own between them while links come up and go down.
     config = ScenarioConfig(uav_count=4, hello_interval=20.0, duration=300, seed=3)
     assert run_fleet(config, tmp_path) == {
-        "events.jsonl": "2af491cbb2a821b722edd925153f31213ba713016b7451e4c890397878aa066e",
+        "events.jsonl": "71301f07a68f877d0fd450fca82ff3280eeca8ea8eb964e81378fe4b61a69f72",
         "snapshots.csv": "08648b31487a6203516e77c79aa18dd92049153f1c1a2286e6efd6b7dabfb318",
         "trace.csv": "a00047785460dc7d9aa51ead28678d1ea66dbc23fc8ef0576eff03ee7e2becca",
     }
@@ -223,7 +223,9 @@ def test_generate_trace(count, duration, wait, digest):
     CHURN,
     # Every change falls on a sample: both report the segment that starts there.
     ScenarioConfig(uav_count=3, wait_min=10, wait_max=10, duration=30, seed=5),
-], ids=["small", "churn", "changes_on_samples"])
+    # Samples 0.1 s apart: both take sample k at k * 0.1 s, up to 30 s.
+    ScenarioConfig(uav_count=3, duration=30, seed=5, hello_interval=0.1),
+], ids=["small", "churn", "changes_on_samples", "hello_0.1"])
 def test_generate_trace_matches_simulator(config):
     # Standalone mobility and the network run fly the same fleet: same
     # trace rows at the Hello interval, same per-UAV segment history.

@@ -11,13 +11,14 @@ from uavllt.kinematics import (
     StraightTrajectory,
     contact_span,
     planar_distance,
-    planar_positions_at,
     planar_xy,
     position_at,
     re_anchor,
     speed_and_size,
     velocity_heading,
 )
+
+from model_sampler import planar_positions_at
 
 
 def random_trajectory(rng, altitude=120.0):

@@ -11,7 +11,6 @@ from uavllt.kinematics import (
     Direction,
     StraightTrajectory,
     planar_distance,
-    planar_positions_at,
     position_at,
     re_anchor,
 )
@@ -39,7 +38,7 @@ from uavllt.validate import (
     sample_instance,
 )
 
-from model_sampler import sample
+from model_sampler import planar_positions_at, sample
 
 CCW = Direction.COUNTER_CLOCKWISE
 CW = Direction.CLOCKWISE

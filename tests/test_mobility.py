@@ -6,7 +6,6 @@ import pytest
 from uavllt.kinematics import (
     CurveTrajectory,
     StraightTrajectory,
-    planar_positions_at,
     position_at,
     velocity_heading,
 )
@@ -20,6 +19,8 @@ from uavllt.mobility import (
     next_trajectory,
     sample_wait_time,
 )
+
+from model_sampler import planar_positions_at
 
 ARENA = Arena(0.0, 5000.0, 0.0, 5000.0, 500.0)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from uavllt.netsim import (
     Simulator,
     recompute_llt,
     run_simulation,
+    tick_at_or_after,
 )
 
 from test_kinematics import random_trajectory
@@ -221,7 +223,9 @@ class TickByTickSimulator(Simulator):
     """Reference geometry: every Hello, every check tick and every bisection
     step takes its separations one pair at a time from its own
     ``_separation``, built on :func:`segment_at` and :func:`position_at`. It
-    runs its own chain of check ticks and ignores the due queue's wake-ups."""
+    checks every tick ``k * dt_check`` itself and ignores the due queue's
+    wake-ups; Hello ``k`` of the ``i``-th of ``n`` UAVs goes at
+    ``hello_interval * i / n + k * hello_interval``."""
 
     def _separation(self, a, b, t):
         seg_a = segment_at(self._segments[a], t)
@@ -230,19 +234,14 @@ class TickByTickSimulator(Simulator):
         return math.hypot(pa.x - pb.x, pa.y - pb.y)
 
     def run(self):
-        self._last_check = 0.0
-        self._push(self.dt_check, _CHECK)
+        self._push(self.dt_check, _CHECK, 1)
         return super().run()
 
     def _watch(self, k, pair, t):
         pass
 
-    def _tick_before(self, t):
-        return self._last_check
-
-    def _handle_hello(self, t, uid):
-        seq = self._hello_seq[uid]
-        self._hello_seq[uid] = seq + 1
+    def _handle_hello(self, t, payload):
+        uid, seq = payload
         self.events.append({"t": t, "event": "hello", "uav": uid, "seq": seq})
         for vid in self.order:
             if vid == uid or self._separation(uid, vid, t) > self.tx_range:
@@ -253,14 +252,14 @@ class TickByTickSimulator(Simulator):
             if (pair not in self.live and heard_at is not None
                     and t - heard_at <= HANDSHAKE_FRESHNESS * self.hello_interval):
                 self._establish(pair, t)
-        self._push(t + self.hello_interval, _HELLO, uid)
+        offset = self.hello_interval * self.order.index(uid) / len(self.order)
+        self._push(offset + (seq + 1) * self.hello_interval, _HELLO, (uid, seq + 1))
 
-    def _handle_check(self, t, _payload):
+    def _handle_check(self, t, i):
         for pair in list(self.live):
             if self._separation(pair[0], pair[1], t) > self.tx_range:
                 self._terminate(pair, t)
-        self._last_check = t
-        self._push(t + self.dt_check, _CHECK)
+        self._push((i + 1) * self.dt_check, _CHECK, i + 1)
 
 
 def assert_matches_reference(build):
@@ -368,15 +367,28 @@ class TestCheckBlockScan:
 
     def test_break_on_the_last_tick_before_duration(self):
         duration = 20.0
-        ticks = [0.01]
-        while ticks[-1] + 0.01 <= duration:
-            ticks.append(ticks[-1] + 0.01)
+        ticks = [k * 0.01 for k in range(1, 2001)]
+        assert ticks[-1] == duration
         crossing = 0.5 * (ticks[-2] + ticks[-1])
         sim = Simulator([parked("a"), flying("b", 0.0, 0.0, 10.0)], ScriptedChanges({}),
                         tx_range=10.0 * crossing, duration=duration)
         (down,) = link_downs(sim.run())
         assert ticks[-2] < down["t"] <= ticks[-1]
         assert down["t"] == pytest.approx(crossing, abs=1e-5)
+
+    def test_break_in_the_last_tick_span_of_a_40_s_run(self):
+        # A 40 s run, the shape of the bench's steady scenarios. "b" leaves
+        # range at 39.995 s, between the 39.99 s tick and the run's last
+        # tick, at its very end: that tick ends the link before the 40 s
+        # snapshot is taken.
+        sim = Simulator([parked("a"), flying("b", 0.0, 0.0, 10.0)], ScriptedChanges({}),
+                        tx_range=399.95, duration=40.0)
+        result = sim.run()
+        (down,) = link_downs(result)
+        assert down["t"] == pytest.approx(39.995, abs=1e-6)
+        assert sim.live == {}
+        assert result.snapshots[-1].snapshot_time == 40.0
+        assert ("a", "b") not in result.snapshots[-1].edges
 
     def test_nothing_past_the_end_of_the_run_is_handled(self):
         # In a 1 s run, Hellos 2 s apart start at 0, 2/3 and 4/3 s, the first
@@ -475,10 +487,7 @@ class TestCheckBlockScan:
         # link comes up with b's Hello at 0.5 s. Ranges within rounding of
         # the separation at the last tick before 1.5 s put the break on
         # either side of that tick.
-        ticks = [0.01]
-        while ticks[-1] < 1.5:
-            ticks.append(ticks[-1] + 0.01)
-        last = ticks[-2]
+        last = 149 * 0.01
         heading = 0.3
         gap = 600.0 - 120.0 * last
         a = StraightTrajectory(1e4, 1e4, heading + math.pi, 60.0, 100.0)
@@ -577,6 +586,78 @@ class TestCheckBlockScan:
             Simulator([parked("a"), parked("b", 50.0)], ScriptedChanges({}), **kwargs)
 
 
+class TestTickGrid:
+    """Every periodic instant is ``k`` times its interval; the due queue
+    finds its tick by :func:`tick_at_or_after`."""
+
+    @staticmethod
+    def brute_force(t, dt):
+        # Scan up from a start whose tick is before t (or from the first).
+        k = max(1, int(t / dt) - 2)
+        assert k == 1 or k * dt < t
+        while k * dt < t:
+            k += 1
+        return k
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.125, 0.15, 1.0 / 3.0])
+    def test_matches_brute_force(self, dt):
+        rng = np.random.default_rng(11)
+        top = int(1e5 / dt)
+        ks = [1, 2, 3, 7, 10, 29, 100, 149, 150, 160, 2000, 4000, top - 1, top]
+        ks += [int(k) for k in rng.integers(1, top, 200)]
+        instants = [0.0, math.nextafter(0.0, 1.0)]
+        for k in ks:
+            tick = k * dt
+            instants += [tick, math.nextafter(tick, 0.0), math.nextafter(tick, math.inf),
+                         (k + 0.5) * dt, (k + rng.random()) * dt]
+        for t in instants:
+            assert tick_at_or_after(t, dt) == self.brute_force(t, dt), t
+
+    def test_quotient_alone_is_off_by_one(self):
+        t = 3 * 0.1
+        assert math.ceil(t / 0.1) == 4
+        assert tick_at_or_after(t, 0.1) == 3
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.125, 0.15, 1.0 / 3.0])
+    def test_past_the_end_is_inf(self, dt):
+        end = 300 * dt
+        assert tick_at_or_after(end, dt, end) == 300
+        assert tick_at_or_after(math.nextafter(299 * dt, math.inf), dt, end) == 300
+        assert tick_at_or_after(math.nextafter(end, math.inf), dt, end) == math.inf
+        assert tick_at_or_after(math.inf, dt, end) == math.inf
+        # The first tick after an end between ticks is past it.
+        assert tick_at_or_after(299.5 * dt, dt, 299.7 * dt) == math.inf
+
+    def test_construction_does_not_grow_with_the_tick_count(self):
+        # 600,000 ticks of 1 ms: nothing is listed per tick.
+        states = [parked("a"), parked("b", 50.0)]
+        tracemalloc.start()
+        try:
+            Simulator(states, ScriptedChanges({}), tx_range=100.0, duration=600.0,
+                      dt_check=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_hellos_and_samples_on_their_own_grid(self):
+        # Hellos 0.1 s apart for three UAVs over 30 s: Hello k of UAV i is at
+        # 0.1 * i / 3 + k * 0.1, and snapshot k at k * 0.1, the last at 30 s.
+        sim = Simulator([parked("a"), parked("b", 5000.0), parked("c", 10000.0)],
+                        ScriptedChanges({}), tx_range=100.0, duration=30.0,
+                        hello_interval=0.1)
+        result = sim.run()
+        for i, uid in enumerate("abc"):
+            hellos = [(e["seq"], e["t"]) for e in result.events if e.get("uav") == uid]
+            offset = 0.1 * i / 3
+            expected = [(k, offset + k * 0.1) for k in range(301)
+                        if offset + k * 0.1 <= 30.0]
+            assert hellos == expected
+        times = [snap.snapshot_time for snap in result.snapshots]
+        assert times == [k * 0.1 for k in range(301)]
+        assert times[-1] == 30.0
+
+
 class TestDueQueue:
     """The check wakes only where a live link's contact certificate runs out
     or a change re-estimated it; each wake-up schedule below must give the
@@ -652,14 +733,12 @@ class TestDueQueue:
         # within rounding of the separation computed there are where a
         # certificate without its rounding allowance would wake the check a
         # tick after the link is already out of range.
-        ticks = [0.01]
-        while ticks[-1] < 1.6:
-            ticks.append(ticks[-1] + 0.01)
-        gap = 600.0 - 120.0 * ticks[-1]
+        tick = 160 * 0.01
+        gap = 600.0 - 120.0 * tick
         a = StraightTrajectory(1e4, 1e4, heading + math.pi, 60.0, 100.0)
         b = StraightTrajectory(1e4 + gap * math.cos(heading), 1e4 + gap * math.sin(heading),
                                heading, 60.0, 100.0)
-        pa, pb = position_at(a, ticks[-1]), position_at(b, ticks[-1])
+        pa, pb = position_at(a, tick), position_at(b, tick)
         tx_range = math.hypot(pa.x - pb.x, pa.y - pb.y)
         for _ in range(40):
             tx_range = math.nextafter(tx_range, 0.0)
@@ -669,7 +748,7 @@ class TestDueQueue:
                 lambda cls: cls([make_state("a", a), make_state("b", b)], ScriptedChanges({}),
                                 tx_range=tx_range, duration=2.1))
             (down,) = link_downs(reference)
-            breaks.add(down["t"] <= ticks[-1])
+            breaks.add(down["t"] <= tick)
             tx_range = math.nextafter(tx_range, math.inf)
         assert breaks == {True, False}
 

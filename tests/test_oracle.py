@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from uavllt import oracle
-from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory, planar_positions_at
+from uavllt.kinematics import CurveTrajectory, Direction, StraightTrajectory
 from uavllt.llt import LinkNotUp, compute_llt
 from uavllt.netsim import LinkGraph
 from uavllt.oracle import MAX_STEPS, TooLarge, brute_force_llt, enumerate_best_route
 from uavllt.validate import sample_instance
+
+from model_sampler import planar_positions_at
 
 
 class TestBruteForceLlt:
