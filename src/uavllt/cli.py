@@ -113,7 +113,11 @@ def _cmd_simulate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = run_simulation(config)
+    try:
+        result = run_simulation(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     write_events_jsonl(os.path.join(args.out, "events.jsonl"), result.events)
     write_trace_csv(os.path.join(args.out, "trace.csv"), result.trace_rows)

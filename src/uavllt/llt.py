@@ -59,6 +59,17 @@ then judges the break: its residual, the exact separation's distance from
 the range circle there, must be within :data:`RANGE_RESIDUAL_RTOL` of the
 range, or the range is lost in the model's rounding.
 
+The exact separation has one evaluator per searched window,
+:meth:`SquaredDistance.evaluator`: a plain closure over the model's
+coefficients that adds its terms left to right. Calling the model goes
+through it too, so every exact evaluation rounds alike. The link-up check,
+Brent and the residual all share it, and it remembers its last two points,
+so each point is evaluated once: a first window's ``D^2(0)`` is the link-up
+check's, and the residual is taken at Brent's root, which is its last or
+next-to-last iterate wherever the separation is monotone on the bracket (on
+every bracket of the sampled pairs; elsewhere the residual would only
+evaluate it again).
+
 A walk skips ahead to where a break first becomes possible. A curve flyer
 stays on its circle, so by the triangle inequality the separation is at
 most the other flyer's distance from the turn centre plus the radius. For
@@ -157,8 +168,18 @@ class RangeLostInRounding(ValueError):
 
 def _sign_changes(coeffs) -> int:
     """Sign changes along ``coeffs``, zeros ignored."""
-    signs = [c > 0.0 for c in coeffs if c]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    changes = 0
+    sign = 0
+    for c in coeffs:
+        if c > 0.0:
+            if sign < 0:
+                changes += 1
+            sign = 1
+        elif c:
+            if sign > 0:
+                changes += 1
+            sign = -1
+    return changes
 
 
 def _split(coeffs) -> tuple[list[float], list[float]]:
@@ -212,10 +233,12 @@ class SquaredDistance:
 
     ``quadratic`` holds (q0, q1, q2); ``terms`` the sinusoids, each a plain
     ``(amplitude, phase, rate, t_power)`` tuple that stands for
-    ``amplitude * t^t_power * cos(phase + rate * t)``. Calling the model at
-    one time value evaluates the exact (non-expanded) function; no Taylor
-    error here. Not frozen: a frozen dataclass sets each field through
-    ``object.__setattr__``, and a model is built per trust window.
+    ``amplitude * t^t_power * cos(phase + rate * t)``, with ``t_power`` 0
+    or 1 (case B's moving-amplitude term). Calling the model at one time
+    value evaluates the exact (non-expanded) function through
+    :meth:`evaluator`; no Taylor error here. Not frozen: a frozen dataclass
+    sets each field through ``object.__setattr__``, and a model is built per
+    trust window.
 
     Every sum here runs left to right in a plain loop: ``sum`` of floats
     rounds differently from Python 3.12 on, and the golden digests record
@@ -226,14 +249,42 @@ class SquaredDistance:
     terms: tuple[tuple[float, float, float, int], ...]
 
     def __call__(self, t: float) -> float:
+        """One exact evaluation; a search builds one :meth:`evaluator` instead."""
+        return self.evaluator()(t)
+
+    def evaluator(self):
+        """The exact model as a plain closure of one time value: ``q0 + t * (q1
+        + t * q2)``, then each term added, left to right.
+
+        It remembers the last two points it evaluated and answers a repeat
+        of either without evaluating again. :func:`walk` builds one per
+        searched window and shares it between the link-up check,
+        :func:`select_root` and the residual (see the module docstring).
+        """
         q0, q1, q2 = self.quadratic
-        value = q0 + t * (q1 + t * q2)
-        for amplitude, phase, rate, t_power in self.terms:
-            if t_power:
-                value += amplitude * math.cos(phase + rate * t) * t ** t_power
-            else:
-                value += amplitude * math.cos(phase + rate * t)
-        return value
+        terms = self.terms
+        cos = math.cos
+        last_t = last_value = before_t = before_value = math.nan
+
+        def exact(t: float) -> float:
+            nonlocal last_t, last_value, before_t, before_value
+            if t == last_t:
+                return last_value
+            if t == before_t:
+                return before_value
+            value = q0 + t * (q1 + t * q2)
+            for amplitude, phase, rate, t_power in terms:
+                if t_power:  # amplitude * cos(...) * t ** 1, exactly
+                    value += amplitude * cos(phase + rate * t) * t
+                else:
+                    value += amplitude * cos(phase + rate * t)
+            before_t = last_t
+            before_value = last_value
+            last_t = t
+            last_value = value
+            return value
+
+        return exact
 
     def taylor(self) -> list[float]:
         """Ascending coefficients of the Taylor polynomial about t=0.
@@ -246,19 +297,23 @@ class SquaredDistance:
         coeffs = [*self.quadratic] + [0.0] * (TAYLOR_DEGREE - 2)
         for amplitude, phase, rate, t_power in self.terms:
             # d^k/dt^k cos(phase + rate*t) at 0 cycles through +-cos/sin(phase)
-            # times the amplitude, folded in once: a * (-s) == -(a * s) exactly
+            # times the amplitude, folded in once: a * (-s) == -(a * s) exactly,
+            # and repeated for every k up to the degree
             cos, sin = amplitude * math.cos(phase), amplitude * math.sin(phase)
-            cycle = (cos, -sin, -cos, sin)
+            cycle = (cos, -sin, -cos, sin) * (TAYLOR_DEGREE // 4 + 1)
             rate_pow = 1.0
             for k in range(TAYLOR_DEGREE + 1 - t_power):
-                coeffs[k + t_power] += cycle[k & 3] * rate_pow / _FACTORIAL[k]
+                coeffs[k + t_power] += cycle[k] * rate_pow / _FACTORIAL[k]
                 rate_pow *= rate
         return coeffs
 
     def max_rate(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(rate) for _, _, rate, _ in self.terms)
+        fastest = 0.0
+        for _, _, rate, _ in self.terms:
+            rate = abs(rate)
+            if rate > fastest:
+                fastest = rate
+        return fastest
 
     def remainder_bound(self, window: float) -> float:
         """Upper bound on the truncation error of :meth:`taylor` over ``[0, window]``.
@@ -303,7 +358,9 @@ class SquaredDistance:
                 f"the separation model overflows when scaled to a {window:.6g} s trust window")
         for amplitude, _, _, t_power in self.terms:
             size += abs(amplitude) * window ** t_power
-        return (_BERNSTEIN @ scaled).tolist(), _ROUNDING * size
+        # ndarray.dot is the same dgemv call as the @ operator, with less
+        # dispatch around it: the same bits under every OpenBLAS kernel.
+        return _BERNSTEIN.dot(scaled).tolist(), _ROUNDING * size
 
 
 def _gap_parts(dx: float, dy: float) -> tuple[float, float, float, float, float]:
@@ -365,6 +422,8 @@ def _straight_pair_model(s1: StraightTrajectory, s2: StraightTrajectory) -> Squa
 
 def _to_shared_epoch(traj_a: Trajectory, traj_b: Trajectory) -> tuple[Trajectory, Trajectory]:
     """Re-anchor both trajectories at the later of their epochs."""
+    if traj_a.epoch == traj_b.epoch:
+        return traj_a, traj_b
     epoch = max(traj_a.epoch, traj_b.epoch)
     return re_anchor(traj_a, epoch), re_anchor(traj_b, epoch)
 
@@ -447,6 +506,12 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: fl
     bracket is narrower than ``xtol + rtol * |x|``. Raises ValueError when
     the ends have the same sign or ``f`` returns NaN, and RuntimeError after
     ``maxiter`` iterations without convergence.
+
+    ``f`` is called once per iterate. Where ``f`` is monotone on the
+    bracket, the root is the last or the next-to-last point ``f`` was called
+    at (an end counting as called), so an evaluator that remembers two
+    points, as :meth:`SquaredDistance.evaluator` does, hands the walk's
+    residual its value without evaluating it again.
     """
     xpre, xcur = xa, xb
     fpre, fcur = fa, fb
@@ -459,35 +524,42 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: fl
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
+    # The loop calls no builtin: a magnitude is ``x if x >= 0.0 else -x``,
+    # ``|x| < d`` is ``-d < x < d`` and ``y < min(a, b)`` is ``y < a and y < b``.
+    # Each has abs's and min's outcome, -0.0 included, since no f value in
+    # it is NaN and every x is finite.
     for _ in range(maxiter):
         # For non-zero values "< 0" is scipy's signbit test.
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if (fblk if fblk >= 0.0 else -fblk) < (fcur if fcur >= 0.0 else -fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + rtol * (xcur if xcur >= 0.0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        if fcur == 0.0 or -delta < sbis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if (spre > delta or spre < -delta) and (
+                (fcur if fcur >= 0.0 else -fcur) < (fpre if fpre >= 0.0 else -fpre)):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            step = 2 * (stry if stry >= 0.0 else -stry)
+            if step < (spre if spre >= 0.0 else -spre) and step < 3 * (
+                    sbis if sbis >= 0.0 else -sbis) - delta:
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis
         else:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        xcur += scur if (scur > delta or scur < -delta) else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise ValueError(f"f is NaN at x={xcur}")
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations; last x={xcur}")
 
@@ -506,6 +578,11 @@ def select_root(pieces, exact_dist, tx_range: float):
     circle counts as not inside, so a break at a piece's or a window's edge
     is not lost between two pieces. It only brackets and refines: whether
     the break sits on the range circle is :func:`walk`'s to judge.
+
+    It asks ``exact_dist`` once per point: a piece's start is the end of
+    the piece before it, whose value it keeps. The walk passes the window's
+    :meth:`SquaredDistance.evaluator`, which already holds ``D^2(0)`` from
+    the link-up check in a first window from 0; any callable will do.
     """
     if tx_range <= 0.0:
         raise ValueError(f"transmission range must be positive, got {tx_range}")
@@ -563,12 +640,15 @@ def _bounded(case: str, llt: float, residual: float) -> LltResult:
     return LltResult(llt=llt, case_used=case, residual=residual, horizon_capped=False)
 
 
-def _residual(model: SquaredDistance, t: float, tx_range: float) -> float:
-    """Distance of ``model``'s separation at ``t`` from the range circle, in metres."""
-    return abs(math.sqrt(max(model(t), 0.0)) - tx_range)
+def _residual(exact_dist, t: float, tx_range: float) -> float:
+    """Distance of the separation at ``t`` from the range circle, in metres;
+    ``exact_dist`` maps time to the exact squared separation."""
+    return abs(math.sqrt(max(exact_dist(t), 0.0)) - tx_range)
 
 
-def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> LltResult:
+def _solve_case_c(model: SquaredDistance, exact, tx_range: float, horizon: float) -> LltResult:
+    """The closed-form break of a case-C ``model``, whose :meth:`~SquaredDistance.evaluator`
+    ``exact`` gives the residual."""
     q0, q1, q2 = model.quadratic
     c = min(q0 - tx_range * tx_range, 0.0)  # at most on the range circle at t=0
     if q2 <= 0.0:
@@ -576,14 +656,14 @@ def _solve_case_c(model: SquaredDistance, tx_range: float, horizon: float) -> Ll
         if q1 > 0.0 and c < 0.0:
             root = -c / q1
             if root <= horizon:
-                return _bounded("C", root, _residual(model, root, tx_range))
+                return _bounded("C", root, _residual(exact, root, tx_range))
         return _unbounded("C", horizon)
     disc = q1 * q1 - 4.0 * q2 * c
     root = (-q1 + math.sqrt(max(disc, 0.0))) / (2.0 * q2)
     root = max(root, 0.0)
     if root > horizon:
         return _unbounded("C", horizon)
-    return _bounded("C", root, _residual(model, root, tx_range))
+    return _bounded("C", root, _residual(exact, root, tx_range))
 
 
 def _no_break_arc(flyer: CurveTrajectory, other: CurveTrajectory,
@@ -816,9 +896,14 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
     for case B ``rho(0) <= (r - R)(1 - 1e-9)``, so ``D(0) <= rho(0) + R < r``.
     Nothing is kept from one call to the next.
 
-    The walk computes each pick's residual once, before it yields the
-    window: beyond :data:`RANGE_RESIDUAL_RTOL` of the range it raises
-    :class:`RangeLostInRounding`, otherwise the result carries it.
+    With each model the walk builds its :meth:`~SquaredDistance.evaluator`,
+    the one exact evaluator of that window: the link-up check, the window's
+    :func:`select_root` and the residual all ask it, and it answers a point
+    it has just evaluated from memory, so each point is evaluated once (see
+    the module docstring). The walk computes each pick's residual once,
+    before it yields the window: beyond :data:`RANGE_RESIDUAL_RTOL` of the
+    range it raises :class:`RangeLostInRounding`, otherwise the result
+    carries it.
 
     Raises as :func:`compute_llt` does, once iterated. A case-C pair, a pair
     answered before any window is sized and a separation identically on the
@@ -850,13 +935,14 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
         offset = 0.0
     if offset == 0.0:
         model = squared_link_distance(traj_a, traj_b)
-        d0_sq = model(0.0)
+        exact = model.evaluator()
+        d0_sq = exact(0.0)
         if d0_sq > r2 * (1.0 + 1e-12):
             raise LinkNotUp(
                 f"initial separation {math.sqrt(d0_sq):.3f} m exceeds range {tx_range:.3f} m"
             )
         if case == "C":
-            yield _solve_case_c(model, tx_range, horizon)
+            yield _solve_case_c(model, exact, tx_range, horizon)
             return
     motions = (speed_and_size(traj_a, horizon), speed_and_size(traj_b, horizon))
     # The rates above are those of the model's sinusoids, so this is where
@@ -877,14 +963,15 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
             traj_a = re_anchor(traj_a, traj_a.epoch + offset)
             traj_b = re_anchor(traj_b, traj_b.epoch + offset)
             model = squared_link_distance(traj_a, traj_b)
+            exact = model.evaluator()
         window, bernstein, margin = trust_window(model, cap=horizon - t_base)
         shifted = [b - r2 for b in bernstein]
         if not any(shifted):
             break  # separation identically equal to the range: never exceeds
         pieces = find_real_roots(shifted, margin + _ROUNDING * r2, window)
-        pick = select_root(pieces, model, tx_range)
+        pick = select_root(pieces, exact, tx_range)
         if pick is not None:
-            residual = _residual(model, pick, tx_range)
+            residual = _residual(exact, pick, tx_range)
             if residual > RANGE_RESIDUAL_RTOL * tx_range:
                 raise RangeLostInRounding(
                     f"the separation model crosses the {tx_range:g} m range at {pick:.6g} s, but"

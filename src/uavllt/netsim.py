@@ -46,7 +46,10 @@ to checking every link on every tick.
 
 Each UAV has exactly one trajectory change queued at a time: the change
 driver returns the new state, anchored at the change instant, together
-with the instant of the next change. At each snapshot instant the
+with the instant of the next change, which must be later than the change
+(``inf`` for none): an instant that is not, or a NaN, raises
+:class:`ValueError` where it enters, since the run would queue it again
+forever or drop it. At each snapshot instant the
 simulator takes a topology snapshot. The trace is built after
 the run from each UAV's segment history, one row per UAV at every
 snapshot instant, by :func:`~uavllt.mobility.generate_trace`'s rule: a
@@ -221,7 +224,7 @@ class ScriptedChanges:
     ``epoch`` is ``now``); the simulator raises :class:`ValueError` for any
     other epoch. A state's ``next_change_at`` must be the time of its UAV's
     next scheduled item; a change at any other instant raises
-    :class:`ValueError`.
+    :class:`ValueError`, and so does a schedule with two items at one instant.
     """
 
     def __init__(self, schedule: dict):
@@ -271,6 +274,10 @@ class Simulator:
         repeated = [uid for uid in self.states if self.order.count(uid) > 1]
         if repeated:
             raise ValueError(f"UAV ids must be unique, repeated: {repeated}")
+        for state in self.states.values():
+            if not state.next_change_at >= 0.0:
+                raise ValueError(f"UAV {state.id!r} has its first change at "
+                                 f"t={state.next_change_at!r}; it must be at or after 0")
         self.driver = change_driver
         self.tx_range = tx_range
         self.duration = duration
@@ -369,6 +376,9 @@ class Simulator:
         if traj.epoch != t:
             raise ValueError(f"UAV {uid!r} changes at t={t!r} to a trajectory with epoch "
                              f"{traj.epoch!r}; a change must be anchored at its instant")
+        if not new_state.next_change_at > t:
+            raise ValueError(f"UAV {uid!r} changes at t={t!r} and schedules its next change at "
+                             f"t={new_state.next_change_at!r}; it must be later")
         self.states[uid] = new_state
         self._segments[uid].append(traj)
         self._motion[uid] = speed_and_size(traj, self.duration)

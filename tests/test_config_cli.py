@@ -1,9 +1,11 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
+from uavllt import netsim
 from uavllt.cli import main
 from uavllt.config import ConfigError, ScenarioConfig, load_config
 from uavllt.mobility import TRACE_HEADER
@@ -66,6 +68,15 @@ class TestConfig:
     def test_inverted_wait_range(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(wait_min=30.0, wait_max=5.0)
+
+    @pytest.mark.parametrize("duration", [5.0, 4.0, 600.0, 1e6])
+    def test_wait_must_advance_the_clock_up_to_the_duration(self, duration):
+        # Below the spacing of floats at the duration, t + wait can round
+        # back to t: the run would queue the same change again.
+        spacing = math.ulp(duration)
+        ScenarioConfig(wait_min=spacing, duration=duration)
+        with pytest.raises(ConfigError, match="wait_min .* does not advance the clock"):
+            ScenarioConfig(wait_min=spacing / 2.0, duration=duration)
 
     def test_too_few_uavs(self):
         with pytest.raises(ConfigError):
@@ -225,6 +236,45 @@ class TestSimulateCommand:
         path.write_text("uav_count = 1\n")
         code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_wait_that_does_not_advance_the_clock_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Waits of 1e-20 s used to run without end: 5 s of them is more
+        # changes than a run can make. The driver gives up after a few, so
+        # a run that starts fails here instead of hanging.
+        calls = []
+        drive = netsim.SmoothTurnChanges.__call__
+
+        def bounded(self, state, now):
+            calls.append(now)
+            if len(calls) > 1000:
+                raise RuntimeError(f"still changing trajectories at t={now!r}")
+            return drive(self, state, now)
+
+        monkeypatch.setattr(netsim.SmoothTurnChanges, "__call__", bounded)
+        path = tmp_path / "tiny_wait.cfg"
+        path.write_text("uav_count = 3\nwait_min = 1e-20\nwait_max = 1e-20\nduration = 5\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "wait_min 1e-20 s does not advance the clock" in err
+        assert not calls and not (tmp_path / "o").exists()
+
+    def test_driver_error_exit_2(self, scenario_file, tmp_path, capsys, monkeypatch):
+        # A change instant the simulator refuses mid-run is reported, not a
+        # traceback. The driver gives up after a few calls, as above.
+        calls = []
+        drive = netsim.SmoothTurnChanges.__call__
+
+        def stuck(self, state, now):
+            calls.append(now)
+            if len(calls) > 5:
+                raise RuntimeError(f"UAV {state.id!r} keeps changing at t={now!r}")
+            return replace(drive(self, state, now), next_change_at=now)
+
+        monkeypatch.setattr(netsim.SmoothTurnChanges, "__call__", stuck)
+        assert main(["simulate", scenario_file, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: UAV ") and "it must be later" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text, message", [
         # A repeated key used to let the last line win silently.

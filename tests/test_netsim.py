@@ -300,6 +300,62 @@ class TestScriptedChanges:
             sim.run()
 
 
+def bounded_driver(next_at):
+    """A change driver that schedules the next change at ``next_at(now)``,
+    and gives up after a few calls: a run that keeps calling it loops."""
+    calls = []
+
+    def drive(state, now):
+        calls.append(now)
+        if len(calls) > 5:
+            raise RuntimeError(f"the run keeps changing UAV {state.id!r}: {calls}")
+        return replace(state, trajectory=launch_east(state, now), next_change_at=next_at(now))
+
+    return drive
+
+
+class TestChangeInstants:
+    """A change instant that does not come after the last one, or a NaN,
+    would make a run queue the same change forever or drop a UAV's
+    changes, so it is refused where it enters. ``inf`` means "never"."""
+
+    @pytest.mark.parametrize("first", [math.nan, -1.0, -math.inf])
+    def test_first_change_nan_or_negative_rejected(self, first):
+        states = [parked("a"), replace(parked("b", 5.0), next_change_at=first)]
+        with pytest.raises(ValueError, match=r"UAV 'b' has its first change at t=.*"
+                                             r"at or after 0"):
+            Simulator(states, bounded_driver(lambda now: now + 1.0), tx_range=100.0,
+                      duration=10.0)
+
+    def test_first_change_at_inf_never_comes(self):
+        states = [parked("a"), parked("b", 5.0)]
+        assert states[1].next_change_at == math.inf
+        result = Simulator(states, bounded_driver(lambda now: now + 1.0), tx_range=100.0,
+                           duration=10.0).run()
+        assert not [e for e in result.events if e["event"] == "traj_change"]
+
+    @pytest.mark.parametrize("next_at", [
+        lambda now: now,  # used to call the driver at t = 1.0 without end
+        lambda now: now - 0.5,
+        lambda now: math.nan,  # used to drop the UAV's later changes
+    ], ids=["now", "earlier", "nan"])
+    def test_driver_instant_not_later_rejected(self, next_at):
+        b = replace(parked("b", 5.0), next_change_at=1.0)
+        sim = Simulator([parked("a"), b], bounded_driver(next_at), tx_range=100.0,
+                        duration=10.0)
+        with pytest.raises(ValueError, match=r"UAV 'b' changes at t=1\.0 and schedules its next "
+                                             r"change at t=.*; it must be later"):
+            sim.run()
+
+    def test_later_instants_and_inf_accepted(self):
+        b = replace(parked("b", 5.0), next_change_at=1.0)
+        sim = Simulator([parked("a"), b],
+                        bounded_driver(lambda now: now + 2.0 if now < 4.0 else math.inf),
+                        tx_range=100.0, duration=10.0)
+        changes = [e["t"] for e in sim.run().events if e["event"] == "traj_change"]
+        assert changes == [1.0, 3.0, 5.0]
+
+
 class TestCheckBlockScan:
     def test_simultaneous_breaks_logged_in_live_order(self):
         # "a" is parked between "c" and "b", which fly off in opposite
