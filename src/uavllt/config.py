@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .llt import DEFAULT_HORIZON
-from .mobility import Arena, SmoothTurnConfig, spawn_margin
+from .mobility import Arena, SmoothTurnConfig, check_wait_advances, spawn_margin
 
 
 class ConfigError(ValueError):
@@ -54,14 +54,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be positive")
         try:
             spawn_margin(self.arena(), self.smooth_turn())
+            check_wait_advances(self.wait_min, self.duration)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # A change at t <= duration comes a wait after the last one, and
-        # t + wait > t for every such t only if the wait is at least the
-        # spacing of floats at the duration.
-        if self.wait_min < math.ulp(self.duration):
-            raise ConfigError(f"wait_min {self.wait_min!r} s does not advance the clock by the "
-                              f"end of a {self.duration!r} s run")
 
     def arena(self) -> Arena:
         return Arena(self.x_min, self.x_max, self.y_min, self.y_max, self.buffer_width)

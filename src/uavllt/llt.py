@@ -944,6 +944,10 @@ def walk(traj_a: Trajectory, traj_b: Trajectory, tx_range: float, horizon: float
         if case == "C":
             yield _solve_case_c(model, exact, tx_range, horizon)
             return
+        if d0_sq < 0.0:
+            raise RangeLostInRounding(
+                f"the separation model rounds to {d0_sq:.3g} m^2 at link-up: the range is lost"
+                " in the rounding of its terms")
     motions = (speed_and_size(traj_a, horizon), speed_and_size(traj_b, horizon))
     # The rates above are those of the model's sinusoids, so this is where
     # trust_window starts from without building a model to ask.

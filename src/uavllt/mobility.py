@@ -95,6 +95,33 @@ class SmoothTurnConfig:
 DEFAULT_CONFIG = SmoothTurnConfig()
 # Candidate segments drawn at a change before falling back to a loiter circle.
 MAX_ATTEMPTS = 64
+# Most trajectory changes a run may ask for, count * duration / wait_min, as
+# oracle.MAX_STEPS bounds the oracle's steps.
+MAX_CHANGES = 10**8
+
+
+def check_wait_advances(wait_min: float, duration: float) -> None:
+    """Raise :class:`ValueError` unless every wait of at least ``wait_min``
+    seconds advances the clock up to ``duration``."""
+    # A change at t <= duration comes a wait after the last one, and
+    # t + wait > t for every such t only if the wait is at least the
+    # spacing of floats at the duration.
+    if wait_min < math.ulp(duration):
+        raise ValueError(f"wait_min {wait_min!r} s does not advance the clock by the "
+                         f"end of a {duration!r} s run")
+
+
+def check_changes(count: int, config: SmoothTurnConfig, duration: float) -> None:
+    """Raise :class:`ValueError` unless ``count`` UAVs waiting ``config``'s
+    waits can be flown to ``duration``: each wait must advance the clock
+    (:func:`check_wait_advances`), and the run may ask for at most
+    :data:`MAX_CHANGES` changes, so that no wait can hang it."""
+    check_wait_advances(config.wait_min, duration)
+    changes = count * duration / config.wait_min
+    if changes > MAX_CHANGES:
+        raise ValueError(f"refusing up to {changes:.3g} trajectory changes of {count} UAVs "
+                         f"waiting {config.wait_min:g} s over {duration:g} s: a run makes "
+                         f"at most {MAX_CHANGES:.0e}")
 
 
 @dataclass(frozen=True)
@@ -394,11 +421,13 @@ def generate_trace(count: int, arena: Arena, config: SmoothTurnConfig, duration:
     at every ``k * sample_dt`` up to ``duration`` by :func:`trace_rows`, as
     the network simulator's trace is: a sample on a change instant reports
     the segment that starts there. ``duration`` and ``sample_dt`` must be
-    positive and finite; :class:`ValueError` otherwise.
+    positive and finite, and the waits as :func:`check_changes` asks;
+    :class:`ValueError` otherwise.
     """
     for name, value in (("duration", duration), ("sample_dt", sample_dt)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    check_changes(count, config, duration)
     fleet = SmoothTurnFleet(count, arena, config, seed)
     segments = []
     for i, state in enumerate(fleet.states):

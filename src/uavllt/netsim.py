@@ -34,12 +34,12 @@ Every periodic instant is computed as ``k`` times its interval, never
 summed: check tick ``k`` is at ``k * dt_check``, Hello ``k`` of the
 ``i``-th of ``n`` UAVs at ``hello_interval * i / n + k * hello_interval``
 and snapshot ``k`` at ``k * hello_interval``, each up to and including the
-duration. Each live link waits in a due queue at the first tick at or
-after the instant its certificate runs out, from its link-up or a change
-that re-estimates it (:func:`tick_at_or_after`); one check event is queued
-at the earliest. It evaluates the due links only, in live order, ends
-each one beyond range (bisected from the tick before) and certifies the
-others from its tick; a link whose certificate a Hello renewed waits
+duration. Each live link's next check is an ordinary event, queued at
+the first tick at or after the instant its certificate runs out, from its
+link-up or a change that re-estimates it (:func:`tick_at_or_after`). The
+checks of one tick pop in live order; each ends its link beyond range
+(bisected from the tick before) or certifies it from its tick and queues
+the link's next check, and a link whose certificate a Hello renewed waits
 again until the new expiry. No link is skipped on a tick where its
 certificate does not hold it in range, so every output is bit-identical
 to checking every link on every tick.
@@ -299,9 +299,7 @@ class Simulator:
         self._heard: dict = {}  # (listener, sender) -> when last heard
         n = len(self.order)
         self._hello_offset = {uid: hello_interval * i / n for i, uid in enumerate(self.order)}
-        # (first tick at or after its certificate runs out, k, pair) per live link
-        self._due: list = []
-        self._next_check = math.inf  # tick of the queued check
+        self._checked = None  # payload of the check evaluated last
         self._heap: list = []
         self._seq = 0
 
@@ -412,48 +410,37 @@ class Simulator:
         return (tick_at_or_after(t, self.dt_check) - 1) * self.dt_check
 
     def _watch(self, k: int, pair, t: float) -> None:
-        """Queue live link ``k`` at the first tick at or after both ``t`` and
-        the instant its contact certificate runs out, and wake the check there."""
+        """Queue live link ``k``'s check at the first tick at or after both
+        ``t`` and the instant its contact certificate runs out, unless that
+        tick is past the end of the run. The key orders one tick's checks by
+        ``k``, their live order, as checking every link on every tick would
+        end them, and pops a link's repeats together."""
         cert = self._contact[pair[0]].get(pair[1])
         due = t if cert is None else max(cert[0], t)
         i = tick_at_or_after(due, self.dt_check, self.duration)
-        heappush(self._due, (i, k, pair))
-        self._wake(i)
+        if i < math.inf:
+            heappush(self._heap, (i * self.dt_check, _CHECK, k, (i, k, pair)))
 
-    def _wake(self, i) -> None:
-        """Queue the check at tick ``i`` if it comes before the queued one."""
-        if i < self._next_check:
-            self._next_check = i
-            self._push(i * self.dt_check, _CHECK, i)
-
-    def _handle_check(self, t: float, i: int) -> None:
-        if i != self._next_check:
-            return  # an earlier wake-up replaced this check
-        due, contact, records = self._due, self._contact, self.records
-        dt, end = self.dt_check, self.duration
-        # Entries of one tick pop in live order, as checking every link on
-        # every tick would end them, and a link's repeats pop together.
-        last = None
-        while due and due[0][0] <= i:
-            _, k, (a, b) = heappop(due)
-            if k == last or records[k].terminated_at is not None:
-                continue
-            last = k
-            cert = contact[a].get(b)
-            if cert is None or t >= cert[0] or not cert[1]:
-                traj_a, traj_b = self.states[a].trajectory, self.states[b].trajectory
-                xa, ya = planar_xy(traj_a, t - traj_a.epoch)
-                xb, yb = planar_xy(traj_b, t - traj_b.epoch)
-                d = math.hypot(xa - xb, ya - yb)
-                if d > self.tx_range:
-                    self._terminate((a, b), t)
-                    continue
-                cert = contact[a][b] = contact[b][a] = (self._contact_until(a, b, t, d), True)
-            # A certificate that runs out on this tick waits for the next.
-            heappush(due, (max(tick_at_or_after(cert[0], dt, end), i + 1), k, (a, b)))
-        self._next_check = math.inf
-        if due:
-            self._wake(due[0][0])
+    def _handle_check(self, t: float, payload) -> None:
+        """Evaluate live link ``k`` at check tick ``i``: end it beyond range,
+        or certify it from this tick, and queue its next check."""
+        i, k, (a, b) = payload
+        if payload == self._checked or self.records[k].terminated_at is not None:
+            return
+        self._checked = payload
+        contact = self._contact
+        cert = contact[a].get(b)
+        if cert is None or t >= cert[0] or not cert[1]:
+            traj_a, traj_b = self.states[a].trajectory, self.states[b].trajectory
+            xa, ya = planar_xy(traj_a, t - traj_a.epoch)
+            xb, yb = planar_xy(traj_b, t - traj_b.epoch)
+            d = math.hypot(xa - xb, ya - yb)
+            if d > self.tx_range:
+                self._terminate((a, b), t)
+                return
+            contact[a][b] = contact[b][a] = (self._contact_until(a, b, t, d), True)
+        # A certificate that runs out on this tick waits for the next.
+        self._watch(k, (a, b), (i + 1) * self.dt_check)
 
     def _contact_until(self, a, b, t: float, separation: float) -> float:
         """Instant before which the computed separation of UAVs ``a`` and
@@ -509,7 +496,10 @@ class Simulator:
 
 
 def run_simulation(config: ScenarioConfig) -> SimulationResult:
-    """Full smooth-turn network run driven by a scenario configuration."""
+    """Full smooth-turn network run driven by a scenario configuration.
+    Raises :class:`ValueError` for waits that :func:`mobility.check_changes`
+    refuses."""
+    mobility.check_changes(config.uav_count, config.smooth_turn(), config.duration)
     fleet = SmoothTurnFleet(config.uav_count, config.arena(), config.smooth_turn(),
                             config.seed)
     sim = Simulator(fleet.states, SmoothTurnChanges(fleet),

@@ -154,6 +154,21 @@ class TestPairCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "no crossing sits on the range circle" in captured.err
 
+    def test_link_up_model_rounding_below_zero_exit_2(self, capsys):
+        # The pair of TestComputeLlt's negative link-up model, which once
+        # printed "error: math domain error".
+        code = main(["pair",
+                     "curve:-35640805.53356059,-30774640.112611193,47614675.05923803,"
+                     "39.70393010931833,cw,0.7226185879294431,100",
+                     "curve:72461.37606960257,715548.4997375101,1392.0125996610536,"
+                     "36.300578890811316,ccw,-0.12424913236926072,110",
+                     "--range", "1.2051079431751688", "--horizon", "300"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "the range is lost in the rounding of its terms" in captured.err
+
     def test_out_of_range_exit_3(self, capsys):
         code = main(["pair", "straight:0,0,0,10,100", "straight:900,0,0,10,110",
                      "--range", "100"])
@@ -256,6 +271,27 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "wait_min 1e-20 s does not advance the clock" in err
+        assert not calls and not (tmp_path / "o").exists()
+
+    def test_more_changes_than_a_run_makes_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Waits of 1e-12 s advance the clock, but 5 s of them for 3 UAVs is
+        # 1.5e13 changes, days of work. The driver gives up after a few, as
+        # above.
+        calls = []
+        drive = netsim.SmoothTurnChanges.__call__
+
+        def bounded(self, state, now):
+            calls.append(now)
+            if len(calls) > 1000:
+                raise RuntimeError(f"still changing trajectories at t={now!r}")
+            return drive(self, state, now)
+
+        monkeypatch.setattr(netsim.SmoothTurnChanges, "__call__", bounded)
+        path = tmp_path / "short_wait.cfg"
+        path.write_text("uav_count = 3\nwait_min = 1e-12\nwait_max = 1e-12\nduration = 5\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "refusing up to 1.5e+13 trajectory changes" in err
         assert not calls and not (tmp_path / "o").exists()
 
     def test_driver_error_exit_2(self, scenario_file, tmp_path, capsys, monkeypatch):

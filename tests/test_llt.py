@@ -610,6 +610,19 @@ class TestComputeLlt:
                 yielded.append(item)
         assert all(w.pick is None for w in yielded)
 
+    def test_link_up_model_rounding_below_zero_raises(self):
+        # A 47,615 km orbit beside a 1.4 km one: the link-up model rounds
+        # to a negative squared separation, whose square root the speed
+        # steps once took (a bare "math domain error"). Clamped to 0 the
+        # walk answers 0.027687 s where the oracle says 0.020807 s.
+        a = curve(-35640805.53356059, -30774640.112611193, 47614675.05923803,
+                  39.70393010931833, CW, 0.7226185879294431)
+        b = curve(72461.37606960257, 715548.4997375101, 1392.0125996610536,
+                  36.300578890811316, CCW, -0.12424913236926072, z=110.0)
+        assert squared_link_distance(a, b)(0.0) < 0.0
+        with pytest.raises(RangeLostInRounding, match="rounds to .* at link-up"):
+            compute_llt(a, b, 1.2051079431751688, 300.0)
+
     @pytest.mark.parametrize("tx_range, horizon", [
         (math.nan, 600.0), (math.inf, 600.0), (0.0, 600.0), (-5.0, 600.0),
         (500.0, math.nan), (500.0, math.inf), (500.0, 0.0), (500.0, -1.0),

@@ -10,11 +10,13 @@ from uavllt.kinematics import (
     velocity_heading,
 )
 from uavllt.mobility import (
+    MAX_CHANGES,
     Arena,
     ResampleExhausted,
     SmoothTurnConfig,
     SmoothTurnFleet,
     UavState,
+    check_changes,
     generate_trace,
     next_trajectory,
     sample_wait_time,
@@ -214,3 +216,34 @@ class TestGenerateTraceInputs:
     def test_bad_sample_dt_rejected(self, sample_dt):
         with pytest.raises(ValueError, match="sample_dt must be positive and finite"):
             generate_trace(2, ARENA, SmoothTurnConfig(), 60.0, seed=1, sample_dt=sample_dt)
+
+    @pytest.mark.parametrize("wait, match", [
+        # Past about 1e-4 s a change at t + 1e-20 rounds back to t: the
+        # run used to queue the same change without end.
+        (1e-20, r"wait_min 1e-20 s does not advance the clock by the end of a 5\.0 s run"),
+        # Each wait advances the clock, but 1.5e13 changes would take days.
+        (1e-12, r"refusing up to 1\.5e\+13 trajectory changes of 3 UAVs"),
+    ], ids=["stuck_clock", "too_many_changes"])
+    def test_waits_that_could_hang_the_run_rejected(self, wait, match, monkeypatch):
+        # The fleet gives up after 1,000 changes, so a run that starts
+        # fails here instead of hanging.
+        calls = []
+        advance = SmoothTurnFleet.advance
+
+        def bounded(self, index, now):
+            calls.append(now)
+            if len(calls) > 1000:
+                raise RuntimeError(f"still changing trajectories at t={now!r}")
+            return advance(self, index, now)
+
+        monkeypatch.setattr(SmoothTurnFleet, "advance", bounded)
+        config = SmoothTurnConfig(wait_min=wait, wait_max=wait)
+        with pytest.raises(ValueError, match=match):
+            generate_trace(3, ARENA, config, 5.0, seed=1)
+        assert not calls
+
+    def test_change_bound_is_inclusive(self):
+        config = SmoothTurnConfig(wait_min=1.0, wait_max=2.0)
+        check_changes(1, config, float(MAX_CHANGES))
+        with pytest.raises(ValueError, match="refusing up to 2e\\+08 trajectory changes"):
+            check_changes(2, config, float(MAX_CHANGES))

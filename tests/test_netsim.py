@@ -209,6 +209,10 @@ REFERENCE_CONFIGS = {
     "steady": ScenarioConfig(**REFERENCE_FLEET, wait_min=30.0, wait_max=90.0, duration=60.0),
     # Hellos 10 s apart: the check wakes on its own between them.
     "sparse": ScenarioConfig(**REFERENCE_FLEET, hello_interval=10.0, duration=120.0),
+    # The bench's two shapes on the default arena and range: many live
+    # links share each tick's checks.
+    "bench_steady": ScenarioConfig(uav_count=20, wait_min=30.0, wait_max=90.0, duration=10.0),
+    "bench_churn": ScenarioConfig(uav_count=40, wait_min=1.0, wait_max=4.0, duration=5.0),
 }
 
 
@@ -223,9 +227,9 @@ class TickByTickSimulator(Simulator):
     """Reference geometry: every Hello, every check tick and every bisection
     step takes its separations one pair at a time from its own
     ``_separation``, built on :func:`segment_at` and :func:`position_at`. It
-    checks every tick ``k * dt_check`` itself and ignores the due queue's
-    wake-ups; Hello ``k`` of the ``i``-th of ``n`` UAVs goes at
-    ``hello_interval * i / n + k * hello_interval``."""
+    queues no per-link checks: one check event per tick ``k * dt_check``
+    evaluates every live link; Hello ``k`` of the ``i``-th of ``n`` UAVs
+    goes at ``hello_interval * i / n + k * hello_interval``."""
 
     def _separation(self, a, b, t):
         seg_a = segment_at(self._segments[a], t)
@@ -643,8 +647,8 @@ class TestCheckBlockScan:
 
 
 class TestTickGrid:
-    """Every periodic instant is ``k`` times its interval; the due queue
-    finds its tick by :func:`tick_at_or_after`."""
+    """Every periodic instant is ``k`` times its interval; a live link's
+    next check finds its tick by :func:`tick_at_or_after`."""
 
     @staticmethod
     def brute_force(t, dt):
@@ -715,9 +719,9 @@ class TestTickGrid:
 
 
 class TestDueQueue:
-    """The check wakes only where a live link's contact certificate runs out
-    or a change re-estimated it; each wake-up schedule below must give the
-    tick-by-tick reference's events."""
+    """A live link's check is queued only where its contact certificate runs
+    out or a change re-estimated it; each check schedule below must give
+    the tick-by-tick reference's events."""
 
     def test_link_up_exactly_at_range_wakes_no_earlier_tick(self):
         # "b" jumps at 0.4 s to a slow approach that puts it exactly at range
@@ -808,6 +812,30 @@ class TestDueQueue:
             tx_range = math.nextafter(tx_range, math.inf)
         assert breaks == {True, False}
 
+    def test_separation_at_range_on_the_last_tick_queues_nothing_past_the_end(self):
+        # "b" flies off from a parked "a" and is exactly at range, as
+        # computed, on the run's last tick, 2 s. That tick's check finds it
+        # in range with a certificate that has already run out, so the
+        # link's next check would fall past the end: it is dropped, and the
+        # link is still up in the 2 s snapshot.
+        a, b = parked("a"), flying("b", 0.0, 0.0, 10.0)
+        xa, ya = planar_xy(a.trajectory, 2.0)
+        xb, yb = planar_xy(b.trajectory, 2.0)
+        assert 200 * 0.01 == 2.0
+        sims = []
+
+        def build(cls):
+            sims.append(cls([a, b], ScriptedChanges({}), tx_range=math.hypot(xb - xa, yb - ya),
+                            duration=2.0))
+            return sims[-1]
+
+        reference = assert_matches_reference(build)
+        assert max(e["t"] for e in reference.events) == 2.0
+        assert link_downs(reference) == []
+        assert reference.snapshots[-1].snapshot_time == 2.0
+        assert ("a", "b") in reference.snapshots[-1].edges
+        assert list(sims[0].live) == [("a", "b")]
+
     @pytest.mark.parametrize("dt_check", [0.125, 0.15], ids=["on_a_tick", "between_ticks"])
     def test_link_up_breaks_before_the_next_tick(self, dt_check):
         # b's 0.5 s Hello, on a tick of 1/8 s or between ticks of 0.15 s,
@@ -847,6 +875,26 @@ class TestDueQueue:
         downs = [e for e in link_downs(reference) if e["a"] == "a"]
         assert [(e["b"], e["t"]) for e in downs] == [("c", pytest.approx(5.7, abs=1e-5)),
                                                       ("b", pytest.approx(5.63, abs=1e-5))]
+
+    def test_breaks_on_one_tick_logged_in_live_order_whatever_their_push_order(self):
+        # (a, c) comes up at 1/3 s and (a, b) at 2/3 s, when (a, b)'s check
+        # is queued at the 4 s tick, where its certificate runs out. Parked,
+        # (a, c) needs no check until c flies off at 3.95 s, which queues
+        # its check at the same tick. Both breaks are found there and logged
+        # in live order, not in the order their checks were queued.
+        def fly_west(state, now):
+            return StraightTrajectory(-99.5, 0.0, math.pi, 100.0, 100.0, epoch=now)
+
+        c = make_state("c", StraightTrajectory(-99.5, 0.0, 0.0, 0.0, 100.0), next_change_at=3.95)
+        states = [parked("a"), c, flying("b", 60.4, 0.0, 10.0)]
+        reference = assert_matches_reference(
+            lambda cls: cls(states, ScriptedChanges({"c": [(3.95, fly_west)]}), tx_range=100.0,
+                            duration=6.0, dt_check=0.125))
+        downs = link_downs(reference)
+        assert [(e["a"], e["b"], e["t"]) for e in downs] == [
+            ("a", "c", pytest.approx(3.955, abs=1e-5)), ("a", "b", pytest.approx(3.96, abs=1e-5))]
+        (recompute,) = [e for e in reference.events if e["event"] == "llt_recompute"]
+        assert recompute["t"] == 3.95
 
 
 class TestSpeedAndSize:
